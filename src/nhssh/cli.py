@@ -138,17 +138,17 @@ def _validate(values: dict, line: int | None = None) -> None:
         raise ConfigError("cells must be >= 2", line)
     if "delta" in values and not 0.0 < values["delta"] < 1.0:
         raise ConfigError(f"delta must lie in (0, 1), got {values['delta']}", line)
-    if "gamma" in values and values["gamma"] < 0.0:
-        raise ConfigError("gamma must be >= 0", line)
-    if "q" in values and values["q"] < 0.0:
-        raise ConfigError("q must be >= 0", line)
+    if "gamma" in values and not 0.0 <= values["gamma"] < np.inf:
+        raise ConfigError(f"gamma must be finite and >= 0, got {values['gamma']}", line)
+    if "q" in values and not 0.0 <= values["q"] < np.inf:
+        raise ConfigError(f"q must be finite and >= 0, got {values['q']}", line)
     for key in ("kappa0_over_pi", "kappa02_over_pi"):
         if key in values and not 0.0 < values[key] < 1.0:
             raise ConfigError(f"{key} must lie in (0, 1), got {values[key]}", line)
     if "samples" in values and values["samples"] < 2:
         raise ConfigError("samples must be >= 2", line)
-    if "tmax_over_tau" in values and values["tmax_over_tau"] <= 0.0:
-        raise ConfigError("tmax_over_tau must be positive", line)
+    if "tmax_over_tau" in values and not 0.0 < values["tmax_over_tau"] < np.inf:
+        raise ConfigError(f"tmax_over_tau must be finite and positive, got {values['tmax_over_tau']}", line)
 
 
 def build_config(explicit: dict) -> ExperimentConfig:

@@ -47,8 +47,8 @@ class LatticeParams:
             raise ValueError(f"cells must be an integer >= 2, got {self.cells}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-        if self.gamma < 0.0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
+        if not 0.0 <= self.gamma < np.inf:
+            raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
         if self.boundary is Boundary.PERIODIC and self.cells % 2:
             raise ValueError("periodic boundary requires an even number of cells")
 
@@ -73,44 +73,29 @@ def build_hamiltonian(params: LatticeParams) -> np.ndarray:
     ``+i*gamma`` on A sites and ``-i*gamma`` on B sites.  The matrix is
     complex symmetric (H == H.T) for every parameter choice.
     """
-    N = params.cells
-    n = 2 * N
-    H = np.zeros((n, n), dtype=complex)
-    strong = 1.0 + params.delta
-    weak = 1.0 - params.delta
-    for j in range(N):
-        a, b = 2 * j, 2 * j + 1
-        H[a, b] = H[b, a] = strong
-        H[a, a] = 1j * params.gamma
-        H[b, b] = -1j * params.gamma
-    for j in range(N - 1):
-        b, a_next = 2 * j + 1, 2 * j + 2
-        H[b, a_next] = H[a_next, b] = weak
+    n = params.n_sites
+    H = np.diag(np.resize([1j, -1j], n) * params.gamma)
+    bond = np.arange(n - 1)  # bond l joins sites l and l+1, strong inside a cell
+    H[bond, bond + 1] = H[bond + 1, bond] = np.resize([1.0 + params.delta, 1.0 - params.delta], n - 1)
     if params.boundary is Boundary.PERIODIC:
-        H[n - 1, 0] = H[0, n - 1] = weak
+        H[n - 1, 0] = H[0, n - 1] = 1.0 - params.delta
     return H
 
 
 def symmetry_operator(kind: str, cells: int) -> np.ndarray:
     """Parity P or sublattice-sign C as a dense 2N x 2N matrix.
 
-    P exchanges the A site of cell j with the B site of cell N+1-j;
-    C is diagonal with +1 on A sites and -1 on B sites.  Both square
-    to the identity.
+    P exchanges the A site of cell j with the B site of cell N+1-j, which
+    is the site reversal; C is diagonal with +1 on A sites and -1 on B
+    sites.  Both square to the identity.
     """
     if cells < 1:
         raise ValueError("cells must be >= 1")
     n = 2 * cells
     if kind == "C":
-        d = np.ones(n)
-        d[1::2] = -1.0
-        return np.diag(d)
+        return np.diag(np.resize([1.0, -1.0], n))
     if kind == "P":
-        P = np.zeros((n, n))
-        for j in range(1, cells + 1):
-            P[2 * (cells + 1 - j) - 1, 2 * j - 2] = 1.0  # a_j -> b_{N+1-j}
-            P[2 * (cells + 1 - j) - 2, 2 * j - 1] = 1.0  # b_j -> a_{N+1-j}
-        return P
+        return np.eye(n)[::-1]
     raise ValueError(f"unknown symmetry operator kind {kind!r}; expected 'P' or 'C'")
 
 
@@ -125,13 +110,10 @@ def apply_antilinear(kind: str, state: np.ndarray) -> np.ndarray:
         raise ValueError("state must be a flat vector of even length")
     if kind == "T":
         return state.conj()
-    cells = state.size // 2
     if kind == "PT":
-        return symmetry_operator("P", cells) @ state.conj()
+        return state.conj()[::-1]  # P is the site reversal
     if kind == "CT":
-        out = state.conj().copy()
-        out[1::2] *= -1.0
-        return out
+        return state.conj() * np.resize([1.0, -1.0], state.size)
     raise ValueError(f"unknown antilinear kind {kind!r}; expected 'T', 'PT' or 'CT'")
 
 
@@ -146,8 +128,28 @@ def symmetry_residuals(H: np.ndarray, cells: int) -> dict:
     n = 2 * cells
     if H.shape != (n, n):
         raise ValueError(f"H has shape {H.shape}, expected ({n}, {n})")
-    P = symmetry_operator("P", cells)
-    C = symmetry_operator("C", cells)
-    pt = np.abs(P @ H.conj() @ P - H).max()
-    ct = np.abs(C @ H.conj() @ C + H).max()
+    sign = np.resize([1.0, -1.0], n)
+    pt = np.abs(H.conj()[::-1, ::-1] - H).max()
+    ct = np.abs(sign[:, None] * H.conj() * sign + H).max()
     return {"pt_residual": float(pt), "ct_residual": float(ct)}
+
+
+def chiral_split(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Split ``H = T + i*diag(g)`` into real symmetric hopping T and gain g.
+
+    Requires ``|g_i| = gamma`` on every site and ``T_ij (g_i + g_j) = 0``
+    (hopping joins gain to loss only), so that ``H^2 = T^2 - gamma^2``.
+    """
+    H = np.asarray(H)
+    if H.ndim != 2 or H.shape[0] != H.shape[1]:
+        raise ValueError(f"H must be square, got shape {H.shape}")
+    T, g = H.real, np.diag(H).imag
+    i, j = np.nonzero(T)
+    if (
+        np.count_nonzero(H.imag) != np.count_nonzero(g)  # imaginary part off the diagonal
+        or not np.all(np.abs(g) == np.abs(g[:1]))
+        or not np.array_equal(T[i, j], T[j, i])
+        or np.any(g[i] + g[j])
+    ):
+        raise ValueError("H is not real symmetric hopping between sites of opposite gain +/-i*gamma")
+    return T, g

@@ -47,8 +47,8 @@ class PacketSpec:
     def __post_init__(self):
         if not 0.0 < self.kappa0 < math.pi:
             raise ValueError(f"kappa0 must lie strictly inside (0, pi), got {self.kappa0}")
-        if self.q < 0.0:
-            raise ValueError(f"q must be >= 0, got {self.q}")
+        if not 0.0 <= self.q < math.inf:
+            raise ValueError(f"q must be finite and >= 0, got {self.q}")
         if self.lam is not None and self.lam <= 0.0:
             raise ValueError(f"lam must be positive, got {self.lam}")
 

@@ -3,8 +3,8 @@
 The open chain tuned to ``gamma = gamma_c`` carries equally spaced
 levels ``E_n = +/- n*omega`` near zero energy, with
 ``omega = sqrt(2*delta*(1-delta))*pi/(N+1)``.  This module computes the
-full complex spectrum numerically and checks it against that analytic
-structure.
+full complex spectrum from the real hopping alone and checks it against
+that analytic structure.
 """
 
 from __future__ import annotations
@@ -13,11 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import LatticeParams
+from .lattice import LatticeParams, chiral_split
 
 
 class EigensolverError(RuntimeError):
-    """QR iteration failed to converge within the LAPACK iteration cap."""
+    """The symmetric eigensolver failed to converge."""
 
 
 class ComplexBandError(ValueError):
@@ -25,19 +25,23 @@ class ComplexBandError(ValueError):
 
 
 def full_spectrum(H: np.ndarray) -> np.ndarray:
-    """All eigenvalues of a dense complex matrix.
+    """All eigenvalues of ``H = T + i*diag(g)`` from one ``eigvalsh(T)``.
 
-    Sorted by |Re|, then Re, then Im, so repeated runs produce identical
-    output.  Defective inputs (ring at the exceptional point) return
-    clustered eigenvalues rather than failing.
+    ``H^2 = T^2 - gamma^2`` maps each pair +/-lam of T to
+    ``+/-sqrt(lam^2 - gamma^2)``, exact also at the exceptional point.
+    Sorted by |Re|, then Re, then Im.
     """
-    H = np.asarray(H, dtype=complex)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise ValueError(f"H must be square, got shape {H.shape}")
+    T, g = chiral_split(H)
+    gamma = float(np.abs(g).max())
     try:
-        ev = np.linalg.eigvals(H)
+        ev = np.linalg.eigvalsh(T).astype(complex)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"eigenvalue iteration did not converge: {exc}") from exc
+    if gamma:
+        # gain makes T bipartite: pair lam[k] with -lam[-1-k] so both members of a zero pair survive
+        mag = 0.5 * np.abs(ev - ev[::-1])
+        sign = np.where(np.arange(ev.size) < ev.size // 2, -1.0, 1.0)
+        ev = sign * np.sqrt((mag - gamma) * (mag + gamma) + 0j)
     order = np.lexsort((ev.imag, ev.real, np.abs(ev.real)))
     return ev[order]
 

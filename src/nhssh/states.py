@@ -36,8 +36,8 @@ class PacketPairSpec:
                 raise ValueError(f"{name} must lie strictly inside (0, pi), got {k}")
         if self.kappa01 == self.kappa02:
             raise ValueError("kappa01 and kappa02 must differ for a genuine two-packet state")
-        if self.q < 0.0:
-            raise ValueError(f"q must be >= 0, got {self.q}")
+        if not 0.0 <= self.q < math.inf:
+            raise ValueError(f"q must be finite and >= 0, got {self.q}")
         if self.relative_sign not in (+1, -1):
             raise ValueError("relative_sign must be +1 or -1")
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,11 @@ def test_main_config_error_exit_code(tmp_path):
     cfg.write_text("delta=1.2\n")
     assert main(["fig3", "--config", str(cfg)]) == EXIT_CONFIG
     assert main(["fig3", "--delta", "-3"]) == EXIT_CONFIG
+    for flag in ("--gamma", "--q", "--tmax-over-tau"):
+        for value in ("nan", "inf", "-inf"):
+            assert main(["fig3", f"{flag}={value}"]) == EXIT_CONFIG
+    cfg.write_text("q=nan\n")
+    assert main(["fig3", "--config", str(cfg)]) == EXIT_CONFIG
     assert main(["--config", str(tmp_path / "missing.cfg")]) == EXIT_CONFIG
 
 
@@ -157,6 +164,16 @@ def test_main_numerical_failure_exit_code(tmp_path):
     out = tmp_path / "short"
     code = main(["fig6", "--cells", "60", "--samples", "80", "--tmax-over-tau", "0.02", "--out", str(out)])
     assert code == EXIT_NUMERICAL
+
+
+def test_main_overflow_exit_code(tmp_path, capsys):
+    # above threshold the norm leaves float range within a few periods; the
+    # run must fail instead of writing inf/NaN and exiting 0
+    out = tmp_path / "long"
+    code = main(["fig5", "--cells", "20", "--samples", "4000", "--tmax-over-tau", "8", "--out", str(out)])
+    assert code == EXIT_NUMERICAL
+    # the first non-finite sample, about 6 periods in, is named
+    assert re.search(r"\[OverflowError\]: .* at t = 59\d\.\d", capsys.readouterr().err)
 
 
 def test_main_fig2_small(tmp_path):

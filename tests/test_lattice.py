@@ -51,6 +51,9 @@ def test_periodic_wraps_weak_bond():
         dict(cells=4, delta=1.0, gamma=0.0),
         dict(cells=4, delta=0.5, gamma=-0.1),
         dict(cells=3, delta=0.5, gamma=0.1, boundary=Boundary.PERIODIC),
+        dict(cells=4, delta=0.5, gamma=float("nan")),
+        dict(cells=4, delta=0.5, gamma=float("inf")),
+        dict(cells=4, delta=float("nan"), gamma=0.0),
     ],
 )
 def test_invalid_params_rejected(bad):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from nhssh import (
+    PacketPairSpec,
     PacketSpec,
     analytic_eigenstate,
     apply_antilinear,
@@ -92,6 +93,11 @@ def test_packet_spec_validation():
         PacketSpec(np.pi / 2, -0.1)
     with pytest.raises(ValueError):
         PacketSpec(np.pi / 2, 0.1, lam=0.0)
+    for q in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            PacketSpec(np.pi / 2, q)
+        with pytest.raises(ValueError):
+            PacketPairSpec(np.pi / 6, 5 * np.pi / 6, q)
 
 
 def test_closed_form_matches_built_state_at_t0(params250):

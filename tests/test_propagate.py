@@ -1,15 +1,18 @@
+import mpmath
 import numpy as np
 import pytest
 
 from nhssh import (
     Boundary,
     LatticeParams,
+    PacketSpec,
     analytic_eigenstate,
     build_hamiltonian,
+    build_initial_state,
     coalescing_state,
     evolve,
     expm,
-    propagator,
+    revival_period,
 )
 
 
@@ -64,20 +67,15 @@ def test_expm_input_validation():
 
 def test_propagator_unitary_for_hermitian():
     H = build_hamiltonian(LatticeParams(20, 0.9, 0.0))
-    U = propagator(H, 0.37)
+    U = expm(-1j * H * 0.37)
     assert np.abs(U.conj().T @ U - np.eye(40)).max() < 1e-12
 
 
 def test_propagator_generator_limit():
     H = build_hamiltonian(LatticeParams(6, 0.7, 1.1))
     dt = 1e-6
-    U = propagator(H, dt)
+    U = expm(-1j * H * dt)
     assert np.abs((U - np.eye(12)) / dt - (-1j * H)).max() < 1e-4
-
-
-def test_propagator_requires_positive_dt():
-    with pytest.raises(ValueError):
-        propagator(np.eye(2), 0.0)
 
 
 def test_jordan_block_linear_growth():
@@ -87,20 +85,32 @@ def test_jordan_block_linear_growth():
     params = LatticeParams(cells, delta, 2 * delta, Boundary.PERIODIC)
     H = build_hamiltonian(params)
     phi = coalescing_state(cells)
-    dt = 0.25
-    U = propagator(H, dt)
-    psi = phi.copy()
+    traj = evolve(phi, H, 0.25, 40, record_states=True)
     overlaps = []
-    for k in range(1, 41):
-        psi = U @ psi
-        t = k * dt
+    for t, psi in zip(traj.times[1:], traj.states[1:]):
         assert np.abs(psi - (phi + 4 * delta * t * phi.conj())).max() < 1e-10 * (1 + t)
         overlaps.append(abs(phi @ psi))  # bilinear overlap extracts the growth
-    t_grid = dt * np.arange(1, 41)
-    slope = np.polyfit(t_grid, overlaps, 1)[0]
+    slope = np.polyfit(traj.times[1:], overlaps, 1)[0]
     assert slope == pytest.approx(4 * delta, rel=1e-8)
     # Dirac norm grows with the square, the Jordan power law
-    assert np.vdot(psi, psi).real == pytest.approx(1 + (4 * delta * 10.0) ** 2, rel=1e-9)
+    assert traj.norms[-1] == pytest.approx(1 + (4 * delta * 10.0) ** 2, rel=1e-9)
+
+
+@pytest.mark.parametrize("boundary", [Boundary.OPEN, Boundary.PERIODIC])
+@pytest.mark.parametrize("gamma", [1.7, 1.8, 1.9])
+def test_evolve_matches_mpmath_expm(gamma, boundary):
+    # 30-digit reference below, at and above the exceptional point
+    # gamma_c = 1.8 (where the ring is defective), half a period in
+    params = LatticeParams(12, 0.9, gamma, boundary)
+    H = build_hamiltonian(params)
+    psi0 = build_initial_state(PacketSpec(np.pi / 2, 0.02), params)
+    t = 0.5 * revival_period(params)
+    traj = evolve(psi0, H, t / 4, 4, record_states=True)
+    with mpmath.workdps(30):
+        U = mpmath.expm(mpmath.matrix(H.tolist()) * mpmath.mpc(0, -t))
+        reference = np.array([complex(x) for x in U * mpmath.matrix(psi0.tolist())])
+    err = np.linalg.norm(traj.states[-1] - reference) / np.linalg.norm(reference)
+    assert err < 1e-10
 
 
 def test_evolve_composition_consistency():
@@ -176,6 +186,9 @@ def test_evolve_validation():
         evolve(np.zeros(3, dtype=complex), H, 0.1, 5)
     with pytest.raises(ValueError):
         evolve(np.zeros(4, dtype=complex), H, 0.1, 0)
+    for dt in (0.0, -0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            evolve(np.zeros(4, dtype=complex), H, dt, 5)
 
 
 def test_trajectory_index_lookup():
