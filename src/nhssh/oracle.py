@@ -49,8 +49,8 @@ class PacketSpec:
             raise ValueError(f"kappa0 must lie strictly inside (0, pi), got {self.kappa0}")
         if not 0.0 <= self.q < math.inf:
             raise ValueError(f"q must be finite and >= 0, got {self.q}")
-        if self.lam is not None and self.lam <= 0.0:
-            raise ValueError(f"lam must be positive, got {self.lam}")
+        if self.lam is not None and not 0.0 < self.lam < math.inf:
+            raise ValueError(f"lam must be finite and positive, got {self.lam}")
 
     def normalized(self, cells: int) -> "PacketSpec":
         """Copy with lam fixed by coefficient normalization for this size."""

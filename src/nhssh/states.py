@@ -40,6 +40,8 @@ class PacketPairSpec:
             raise ValueError(f"q must be finite and >= 0, got {self.q}")
         if self.relative_sign not in (+1, -1):
             raise ValueError("relative_sign must be +1 or -1")
+        if self.lam is not None and not 0.0 < self.lam < math.inf:
+            raise ValueError(f"lam must be finite and positive, got {self.lam}")
 
     def normalized(self, cells: int) -> "PacketPairSpec":
         if self.lam is not None:

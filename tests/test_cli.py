@@ -8,6 +8,7 @@ from nhssh.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
     EXIT_OK,
+    EXPERIMENTS,
     ConfigError,
     ExperimentConfig,
     build_config,
@@ -43,6 +44,7 @@ def test_parse_config_range_error_has_line_number():
     with pytest.raises(ConfigError) as err:
         parse_config("cells=250\ndelta=1.2\n")
     assert "delta" in str(err.value)
+    assert err.value.line == 2
 
 
 def test_parse_config_unknown_key_line_number():
@@ -185,11 +187,27 @@ def test_main_fig2_small(tmp_path):
         assert (out / f"profile_t{m}.csv").exists()
 
 
-def test_check_failure_exit_code(tmp_path):
+def test_check_failure_exit_code(tmp_path, capsys):
     # at a tiny scale with a far-off-tuned gamma the spectrum check fails
     out = tmp_path / "bad"
     code = main(["spectrum", "--cells", "40", "--gamma", "2.6", "--out", str(out), "--check"])
     assert code == EXIT_CHECK
+    assert "[FAIL]" in capsys.readouterr().out
+    # without --check the same run is not graded
+    assert main(["spectrum", "--cells", "40", "--gamma", "2.6", "--out", str(out)]) == EXIT_OK
+    assert "[FAIL]" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("experiment", list(EXPERIMENTS))
+def test_every_experiment_runs_silently(tmp_path, capsys, experiment):
+    out = tmp_path / experiment
+    assert main([experiment, "--cells", "40", "--samples", "160", "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().out == ""
+    csvs = sorted(out.glob("*.csv"))
+    assert csvs
+    for path in csvs:
+        cells = set(re.split(r"[,\n]", path.read_text()))
+        assert not cells & {"nan", "inf", "-inf"}, path.name
 
 
 def test_config_dataclass_lattice_helpers():

@@ -91,8 +91,11 @@ def test_packet_spec_validation():
         PacketSpec(0.0, 0.1)
     with pytest.raises(ValueError):
         PacketSpec(np.pi / 2, -0.1)
-    with pytest.raises(ValueError):
-        PacketSpec(np.pi / 2, 0.1, lam=0.0)
+    for lam in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            PacketSpec(np.pi / 2, 0.1, lam=lam)
+        with pytest.raises(ValueError):
+            PacketPairSpec(np.pi / 6, 5 * np.pi / 6, 0.1, lam=lam)
     for q in (float("nan"), float("inf")):
         with pytest.raises(ValueError):
             PacketSpec(np.pi / 2, q)
