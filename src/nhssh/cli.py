@@ -66,6 +66,8 @@ class ExperimentConfig:
         self.lattice()
         for kappa_over_pi in (self.kappa0_over_pi, self.kappa02_over_pi):
             oracle.PacketSpec(kappa_over_pi * np.pi, self.q)
+        if self.experiment == "fig7":
+            self.pair(+1)
 
     def lattice(self, gamma: float | None = None) -> LatticeParams:
         return LatticeParams(
@@ -74,6 +76,9 @@ class ExperimentConfig:
 
     def packet(self) -> oracle.PacketSpec:
         return oracle.PacketSpec(self.kappa0_over_pi * np.pi, self.q)
+
+    def pair(self, sign: int) -> states.PacketPairSpec:
+        return states.PacketPairSpec(self.kappa0_over_pi * np.pi, self.kappa02_over_pi * np.pi, self.q, sign)
 
 
 def _parse_fraction(text: str) -> float:
@@ -253,7 +258,9 @@ def _run_fig4(config: ExperimentConfig, outdir: Path) -> list:
     # report the waveform period two ways rather than asserting a wording:
     # the closed-form norm repeats every tau/2, packets revive every tau
     peaks = _local_maxima(traj.times, traj.norms)
-    measured = float(peaks[1] - peaks[0]) if len(peaks) >= 2 else float("nan")
+    if len(peaks) < 2:
+        raise analysis.AnalysisError(f"fewer than two norm peaks in t = [0, {traj.times[-1]:.6g}]: no period")
+    measured = float(peaks[1] - peaks[0])
     _write_csv(
         outdir / "period_report.csv",
         ["formula_period", "measured_period", "revival_period"],
@@ -307,9 +314,7 @@ def _run_fig7(config: ExperimentConfig, outdir: Path) -> list:
     params = config.lattice()
     outcomes = []
     for sign, name in ((+1, "plus"), (-1, "minus")):
-        pair = states.PacketPairSpec(
-            config.kappa0_over_pi * np.pi, config.kappa02_over_pi * np.pi, config.q, sign
-        ).normalized(params.cells)
+        pair = config.pair(sign).normalized(params.cells)
         pair_traj = _evolve_packet(config, state=states.build_pair_state(pair, params))
         spec1, spec2 = pair.single_specs(params.cells)
         traj1 = _evolve_packet(config, spec=spec1)

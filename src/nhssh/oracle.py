@@ -26,7 +26,7 @@ import numpy as np
 
 from .lattice import LatticeParams
 from .spectra import analytic_dispersion, esm_spacing
-from .specfun import dilog, lerch_phi
+from .specfun import dilog, lerch_phi, lerch_phi_inside
 
 # exp(-q n)/n weights below exp(-40) never reach float relevance
 COEFF_CUTOFF = 40.0
@@ -215,7 +215,8 @@ def dirac_norm_closed_form(
     unless ``via_series`` forces the Lerch evaluation (then the argument
     sits on the unit circle and the boundary machinery is exercised).
 
-    Accepts scalar or array t.
+    Accepts scalar or array t.  ``tol`` bounds the truncation error of
+    Phi; the dilogarithms are summed to their own default 1e-12.
     """
     if abs(spec.kappa0 - np.pi / 2.0) > 1e-9:
         raise ValueError("the Dirac-norm formula is derived for kappa0 = pi/2 only")
@@ -232,12 +233,13 @@ def dirac_norm_closed_form(
         return float(out[0]) if np.isscalar(t) or np.ndim(t) == 0 else out
 
     decay = math.exp(-2.0 * spec.q)
-    constant = lam2 * (dilog(decay, tol=tol).value - dilog(-decay, tol=tol).value).real
-    out = np.empty_like(t_arr)
-    for i, ti in enumerate(t_arr):
-        z = np.exp(-4.0 * (spec.q + 1j * omega * ti))
-        phi_val = lerch_phi(z, 2.0, 0.5, tol=tol).value
-        out[i] = -0.5 * lam2 * decay * (np.exp(-2j * omega * ti) * phi_val).real + constant
+    constant = lam2 * (dilog(decay).value - dilog(-decay).value).real
+    z = np.exp(-4.0 * (spec.q + 1j * omega * t_arr))
+    if spec.q > 0.0:
+        phi = lerch_phi_inside(z, 2.0, 0.5, tol=tol).value
+    else:  # via_series on the unit circle: the scalar boundary routines
+        phi = np.array([lerch_phi(zk, 2.0, 0.5, tol=tol).value for zk in z])
+    out = -0.5 * lam2 * decay * (np.exp(-2j * omega * t_arr) * phi).real + constant
     return float(out[0]) if np.isscalar(t) or np.ndim(t) == 0 else out
 
 

@@ -1,11 +1,11 @@
 """Time evolution through the chiral square ``H^2 = T^2 - gamma^2``.
 
 ``expm(-iHt) = c(H^2) - i*H*s(H^2)`` with ``c(x) = cos(t*sqrt(x))`` and
-``s(x) = sin(t*sqrt(x))/sqrt(x)``, both entire in x: exact where H is
-defective (the ring at its exceptional point, s -> t) and above threshold
-(cosh, sinh).  One ``eigh`` of the real hopping T gives every sample
-directly, so no error builds up from step to step.  :func:`expm` is the
-dense reference for tests.
+``s(x) = sin(t*sqrt(x))/sqrt(x)``, both entire in x and real for real x:
+exact where H is defective (the ring at its exceptional point, s -> t),
+and cosh, sinh where x < 0.  One ``eigh`` of the real hopping T gives
+every sample directly, so no error builds up from step to step.
+:func:`expm` is the dense reference for tests.
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ def evolve(
 
     gamma = float(np.abs(g).max())
     lam, W = np.linalg.eigh(T)
-    root = np.sqrt((lam - gamma) * (lam + gamma) + 0j)[:, None]
+    k, grow = np.sqrt(np.abs((lam - gamma) * (lam + gamma)))[:, None], np.abs(lam) < gamma
     a = (W.T @ psi0.real + 1j * (W.T @ psi0.imag))[:, None]
     times = np.arange(steps + 1) * dt
     profiles = np.empty((times.size, psi0.size))
@@ -96,7 +96,8 @@ def evolve(
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, times.size, BLOCK):
             t = times[start : start + BLOCK]
-            c, s = np.cos(root * t), t * np.sinc(root * t / np.pi)
+            c, s = np.cos(k * t), t * np.sinc(k * t / np.pi)
+            c[grow], s[grow] = np.cosh(k[grow] * t), np.sinh(k[grow] * t) / k[grow]
             coef = np.hstack([(c - 1j * lam[:, None] * s) * a, s * a])
             both = (W @ coef.view(float)).view(complex)  # W is real: one real product
             psi = both[:, : t.size] + g[:, None] * both[:, t.size :]

@@ -168,6 +168,25 @@ def test_main_numerical_failure_exit_code(tmp_path):
     assert code == EXIT_NUMERICAL
 
 
+def test_main_fig4_too_short_for_a_period_exit_code(tmp_path, capsys):
+    # 0.3 tau holds a single norm peak: the measured period does not exist
+    out = tmp_path / "fig4"
+    code = main(["fig4", "--cells", "40", "--samples", "160", "--tmax-over-tau", "0.3", "--out", str(out)])
+    assert code == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert re.search(r"\[AnalysisError\]: fewer than two norm peaks in t = \[0, 57\.98\d*\]", err)
+    assert len(err.strip().splitlines()) == 1
+    assert not (out / "period_report.csv").exists()
+
+
+def test_main_fig7_equal_positions_rejected_before_output(tmp_path, capsys):
+    # fig7's default kappa0 is pi/6, so this puts both packets at one position
+    out = tmp_path / "fig7"
+    assert main(["fig7", "--kappa02-over-pi", "1/6", "--out", str(out)]) == EXIT_CONFIG
+    assert "kappa01 and kappa02 must differ" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_main_overflow_exit_code(tmp_path, capsys):
     # above threshold the norm leaves float range within a few periods; the
     # run must fail instead of writing inf/NaN and exiting 0

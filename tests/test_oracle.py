@@ -154,6 +154,17 @@ def test_norm_formula_periodicity(params250, tau250):
         assert abs(a - b) < 1e-3
 
 
+@pytest.mark.parametrize("q", [0.02, 0.05])
+def test_norm_formula_array_and_scalar_t_agree(params250, tau250, q):
+    # the batched Lerch sum over all samples must reproduce each sample's own call
+    spec = PacketSpec(np.pi / 2, q).normalized(250)
+    t = np.linspace(0.0, tau250, 41)
+    batch = dirac_norm_closed_form(t, spec, params250)
+    single = [dirac_norm_closed_form(tk, spec, params250) for tk in t]
+    assert all(isinstance(value, float) for value in single)
+    assert np.abs(batch - single).max() <= 1e-14 * np.abs(batch).max()
+
+
 def test_norm_formula_requires_central_packet(params250):
     with pytest.raises(ValueError):
         dirac_norm_closed_form(1.0, PacketSpec(np.pi / 3, 0.0), params250)

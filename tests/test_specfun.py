@@ -1,15 +1,32 @@
+import tracemalloc
+from itertools import count
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nhssh import ConvergenceError, dilog, lerch_phi
+from nhssh import ConvergenceError, LatticeParams, dilog, lerch_phi
+from nhssh.specfun import TERM_CAP, lerch_phi_inside
+from nhssh.spectra import esm_spacing, revival_period
 
 
 def brute_lerch(z: complex, s: float, alpha: float, terms: int = 1_000_000) -> complex:
     """Independent oracle: plain partial sum, vectorized."""
     n = np.arange(terms, dtype=float)
     return complex(np.sum(np.power(complex(z), n) / (n + alpha) ** s))
+
+
+def mp_lerch(z: complex, s: float, alpha: float) -> complex:
+    """Independent oracle: mpmath's Lerch transcendent at 30 digits."""
+    with mpmath.workdps(30):
+        return complex(mpmath.lerchphi(mpmath.mpc(complex(z)), mpmath.mpf(s), mpmath.mpf(alpha)))
+
+
+def tail_bound_terms(r: float, s: float, alpha: float, tol: float) -> int:
+    """Least M with r^M / ((M+alpha)^s (1-r)) <= tol, by a plain scan."""
+    return next(m for m in count() if r**m / ((m + alpha) ** s * (1.0 - r)) <= tol)
 
 
 def richardson_lerch_at_one(s: float, alpha: float, m: int = 200_000) -> float:
@@ -37,13 +54,11 @@ def test_lerch_interior_against_brute_force():
     assert abs(got.value - brute_lerch(np.exp(-0.2), 2, 0.5)) < 1e-10
 
 
-def test_lerch_on_circle_against_long_sum():
-    # |1-z| well away from zero: a 10^7-term direct sum carries a tail
-    # below 1e-13 by the summation-by-parts bound
+def test_lerch_on_circle_against_mpmath():
     for angle in (0.7, 2.0, np.pi):
         z = np.exp(1j * angle)
         got = lerch_phi(z, 2, 0.5, tol=1e-12)
-        ref = brute_lerch(z, 2, 0.5, terms=10_000_000)
+        ref = mp_lerch(z, 2, 0.5)
         assert abs(got.value - ref) < 1e-10
         assert got.est_error <= 1e-12
 
@@ -84,7 +99,7 @@ def test_dilog_domain():
     assert dilog(0.0).value == 0.0
 
 
-def test_twenty_point_grid_against_brute_force():
+def test_twenty_point_grid_against_mpmath():
     rng = np.random.default_rng(42)
     points = []
     for _ in range(14):
@@ -96,10 +111,7 @@ def test_twenty_point_grid_against_brute_force():
     for z in points:
         s = 2.0 if abs(z) > 0.9 else rng.choice([2.0, 2.5, 3.0])
         alpha = rng.uniform(0.3, 1.5)
-        if z == 1.0:
-            ref = richardson_lerch_at_one(s, alpha)
-        else:
-            ref = brute_lerch(z, s, alpha, terms=2_000_000)
+        ref = mp_lerch(z, s, alpha)
         got = lerch_phi(z, s, alpha)
         assert abs(got.value - ref) < 1e-10, f"z={z}, s={s}, alpha={alpha}"
 
@@ -117,3 +129,68 @@ def test_interior_matches_brute_property(r, angle, s, alpha):
     ref = brute_lerch(z, s, alpha, terms=400_000)
     assert abs(got.value - ref) < 1e-10
     assert got.est_error <= 1e-12
+
+
+def _lasing_arguments(q: float, periods: float) -> np.ndarray:
+    """z = exp(-4(q + i omega t)) at 2000 times over the span, as the closed-form norm uses."""
+    params = LatticeParams(250, 0.9, 1.8)
+    t = np.linspace(0.0, periods * revival_period(params), 2000)
+    return np.exp(-4.0 * (q + 1j * esm_spacing(params) * t))
+
+
+@pytest.mark.parametrize("q, periods", [(0.02, 0.5), (0.05, 1.0)])  # fig3, fig4
+@pytest.mark.parametrize("tol", [1e-9, 1e-12])
+def test_inside_batch_against_mpmath_at_lasing_arguments(q, periods, tol):
+    z = _lasing_arguments(q, periods)
+    got = lerch_phi_inside(z, 2.0, 0.5, tol=tol)
+    assert got.value.shape == z.shape
+    assert got.est_error <= tol
+    for k in range(0, z.size, 199):
+        assert abs(got.value[k] - mp_lerch(z[k], 2.0, 0.5)) <= tol, k
+
+
+def test_inside_terms_are_the_tail_bound_minimum():
+    cases = [
+        (np.exp(-0.08), 2.0, 0.5, 1e-9),  # fig3's depth
+        (np.exp(-0.2), 2.0, 0.5, 1e-12),  # fig4's depth
+        (0.99, 2.5, 1.3, 1e-12),
+        (0.5, 50.0, 0.5, 1e-12),  # (m + alpha)^s overflows for the m near TERM_CAP a search probes
+    ]
+    for r, s, alpha, tol in cases:
+        expected = tail_bound_terms(r, s, alpha, tol)
+        assert lerch_phi_inside(r * np.exp(1j * np.arange(5)), s, alpha, tol).terms_used == expected
+        assert lerch_phi(-r, s, alpha, tol).terms_used == expected
+    assert tail_bound_terms(np.exp(-0.08), 2.0, 0.5, 1e-9) < 400
+
+
+def test_inside_values_follow_the_flattened_z():
+    z = np.array([[0.0, 0.5], [-0.25j, 0.8]])
+    got = lerch_phi_inside(z, 2.0, 0.5, tol=1e-12)
+    assert got.value.shape == (4,)
+    for zk, value in zip(z.ravel(), got.value.ravel()):
+        # each side lies within tol of the true value, with its own term count
+        assert value == pytest.approx(lerch_phi(zk, 2.0, 0.5, tol=1e-12).value, abs=2e-12)
+
+
+def test_inside_beyond_term_cap_raises_before_summing():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConvergenceError) as err:
+            lerch_phi_inside(np.array([1.0 - 1e-9, 0.5]), 2.0, 0.5, tol=1e-12)
+        with pytest.raises(ConvergenceError):
+            lerch_phi(1.0 - 1e-9, 2.0, 0.5, tol=1e-12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a TERM_CAP-long float array alone would take 80 MB
+    assert peak < 1_000_000
+    assert err.value.terms_used == TERM_CAP
+    assert err.value.est_error > 1e-12
+
+
+def test_inside_rejects_arguments_off_the_open_disk():
+    for z in ([0.5, 1.0], [np.exp(0.1j)], [np.nan]):
+        with pytest.raises(ValueError):
+            lerch_phi_inside(np.array(z), 2.0, 0.5)
+    with pytest.raises(ValueError):
+        lerch_phi_inside(np.array([0.5]), 2.0, 0.0)
