@@ -449,6 +449,9 @@ def main(argv: list[str] | None = None) -> int:
     ) as exc:
         print(f"numerical failure [{type(exc).__name__}]: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except MemoryError:
+        print(f"numerical failure [MemoryError]: no memory for 2N = {2 * config.cells}; lower --cells", file=sys.stderr)
+        return EXIT_NUMERICAL
     except OSError as exc:
         print(f"config error: cannot write outputs: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -3,8 +3,11 @@
 ``expm(-iHt) = c(H^2) - i*H*s(H^2)`` with ``c(x) = cos(t*sqrt(x))`` and
 ``s(x) = sin(t*sqrt(x))/sqrt(x)``, both entire in x and real for real x:
 exact where H is defective (the ring at its exceptional point, s -> t),
-and cosh, sinh where x < 0.  One ``eigh`` of the real hopping T gives
-every sample directly, so no error builds up from step to step.
+and cosh, sinh where x < 0.  One eigendecomposition of the real hopping
+T (``eigh_tridiagonal`` for an open chain, dense ``eigh`` for a ring)
+gives every sample directly, so no error builds up from step to step.
+With gain, each pair +/-lam of T is one 2x2 block on the gain and loss
+amplitudes, and a block of samples costs two half-size real products.
 :func:`expm` is the dense reference for tests.
 """
 
@@ -80,16 +83,31 @@ def evolve(
     Raises OverflowError naming the first sample that leaves float range.
     """
     T, g = chiral_split(H)
-    psi0 = np.asarray(state0, dtype=complex)
+    psi0 = np.ascontiguousarray(state0, dtype=complex)
     if psi0.shape != (T.shape[0],):
         raise ValueError(f"state length {psi0.shape} does not match H dimension {T.shape[0]}")
     if steps < 1 or not 0.0 < dt < np.inf:
         raise ValueError(f"need steps >= 1 and a finite dt > 0, got steps={steps}, dt={dt}")
 
     gamma = float(np.abs(g).max())
-    lam, W = np.linalg.eigh(T)
+    if max(scipy.linalg.bandwidth(T)) <= 1:  # every open chain; no site order makes a ring tridiagonal
+        lam, W = scipy.linalg.eigh_tridiagonal(np.diag(T).copy(), np.diag(T, 1).copy())
+    else:
+        lam, W = scipy.linalg.eigh(T)
+    if gamma:
+        # C = g/gamma anticommutes with T: w(lam) = (u, v) on gain and loss sites pairs with (u, -v)
+        # for -lam, H acts on (u, 0), (0, v) as [[i*gamma, lam], [lam, -i*gamma]]: keep lam > 0 alone
+        if np.abs(lam).min() <= lam.size * np.finfo(float).eps * np.abs(lam).max():
+            raise ValueError("T is singular: with gain, its zero modes have no -lam partner")
+        half = lam.size // 2
+        lam = 0.5 * (lam[half:] - lam[half - 1 :: -1])  # |lam| averaged over each pair
+        sites = (g > 0, g < 0)
+        bases = [np.sqrt(2.0) * W[rows, half:] for rows in sites]  # orthonormal columns
+    else:  # gain-free T need not be bipartite: one block over all sites, its own partner
+        sites, bases = (slice(None),), [np.ascontiguousarray(W)]
+    del W  # the bases hold all that is needed of it
+    amps = [_product(B.T, psi0[rows, None]) for rows, B in zip(sites, bases)]
     k, grow = np.sqrt(np.abs((lam - gamma) * (lam + gamma)))[:, None], np.abs(lam) < gamma
-    a = (W.T @ psi0.real + 1j * (W.T @ psi0.imag))[:, None]
     times = np.arange(steps + 1) * dt
     profiles = np.empty((times.size, psi0.size))
     states = np.empty((times.size, psi0.size), dtype=complex) if record_states else None
@@ -98,9 +116,10 @@ def evolve(
             t = times[start : start + BLOCK]
             c, s = np.cos(k * t), t * np.sinc(k * t / np.pi)
             c[grow], s[grow] = np.cosh(k[grow] * t), np.sinh(k[grow] * t) / k[grow]
-            coef = np.hstack([(c - 1j * lam[:, None] * s) * a, s * a])
-            both = (W @ coef.view(float)).view(complex)  # W is real: one real product
-            psi = both[:, : t.size] + g[:, None] * both[:, t.size :]
+            psi = np.empty((psi0.size, t.size), dtype=complex)
+            for rows, basis, own, other, sign in zip(sites, bases, amps, amps[::-1], (1.0, -1.0)):
+                coef = (c + sign * gamma * s) * own - 1j * lam[:, None] * s * other
+                psi[rows] = _product(basis, coef)
             profiles[start : start + t.size] = (np.abs(psi) ** 2).T
             if states is not None:
                 states[start : start + t.size] = psi.T
@@ -110,3 +129,8 @@ def evolve(
         raise OverflowError(f"state left float range at t = {times[np.argmax(bad)]:.6g}")
     return Trajectory(times=times, profiles=profiles, norms=norms, states=states)
 
+
+def _product(basis: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # basis @ x (real by complex) as one real GEMM in scipy's BLAS: numpy may bundle a BLAS of its
+    # own, whose threads would then compete for the cores with those the eigensolver just woke
+    return scipy.linalg.blas.dgemm(1.0, x.view(float).T, basis.T).T.view(complex)

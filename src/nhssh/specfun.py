@@ -101,7 +101,9 @@ def lerch_phi_inside(z, s: float, alpha: float, tol: float = 1e-12) -> SpecialVa
         n = np.arange(n0, min(n0 + _BLOCK, M), dtype=float)
         rows = _BLOCK // n.size
         for i in range(0, z.size, rows):
-            value[i : i + rows] += np.power(z[i : i + rows, None], n) @ (n + alpha) ** -s
+            powers = np.repeat(z[i : i + rows, None], n.size, axis=1)
+            powers[:, 0] **= n0  # z^n as a running product along n, seeded with z^n0
+            value[i : i + rows] += np.cumprod(powers, axis=1) @ (n + alpha) ** -s
     return SpecialValue(value, M, tail(M))
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from .lattice import LatticeParams, chiral_split
 
@@ -25,16 +26,22 @@ class ComplexBandError(ValueError):
 
 
 def full_spectrum(H: np.ndarray) -> np.ndarray:
-    """All eigenvalues of ``H = T + i*diag(g)`` from one ``eigvalsh(T)``.
+    """All eigenvalues of ``H = T + i*diag(g)`` from the real hopping T alone.
 
     ``H^2 = T^2 - gamma^2`` maps each pair +/-lam of T to
     ``+/-sqrt(lam^2 - gamma^2)``, exact also at the exceptional point.
+    Sites reordered as 0, n-1, 1, n-2, ... turn the open chain and the
+    ring alike into a band of width <= 2, solved by ``eigvals_banded``.
     Sorted by |Re|, then Re, then Im.
     """
     T, g = chiral_split(H)
     gamma = float(np.abs(g).max())
+    fold = np.c_[np.arange(len(T)), np.arange(len(T))[::-1]].ravel()[: len(T)]  # 0, n-1, 1, n-2, ...
+    T = T[np.ix_(fold, fold)]
+    width = scipy.linalg.bandwidth(T)[0]  # from the nonzeros, so any symmetric T works
+    band = np.array([np.pad(np.diagonal(T, -k), (0, k)) for k in range(width + 1)])
     try:
-        ev = np.linalg.eigvalsh(T).astype(complex)
+        ev = scipy.linalg.eigvals_banded(band, lower=True).astype(complex)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"eigenvalue iteration did not converge: {exc}") from exc
     if gamma:

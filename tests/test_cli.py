@@ -197,6 +197,17 @@ def test_main_overflow_exit_code(tmp_path, capsys):
     assert re.search(r"\[OverflowError\]: .* at t = 59\d\.\d", capsys.readouterr().err)
 
 
+def test_main_memory_error_exit_code(tmp_path, capsys, monkeypatch):
+    def out_of_memory(params):
+        raise MemoryError
+
+    monkeypatch.setattr("nhssh.cli.build_hamiltonian", out_of_memory)
+    code = main(["spectrum", "--cells", "40", "--out", str(tmp_path / "oom")])
+    assert code == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "MemoryError" in err and "--cells" in err
+
+
 def test_main_fig2_small(tmp_path):
     out = tmp_path / "fig2"
     assert main(["fig2", "--cells", "100", "--out", str(out)]) == EXIT_OK

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from nhssh import (
+    LatticeParams,
     PacketPairSpec,
     PacketSpec,
+    analytic_dispersion,
     analytic_eigenstate,
     apply_antilinear,
     build_initial_state,
@@ -16,6 +18,7 @@ from nhssh import (
     packet_coefficients,
     triangle_wave_norm,
 )
+from nhssh.oracle import superpose_eigenstates
 
 
 def test_eigenstates_dirac_normalized(params250):
@@ -236,3 +239,18 @@ def test_norm_formula_tracks_numeric_curve(traj_central, params250):
     numeric = traj_central.norms[::40]
     rms = np.sqrt(np.mean((predicted - numeric) ** 2)) / numeric.max()
     assert rms < 0.15
+
+
+@pytest.mark.parametrize("cells", [7, 30])
+@pytest.mark.parametrize("t", [0.0, 3.7])
+def test_superpose_matches_eigenstate_sum(cells, t):
+    # the sine transform against the plain sum over analytic eigenstates
+    params = LatticeParams(cells, 0.9, 1.8)
+    c = packet_coefficients(PacketSpec(np.pi / 3, 0.02), cells)
+    reference = np.zeros(2 * cells, dtype=complex)
+    for n in range(1, cells + 1):
+        eps = analytic_dispersion(n, params)[0]
+        reference += c[n - 1] * np.exp(-1j * eps * t) * analytic_eigenstate(n, +1, params)
+        reference -= c[n - 1] * np.exp(+1j * eps * t) * analytic_eigenstate(n, -1, params)
+    got = superpose_eigenstates(c, params, t)
+    assert np.abs(got - reference).max() < 1e-14 * np.abs(reference).max()

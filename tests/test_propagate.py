@@ -1,6 +1,7 @@
 import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 
 from nhssh import (
     Boundary,
@@ -97,12 +98,15 @@ def test_jordan_block_linear_growth():
 
 
 @pytest.mark.parametrize("boundary", [Boundary.OPEN, Boundary.PERIODIC])
-@pytest.mark.parametrize("gamma", [1.7, 1.8, 1.9])
+@pytest.mark.parametrize("gamma", [0.0, 1.7, 1.8, 1.9])
 def test_evolve_matches_mpmath_expm(gamma, boundary):
-    # 30-digit reference below, at and above the exceptional point
-    # gamma_c = 1.8 (where the ring is defective), half a period in
+    # 30-digit reference without gain (the general eigenbasis path), below,
+    # at and above the exceptional point gamma_c = 1.8 (where the ring is
+    # defective), half a period in
     params = LatticeParams(12, 0.9, gamma, boundary)
     H = build_hamiltonian(params)
+    # the open chain takes the tridiagonal eigensolver, the ring the dense one
+    assert (max(scipy.linalg.bandwidth(H.real)) <= 1) == (boundary is Boundary.OPEN)
     psi0 = build_initial_state(PacketSpec(np.pi / 2, 0.02), params)
     t = 0.5 * revival_period(params)
     traj = evolve(psi0, H, t / 4, 4, record_states=True)
@@ -189,6 +193,13 @@ def test_evolve_validation():
     for dt in (0.0, -0.1, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             evolve(np.zeros(4, dtype=complex), H, dt, 5)
+
+
+def test_evolve_rejects_gain_with_zero_mode():
+    # gain/loss/gain: the odd chain has a zero mode with no -lam partner
+    H = np.array([[1.8j, 1.0, 0.0], [1.0, -1.8j, 1.0], [0.0, 1.0, 1.8j]])
+    with pytest.raises(ValueError, match="singular"):
+        evolve(np.array([1.0, 0.0, 0.0], dtype=complex), H, 0.1, 5)
 
 
 def test_trajectory_index_lookup():

@@ -169,3 +169,38 @@ def test_failure_report_when_levels_complex():
     report = verify_equal_spacing(full_spectrum(H), 5, params)
     assert not report.ok
     assert "near-zero" in report.message or "pairs" in report.message
+
+
+def _dense_reference(H: np.ndarray) -> np.ndarray:
+    # independent route: dense eigvalsh of the real hopping, each lam > 0
+    # mapped to +/-sqrt(lam^2 - gamma^2); gain-free T is its own spectrum
+    lam = np.linalg.eigvalsh(H.real)
+    gamma = np.abs(np.diag(H).imag).max()
+    if not gamma:
+        return lam.astype(complex)
+    root = np.sqrt(lam[lam > 0] ** 2 - gamma**2 + 0j)
+    return np.concatenate([root, -root])
+
+
+@pytest.mark.parametrize("boundary", [Boundary.OPEN, Boundary.PERIODIC])
+@pytest.mark.parametrize("gamma", [0.0, 1.8])
+def test_folded_band_matches_dense_reference(boundary, gamma):
+    # the folded site order puts both boundaries in a band of width <= 2
+    H = build_hamiltonian(LatticeParams(100, 0.9, gamma, boundary))
+    ev, ref = np.sort_complex(full_spectrum(H)), np.sort_complex(_dense_reference(H))
+    if gamma and boundary is Boundary.PERIODIC:
+        # the EP zero pair is sqrt(rounding of lam - gamma): compare its square
+        assert np.abs(ev[np.abs(ev) < 1e-6] ** 2).max() < 1e-12
+        ev, ref = ev[np.abs(ev) > 1e-6], ref[np.abs(ref) > 1e-6]
+    assert ev.shape == ref.shape
+    assert np.abs(ev - ref).max() < 1e-12
+
+
+def test_wide_band_matches_dense_reference():
+    # a dense symmetric T has band width n - 1 in any order
+    rng = np.random.default_rng(3)
+    A = rng.normal(size=(40, 40))
+    T = A + A.T
+    ev = full_spectrum(T)
+    assert np.abs(ev.imag).max() == 0.0
+    assert np.abs(np.sort(ev.real) - np.linalg.eigvalsh(T)).max() < 1e-12
