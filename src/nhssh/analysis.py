@@ -128,8 +128,7 @@ def translation_window(traj: Trajectory) -> TranslationReport:
     fitted center velocity on that window (margins trimmed to clear the
     bounces).
     """
-    ends = np.array([fwhm_interval(p) for p in traj.profiles])
-    lo, hi = ends[:, 0], ends[:, 1]
+    lo, hi = fwhm_interval(traj.profiles).T
     i_left = int(np.argmin(lo))
     i_right = int(np.argmax(hi))
     i1, i2 = sorted((i_left, i_right))
@@ -182,15 +181,9 @@ def interference_report(
     n = len(pair_traj.times)
     if len(t1.times) != n or len(t2.times) != n:
         raise AnalysisError("pair and single trajectories must share the sampling grid")
-    overlap = np.zeros(n, dtype=bool)
-    separated = np.zeros(n, dtype=bool)
-    for i in range(n):
-        a0, a1 = fwhm_interval(t1.profiles[i])
-        b0, b1 = fwhm_interval(t2.profiles[i])
-        overlap[i] = (a0 <= b1) and (b0 <= a1)
-        separated[i] = not (
-            (a0 <= b1 + SEPARATION_PAD_SITES) and (b0 <= a1 + SEPARATION_PAD_SITES)
-        )
+    (a0, a1), (b0, b1) = fwhm_interval(t1.profiles).T, fwhm_interval(t2.profiles).T
+    overlap = (a0 <= b1) & (b0 <= a1)
+    separated = ~((a0 <= b1 + SEPARATION_PAD_SITES) & (b0 <= a1 + SEPARATION_PAD_SITES))
     if not overlap.any():
         raise AnalysisError("packets never meet inside the trajectory span")
     i0 = int(np.argmax(overlap))

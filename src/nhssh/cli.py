@@ -23,7 +23,7 @@ import numpy as np
 
 from . import analysis, oracle, spectra, states
 from .lattice import Boundary, LatticeParams, build_hamiltonian
-from .propagate import Trajectory, evolve
+from .propagate import Trajectory, decompose, evolve
 from .specfun import ConvergenceError
 
 EXIT_OK = 0
@@ -151,25 +151,30 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+def _fmt_column(column) -> list[str]:
+    """One column's cells: a numeric array by its dtype, anything else cell by cell."""
+    if isinstance(column, np.ndarray) and column.dtype.kind in "fiu":
+        spec = ".17g" if column.dtype.kind == "f" else "d"
+        return [format(v, spec) for v in column.tolist()]
+    return [_fmt(v) for v in column]
+
+
+def _write_csv(path: Path, header: list[str], columns) -> None:
+    lines = [",".join(header), *map(",".join, zip(*map(_fmt_column, columns)))]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _write_norms(path: Path, traj: Trajectory, closed_form=None) -> None:
     closed = closed_form if closed_form is not None else [""] * len(traj.times)
-    rows = zip(traj.times, traj.norms, closed)
-    _write_csv(path, ["t", "P_numeric", "P_closed_form"], rows)
+    _write_csv(path, ["t", "P_numeric", "P_closed_form"], [traj.times, traj.norms, closed])
 
 
 def _write_profile(path: Path, profile: np.ndarray, closed_form: np.ndarray | None = None) -> None:
     sites = np.arange(1, profile.size + 1)
     if closed_form is None:
-        _write_csv(path, ["site", "probability"], zip(sites, profile))
+        _write_csv(path, ["site", "probability"], [sites, profile])
     else:
-        _write_csv(path, ["site", "probability", "probability_closed_form"], zip(sites, profile, closed_form))
+        _write_csv(path, ["site", "probability", "probability_closed_form"], [sites, profile, closed_form])
 
 
 # ------------------------------------------------------------ experiments
@@ -178,14 +183,14 @@ def _write_profile(path: Path, profile: np.ndarray, closed_form: np.ndarray | No
 # (name, passed, detail) tuples; run_experiment grades them under --check.
 
 
-def _evolve_packet(config: ExperimentConfig, spec=None, gamma=None, state=None) -> Trajectory:
-    params = config.lattice(gamma=gamma)
+def _evolve_packet(config: ExperimentConfig, state=None, H=None) -> Trajectory:
+    """The packet (or state) over tmax_over_tau revival periods, on H or config's chain."""
+    params = config.lattice()
     if state is None:
-        state = states.build_initial_state(spec or config.packet(), params)
-    tuned = config.lattice()  # tau is a property of the tuned chain
-    tmax = config.tmax_over_tau * spectra.revival_period(tuned)
+        state = states.build_initial_state(config.packet(), params)
+    tmax = config.tmax_over_tau * spectra.revival_period(params)
     dt = tmax / (config.samples - 1)
-    return evolve(state, build_hamiltonian(params), dt, config.samples - 1)
+    return evolve(state, build_hamiltonian(params) if H is None else H, dt, config.samples - 1)
 
 
 def _run_fig2(config: ExperimentConfig, outdir: Path) -> list:
@@ -208,7 +213,7 @@ def _run_fig2(config: ExperimentConfig, outdir: Path) -> list:
                 f"center={meas.center:.2f} expected={expected:.1f}",
             )
         )
-    _write_csv(outdir / "centers.csv", ["kappa0_over_pi", "center", "width", "expected_center"], rows)
+    _write_csv(outdir / "centers.csv", ["kappa0_over_pi", "center", "width", "expected_center"], zip(*rows))
     base = profiles[4]
     for m in range(1, 8):
         shift = int(round(2 * params.cells * (m - 4) / 8.0))
@@ -232,7 +237,7 @@ def _closed_form_profiles(config: ExperimentConfig, traj: Trajectory, outdir: Pa
         compare_rows.append((t, l1))
         _write_profile(outdir / f"profile_t{index}.csv", numeric, predicted)
         outcomes.append((f"profile oracle t={t:.1f}", l1 <= 0.10, f"L1/P = {l1:.4f}"))
-    _write_csv(outdir / "compare.csv", ["t", "l1_over_norm"], compare_rows)
+    _write_csv(outdir / "compare.csv", ["t", "l1_over_norm"], zip(*compare_rows))
     return outcomes
 
 
@@ -264,7 +269,7 @@ def _run_fig4(config: ExperimentConfig, outdir: Path) -> list:
     _write_csv(
         outdir / "period_report.csv",
         ["formula_period", "measured_period", "revival_period"],
-        [(tau / 2.0, measured, tau)],
+        zip(*[(tau / 2.0, measured, tau)]),
     )
     half = traj.times <= tau / 2.0 + 1e-9
     rms = float(np.sqrt(np.mean((traj.norms[half] - closed[half]) ** 2)) / traj.norms[half].max())
@@ -278,16 +283,18 @@ def _local_maxima(t: np.ndarray, p: np.ndarray) -> list:
 def _run_fig5(config: ExperimentConfig, outdir: Path) -> list:
     params = config.lattice()
     tau = spectra.revival_period(params)
-    gammas = [params.gamma_c - 0.1, params.gamma_c, params.gamma_c + 0.1]
+    gammas = [config.lattice(gamma=params.gamma_c + d).gamma for d in (-0.1, 0.0, 0.1)]  # each one checked
+    # one eigensolve, of the tuned chain, for the sweep: the gain moves only each mode's growth rate
+    modes = decompose(build_hamiltonian(config.lattice(gamma=params.gamma_c)))
     rows = []
     labels = []
     for i, g in enumerate(gammas, start=1):
-        traj = _evolve_packet(config, gamma=g)
+        traj = _evolve_packet(config, H=modes.at_gamma(g))
         report = analysis.classify_growth(traj.times, traj.norms, (0.05 * tau, 0.2 * tau))
         rows.append((g, report.label, report.r_squared, report.fit_params["linear"]["slope"]))
         labels.append(report.label)
         _write_norms(outdir / f"norms_gamma{i}.csv", traj)
-    _write_csv(outdir / "classification.csv", ["gamma", "label", "r_squared", "slope"], rows)
+    _write_csv(outdir / "classification.csv", ["gamma", "label", "r_squared", "slope"], zip(*rows))
     expected = ["Oscillatory", "Linear", "Exponential"]
     return [("threshold trichotomy", labels == expected, f"labels={labels} expected={expected}")]
 
@@ -299,7 +306,7 @@ def _run_fig6(config: ExperimentConfig, outdir: Path) -> list:
     _write_csv(
         outdir / "translation.csv",
         ["window_start", "window_end", "norm_drift", "center_velocity", "first_reflection", "second_reflection"],
-        [report.window + (report.norm_drift, report.center_velocity) + report.reflection_times],
+        zip(*[report.window + (report.norm_drift, report.center_velocity) + report.reflection_times]),
     )
     return [
         (
@@ -312,23 +319,25 @@ def _run_fig6(config: ExperimentConfig, outdir: Path) -> list:
 
 def _run_fig7(config: ExperimentConfig, outdir: Path) -> list:
     params = config.lattice()
+    modes = decompose(build_hamiltonian(params))  # one eigensolve for all four runs
+    plus = config.pair(+1).normalized(params.cells)
+    psi1, psi2 = (states.build_initial_state(spec, params) for spec in plus.single_specs(params.cells))
+    singles = [_evolve_packet(config, psi, modes) for psi in (psi1, psi2)]
     outcomes = []
     for sign, name in ((+1, "plus"), (-1, "minus")):
-        pair = config.pair(sign).normalized(params.cells)
-        pair_traj = _evolve_packet(config, state=states.build_pair_state(pair, params))
-        spec1, spec2 = pair.single_specs(params.cells)
-        traj1 = _evolve_packet(config, spec=spec1)
-        traj2 = _evolve_packet(config, spec=spec2)
-        report = analysis.interference_report(pair_traj, (traj1, traj2))
+        # each pair is single1 +/- single2, the singles at the pair's own scale lam/sqrt2: the minus
+        # pair's singles are the plus pair's times lam_minus/lam_plus, so two single runs serve both
+        scale = config.pair(sign).normalized(params.cells).lam / plus.lam
+        pair_traj = _evolve_packet(config, scale * (psi1 + sign * psi2), modes)
+        total = scale**2 * (singles[0].norms + singles[1].norms)
+        report = analysis.interference_report(pair_traj, singles)  # half-maximum intervals ignore scale
         _write_csv(
-            outdir / f"norms_{name}.csv",
-            ["t", "P_pair", "P_sum_singles"],
-            zip(pair_traj.times, pair_traj.norms, traj1.norms + traj2.norms),
+            outdir / f"norms_{name}.csv", ["t", "P_pair", "P_sum_singles"], [pair_traj.times, pair_traj.norms, total]
         )
         _write_csv(
             outdir / f"interference_{name}.csv",
             ["window_start", "window_end", "ratio_max", "ratio_min", "p_before"],
-            [report.overlap_window + (report.ratio_max, report.ratio_min, report.p_before)],
+            zip(*[report.overlap_window + (report.ratio_max, report.ratio_min, report.p_before)]),
         )
         if sign > 0:
             outcomes.append(
@@ -347,7 +356,6 @@ def _run_fig7(config: ExperimentConfig, outdir: Path) -> list:
                 )
             )
         usable = report.separated & (pair_traj.norms > 0.05 * pair_traj.norms.max())
-        total = traj1.norms + traj2.norms
         rel = np.abs(pair_traj.norms[usable] - total[usable]) / total[usable]
         outcomes.append(
             (
@@ -363,7 +371,7 @@ def _run_spectrum(config: ExperimentConfig, outdir: Path) -> list:
     params = config.lattice()
     H = build_hamiltonian(params)
     ev = spectra.full_spectrum(H)
-    _write_csv(outdir / "eigenvalues.csv", ["re", "im"], zip(ev.real, ev.imag))
+    _write_csv(outdir / "eigenvalues.csv", ["re", "im"], [ev.real, ev.imag])
     if params.boundary is Boundary.PERIODIC:
         pair = float(np.sort(np.abs(ev))[1])
         return [("coalescing zero pair", pair < 1e-6, f"two smallest |E| <= {pair:.3e}")]
@@ -372,7 +380,7 @@ def _run_spectrum(config: ExperimentConfig, outdir: Path) -> list:
         _write_csv(
             outdir / "spacings.csv",
             ["n", "level", "deviation"],
-            [(n, report.levels[n - 1], report.spacing_deviations[n - 1]) for n in range(1, 6)],
+            [range(1, 6), report.levels[:5], report.spacing_deviations[:5]],
         )
     worst = max(report.spacing_deviations) if report.ok else float("inf")
     return [("equal spacing", report.ok and worst <= 0.10, f"worst deviation = {worst:.4f}")]

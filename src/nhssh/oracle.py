@@ -126,7 +126,7 @@ def superpose_eigenstates(c_plus_coeffs: np.ndarray, params: LatticeParams, t: f
     if c.shape != (N,):
         raise ValueError(f"expected {N} coefficients, got {c.shape}")
     n = np.arange(1, N + 1)
-    eps, phi = np.array([analytic_dispersion(int(ni), params) for ni in n]).T
+    eps, phi = analytic_dispersion(n, params)
     cp, cm = _branch_constants(N)
     fp = c * np.exp(-1j * eps * t)
     fm = -c * np.exp(+1j * eps * t)

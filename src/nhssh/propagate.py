@@ -4,16 +4,24 @@
 ``s(x) = sin(t*sqrt(x))/sqrt(x)``, both entire in x and real for real x:
 exact where H is defective (the ring at its exceptional point, s -> t),
 and cosh, sinh where x < 0.  One eigendecomposition of the real hopping
-T (``eigh_tridiagonal`` for an open chain, dense ``eigh`` for a ring)
+T (``eigh_tridiagonal`` for an open chain, dense ``eigh`` for a ring),
+:func:`decompose`, serves every state and every gain on one chain and
 gives every sample directly, so no error builds up from step to step.
 With gain, each pair +/-lam of T is one 2x2 block on the gain and loss
-amplitudes, and a block of samples costs two half-size real products.
-:func:`expm` is the dense reference for tests.
+amplitudes.
+
+A :class:`Trajectory` lives in that mode basis.  Its Dirac norms follow
+from the mode amplitudes alone by Parseval's identity (the bases have
+orthonormal columns): each mode adds a quadratic form in (c, s), summed
+as two squares, so no 2N-wide state is formed.  Profiles and states are
+formed from the amplitudes and the bases only when read, a block of
+samples at a time in two half-size real products.  :func:`expm` is the
+dense reference for tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -42,23 +50,149 @@ def expm(A: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
+class Modes:
+    """Eigenpairs of the real hopping T of one chain, at gain ``gamma``.
+
+    With gain, ``lam`` is the positive half of T's spectrum (|lam|
+    averaged over each +/-lam pair, ascending) and ``bases`` hold its
+    eigenvectors on the gain and loss ``sites``, scaled to orthonormal
+    columns.  Without gain, all of T's eigenpairs on all sites.  Neither
+    depends on gamma, so :meth:`at_gamma` retunes a chain decomposed with
+    gain to any other gain at no cost.
+    """
+
+    lam: np.ndarray
+    sites: tuple
+    bases: tuple
+    gamma: float
+
+    @property
+    def n_sites(self) -> int:
+        return sum(basis.shape[0] for basis in self.bases)
+
+    @property
+    def x(self) -> np.ndarray:
+        """Eigenvalues of H^2, one per mode."""
+        return (self.lam - self.gamma) * (self.lam + self.gamma)
+
+    def at_gamma(self, gamma: float) -> Modes:
+        """The same chain at another gain: only each mode's growth rate changes."""
+        if gamma and len(self.sites) == 1:
+            raise ValueError("a gain needs the gain/loss pairing of a chain decomposed with gain")
+        return replace(self, gamma=float(gamma))
+
+    def amplitudes(self, state0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Mode amplitudes (a, b) of state0 and of -iH state0, one row per site group.
+
+        The state at time t has the amplitudes ``c*a + s*b``.
+        """
+        psi0 = np.ascontiguousarray(state0, dtype=complex)
+        if psi0.shape != (self.n_sites,):
+            raise ValueError(f"state length {psi0.shape} does not match H dimension {self.n_sites}")
+        a = np.array([_product(B.T, psi0[rows, None])[:, 0] for rows, B in zip(self.sites, self.bases)])
+        # H acts on a mode's gain and loss amplitudes as [[i*gamma, lam], [lam, -i*gamma]]
+        sign = np.array([1.0, -1.0])[: len(a), None]
+        return a, sign * self.gamma * a - 1j * self.lam * a[::-1]
+
+    def cs(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """c and s of every mode (rows) at the times t (columns)."""
+        x = self.x
+        k = np.sqrt(np.abs(x))[:, None]
+        grow = np.count_nonzero(x < 0)  # a leading run, as lam ascends
+        kt = k * t
+        c, s = np.cos(kt), np.sin(kt)
+        with np.errstate(over="ignore"):
+            c[:grow], s[:grow] = np.cosh(kt[:grow]), np.sinh(kt[:grow])
+        s /= np.where(k > 0, k, 1.0)
+        s[k[:, 0] == 0] = t  # lam == gamma: the exceptional point, where s = t
+        return c, s
+
+
+class _Run:
+    """One state's evolution in the mode basis, sampled at t = n*dt.
+
+    At t = t0 + tau, with t0 the first sample of a block and tau an
+    offset inside it, c and s follow by angle addition,
+    ``c(t0+tau) = c(t0)c(tau) - x s(t0)s(tau)`` and
+    ``s(t0+tau) = s(t0)c(tau) + c(t0)s(tau)`` with x the mode's
+    eigenvalue of H^2.  So cos and sin run on one table of offsets and on
+    one sample per block, not on every sample.
+    """
+
+    def __init__(self, modes: Modes, amplitudes: tuple[np.ndarray, np.ndarray], dt: float, samples: int):
+        self.modes, self.amplitudes, self.dt = modes, amplitudes, dt
+        self.offsets = modes.cs(np.arange(min(BLOCK, samples)) * dt)
+
+    def cs(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """c and s at samples start, ..., stop - 1, all in one block."""
+        j = start % BLOCK
+        c0, s0 = self.modes.cs(np.array([(start - j) * self.dt]))
+        c1, s1 = (table[:, j : j + stop - start] for table in self.offsets)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return c0 * c1 - self.modes.x[:, None] * s0 * s1, s0 * c1 + c0 * s1
+
+    def norms(self, samples: int) -> np.ndarray:
+        """Dirac norms sum |c*a + s*b|^2 over the modes, with no 2N-wide state.
+
+        Each mode's quadratic form in (c, s) is summed as the two squares
+        of its Cholesky factor: neither exceeds the norm, so the sum leaves
+        float range exactly where the state does.
+        """
+        a, b = self.amplitudes
+        aa, ab, bb = ((u.conj() * v).real.sum(axis=0)[:, None] for u, v in ((a, a), (a, b), (b, b)))
+        l11 = np.sqrt(aa)
+        l21 = np.divide(ab, l11, out=np.zeros_like(ab), where=l11 > 0)
+        l22 = np.sqrt(np.maximum(bb - l21 * l21, 0.0))
+        norms = np.empty(samples)
+        for start in range(0, samples, BLOCK):
+            c, s = self.cs(start, min(start + BLOCK, samples))
+            with np.errstate(over="ignore", invalid="ignore"):
+                u, v = c * l11 + s * l21, s * l22
+                norms[start : start + c.shape[1]] = (u * u + v * v).sum(axis=0)
+        return norms
+
+    def states(self, start: int, stop: int) -> np.ndarray:
+        """The states at samples start, ..., stop - 1 (in one block), one per row."""
+        c, s = self.cs(start, stop)
+        psi = np.empty((self.modes.n_sites, stop - start), dtype=complex)
+        for rows, basis, a, b in zip(self.modes.sites, self.modes.bases, *self.amplitudes):
+            psi[rows] = _product(basis, c * a[:, None] + s * b[:, None])
+        return psi.T
+
+
 class Trajectory:
     """Time-ordered record of one evolution run.
 
-    ``profiles[k]`` holds the site probabilities |psi_l(t_k)|^2 (2N
-    entries, 1-based site l maps to column l-1) and ``norms[k]`` the
-    Dirac norm P(t_k).  Full states are kept only when requested.
+    ``norms[k]`` is the Dirac norm P(t_k), ``profiles[k]`` holds the site
+    probabilities |psi_l(t_k)|^2 (2N entries, 1-based site l maps to
+    column l-1) and ``states[k]`` the amplitudes, which are kept only when
+    requested (else None).  A trajectory from :func:`evolve` keeps the
+    mode amplitudes and forms profiles (all of them once, on first
+    access; one with :meth:`profile_at`) and states only when read.
     """
 
-    times: np.ndarray
-    profiles: np.ndarray
-    norms: np.ndarray
-    states: np.ndarray | None = None
+    def __init__(self, times: np.ndarray, profiles: np.ndarray | None, norms: np.ndarray, states=None):
+        self.times, self.norms = times, norms
+        self._profiles, self._states = profiles, states
+        self._run: _Run | None = None  # the run in the mode basis that evolve sampled
+        self._keep_states = False
 
     @property
     def dt(self) -> float:
         return float(self.times[1] - self.times[0])
+
+    @property
+    def profiles(self) -> np.ndarray | None:
+        if self._profiles is None and self._run is not None:
+            self._profiles = np.vstack([psi.real**2 + psi.imag**2 for psi in self._blocks()])
+        return self._profiles
+
+    @property
+    def states(self) -> np.ndarray | None:
+        if self._states is None and self._keep_states:
+            self._states = np.vstack(list(self._blocks()))
+        return self._states
 
     def index_at(self, t: float) -> int:
         """Index of the sample nearest t; t must lie inside the span."""
@@ -67,67 +201,64 @@ class Trajectory:
         return int(np.argmin(np.abs(self.times - t)))
 
     def profile_at(self, t: float) -> np.ndarray:
-        return self.profiles[self.index_at(t)]
+        k = self.index_at(t)
+        if self._profiles is not None or self._run is None:
+            return self.profiles[k]
+        psi = self._run.states(k, k + 1)[0]
+        return psi.real**2 + psi.imag**2
+
+    def _blocks(self):
+        for start in range(0, self.times.size, BLOCK):
+            yield self._run.states(start, min(start + BLOCK, self.times.size))
+
+
+def decompose(H: np.ndarray) -> Modes:
+    """One eigendecomposition of H's real hopping, for every state and gain on the chain."""
+    T, g = chiral_split(H)
+    gamma = float(np.abs(g).max())
+    if max(scipy.linalg.bandwidth(T)) <= 1:  # every open chain; no site order makes a ring tridiagonal
+        lam, W = scipy.linalg.eigh_tridiagonal(np.diag(T).copy(), np.diag(T, 1).copy())
+    else:
+        lam, W = scipy.linalg.eigh(T)
+    if not gamma:  # gain-free T need not be bipartite: one block over all sites, its own partner
+        return Modes(lam, (slice(None),), (np.ascontiguousarray(W),), 0.0)
+    # C = g/gamma anticommutes with T: w(lam) = (u, v) on gain and loss sites pairs with (u, -v)
+    # for -lam, and H acts on (u, 0), (0, v) as one 2x2 block: keep lam > 0 alone
+    if np.abs(lam).min() <= lam.size * np.finfo(float).eps * np.abs(lam).max():
+        raise ValueError("T is singular: with gain, its zero modes have no -lam partner")
+    half = lam.size // 2
+    sites = (g > 0, g < 0)
+    bases = tuple(np.sqrt(2.0) * W[rows, half:] for rows in sites)  # orthonormal columns
+    return Modes(0.5 * (lam[half:] - lam[half - 1 :: -1]), sites, bases, gamma)  # |lam| averaged over each pair
 
 
 def evolve(
     state0: np.ndarray,
-    H: np.ndarray,
+    H: np.ndarray | Modes,
     dt: float,
     steps: int,
     record_states: bool = False,
 ) -> Trajectory:
     """Sample ``psi(t) = expm(-iHt) state0`` at t = 0, dt, ..., steps*dt.
 
-    Profiles and Dirac norms always, amplitudes only with ``record_states``.
+    ``H`` is the Hamiltonian or its :func:`decompose`, which lets many
+    runs on one chain share one eigensolve.  Dirac norms are computed at
+    once; profiles, and states with ``record_states``, when read.
     Raises OverflowError naming the first sample that leaves float range.
     """
-    T, g = chiral_split(H)
-    psi0 = np.ascontiguousarray(state0, dtype=complex)
-    if psi0.shape != (T.shape[0],):
-        raise ValueError(f"state length {psi0.shape} does not match H dimension {T.shape[0]}")
+    modes = H if isinstance(H, Modes) else decompose(H)
+    amplitudes = modes.amplitudes(state0)
     if steps < 1 or not 0.0 < dt < np.inf:
         raise ValueError(f"need steps >= 1 and a finite dt > 0, got steps={steps}, dt={dt}")
-
-    gamma = float(np.abs(g).max())
-    if max(scipy.linalg.bandwidth(T)) <= 1:  # every open chain; no site order makes a ring tridiagonal
-        lam, W = scipy.linalg.eigh_tridiagonal(np.diag(T).copy(), np.diag(T, 1).copy())
-    else:
-        lam, W = scipy.linalg.eigh(T)
-    if gamma:
-        # C = g/gamma anticommutes with T: w(lam) = (u, v) on gain and loss sites pairs with (u, -v)
-        # for -lam, H acts on (u, 0), (0, v) as [[i*gamma, lam], [lam, -i*gamma]]: keep lam > 0 alone
-        if np.abs(lam).min() <= lam.size * np.finfo(float).eps * np.abs(lam).max():
-            raise ValueError("T is singular: with gain, its zero modes have no -lam partner")
-        half = lam.size // 2
-        lam = 0.5 * (lam[half:] - lam[half - 1 :: -1])  # |lam| averaged over each pair
-        sites = (g > 0, g < 0)
-        bases = [np.sqrt(2.0) * W[rows, half:] for rows in sites]  # orthonormal columns
-    else:  # gain-free T need not be bipartite: one block over all sites, its own partner
-        sites, bases = (slice(None),), [np.ascontiguousarray(W)]
-    del W  # the bases hold all that is needed of it
-    amps = [_product(B.T, psi0[rows, None]) for rows, B in zip(sites, bases)]
-    k, grow = np.sqrt(np.abs((lam - gamma) * (lam + gamma)))[:, None], np.abs(lam) < gamma
+    run = _Run(modes, amplitudes, dt, steps + 1)
     times = np.arange(steps + 1) * dt
-    profiles = np.empty((times.size, psi0.size))
-    states = np.empty((times.size, psi0.size), dtype=complex) if record_states else None
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, times.size, BLOCK):
-            t = times[start : start + BLOCK]
-            c, s = np.cos(k * t), t * np.sinc(k * t / np.pi)
-            c[grow], s[grow] = np.cosh(k[grow] * t), np.sinh(k[grow] * t) / k[grow]
-            psi = np.empty((psi0.size, t.size), dtype=complex)
-            for rows, basis, own, other, sign in zip(sites, bases, amps, amps[::-1], (1.0, -1.0)):
-                coef = (c + sign * gamma * s) * own - 1j * lam[:, None] * s * other
-                psi[rows] = _product(basis, coef)
-            profiles[start : start + t.size] = (np.abs(psi) ** 2).T
-            if states is not None:
-                states[start : start + t.size] = psi.T
-        norms = profiles.sum(axis=1)
+    norms = run.norms(times.size)
     bad = ~np.isfinite(norms)
     if bad.any():
         raise OverflowError(f"state left float range at t = {times[np.argmax(bad)]:.6g}")
-    return Trajectory(times=times, profiles=profiles, norms=norms, states=states)
+    traj = Trajectory(times, None, norms)
+    traj._run, traj._keep_states = run, record_states
+    return traj
 
 
 def _product(basis: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -63,7 +63,7 @@ def revival_period(params: LatticeParams) -> float:
     return 2.0 * np.pi / esm_spacing(params)
 
 
-def analytic_dispersion(n: int, params: LatticeParams, gamma: float | None = None):
+def analytic_dispersion(n, params: LatticeParams, gamma: float | None = None):
     """Analytic level ``eps_k`` and mixing angle ``phi_k`` for mode n.
 
     ``k = n*pi/(N+1)`` and ``eps_k = sqrt(((1+delta)-(1-delta)cos k)^2 - gamma^2)``
@@ -73,22 +73,25 @@ def analytic_dispersion(n: int, params: LatticeParams, gamma: float | None = Non
 
     Returns
     -------
-    (eps, phi) : tuple of floats
+    (eps, phi) : floats for a scalar n, arrays for an array of levels
     """
     N = params.cells
-    if not 1 <= n <= N:
-        raise ValueError(f"level index n must lie in 1..{N}, got {n}")
+    levels = np.asarray(n)
+    outside = ~((levels >= 1) & (levels <= N))
+    if outside.any():
+        raise ValueError(f"level index n must lie in 1..{N}, got {levels[outside].flat[0]}")
     g = params.gamma_c if gamma is None else gamma
-    k = n * np.pi / (N + 1)
+    k = levels * np.pi / (N + 1)
     band = (1.0 + params.delta) - (1.0 - params.delta) * np.cos(k)
     arg = band * band - g * g
-    if arg < 0.0:
+    if (arg < 0.0).any():
+        first = np.argmax(arg.ravel() < 0.0)
         raise ComplexBandError(
-            f"gamma={g} exceeds the band value {band:.6g} at n={n}; level is complex"
+            f"gamma={g} exceeds the band value {band.flat[first]:.6g} at n={levels.flat[first]}; level is complex"
         )
-    eps = float(np.sqrt(arg))
-    phi = float(np.arctan2(g, eps))
-    return eps, phi
+    eps = np.sqrt(arg)
+    phi = np.arctan2(g, eps)
+    return (float(eps), float(phi)) if levels.ndim == 0 else (eps, phi)
 
 
 @dataclass

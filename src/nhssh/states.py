@@ -108,15 +108,26 @@ def direct_coalescing_overlap(spec: PacketSpec, params: LatticeParams) -> comple
 
 
 def smoothed_profile(profile: np.ndarray, window: int = SMOOTH_WINDOW) -> np.ndarray:
-    kernel = np.ones(window) / window
-    return np.convolve(profile, kernel, mode="same")
+    """``window``-site moving average over the last axis (sites), centered as np.convolve's "same"."""
+    p = np.asarray(profile, dtype=float)
+    n = p.shape[-1]
+    sm = np.zeros_like(p)
+    for shift in range(-(window // 2), (window + 1) // 2):  # sm[i] += p[i + shift], in np.convolve's order
+        sm[..., max(0, -shift) : n - max(0, shift)] += p[..., max(0, shift) : n + min(0, shift)]
+    sm *= 1.0 / window
+    return sm
 
 
-def fwhm_interval(profile: np.ndarray, window: int = SMOOTH_WINDOW) -> tuple[int, int]:
-    """First and last 1-based site where the smoothed profile reaches half max."""
-    sm = smoothed_profile(np.asarray(profile, dtype=float), window)
-    idx = np.nonzero(sm >= 0.5 * sm.max())[0]
-    return int(idx[0]) + 1, int(idx[-1]) + 1
+def fwhm_interval(profile: np.ndarray, window: int = SMOOTH_WINDOW) -> tuple[int, int] | np.ndarray:
+    """First and last 1-based site where the smoothed profile reaches half max.
+
+    A single profile gives a tuple; a stack of profiles (sites on the last
+    axis) gives an (m, 2) array of the same endpoints, one row per profile.
+    """
+    sm = smoothed_profile(profile, window)
+    above = sm >= 0.5 * sm.max(axis=-1, keepdims=True)
+    ends = np.stack([above.argmax(axis=-1), sm.shape[-1] - 1 - above[..., ::-1].argmax(axis=-1)], axis=-1) + 1
+    return (int(ends[0]), int(ends[1])) if ends.ndim == 1 else ends
 
 
 def shape_distance(profile_a: np.ndarray, profile_b: np.ndarray, shift: int, slack: int = 5) -> float:
@@ -127,8 +138,8 @@ def shape_distance(profile_a: np.ndarray, profile_b: np.ndarray, shift: int, sla
     ``slack`` sites: packet centers sit on the site grid only up to a
     fraction of a site, which a pure integer roll cannot absorb.
     """
-    a = smoothed_profile(np.asarray(profile_a, dtype=float))
-    b = smoothed_profile(np.asarray(profile_b, dtype=float))
+    a = smoothed_profile(profile_a)
+    b = smoothed_profile(profile_b)
     a = a / a.sum()
     b = b / b.sum()
     return min(

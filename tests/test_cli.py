@@ -2,7 +2,9 @@ import re
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from nhssh import build_hamiltonian, build_initial_state, build_pair_state, evolve, revival_period
 from nhssh.cli import (
     EXIT_CHECK,
     EXIT_CONFIG,
@@ -13,6 +15,8 @@ from nhssh.cli import (
     ExperimentConfig,
     build_config,
     main,
+    _fmt,
+    _write_csv,
     parse_config,
 )
 from nhssh.lattice import Boundary
@@ -245,3 +249,50 @@ def test_config_dataclass_lattice_helpers():
     assert config.lattice().gamma == 1.6
     assert config.lattice(gamma=0.5).gamma == 0.5
     assert config.packet().kappa0 == pytest.approx(np.pi / 2)
+
+
+def _read_columns(path):
+    header, *rows = path.read_text().splitlines()
+    return dict(zip(header.split(","), np.array([row.split(",") for row in rows], dtype=float).T))
+
+
+def test_fig7_pairs_from_singles_match_pair_evolution(tmp_path):
+    # fig7 forms each pair from its two singles on one decomposition; evolving the pair state
+    # itself, and each single at the pair's own scale, must give the same norm curves
+    out = tmp_path / "fig7"
+    assert main(["fig7", "--cells", "60", "--samples", "600", "--out", str(out)]) == EXIT_OK
+    config = build_config({"experiment": "fig7", "cells": 60, "samples": 600})
+    params = config.lattice()
+    H = build_hamiltonian(params)
+    dt = config.tmax_over_tau * revival_period(params) / (config.samples - 1)
+    for sign, name in ((+1, "plus"), (-1, "minus")):
+        written = _read_columns(out / f"norms_{name}.csv")
+        pair = config.pair(sign).normalized(params.cells)
+        reference = evolve(build_pair_state(pair, params), H, dt, config.samples - 1).norms
+        assert np.abs(written["P_pair"] - reference).max() <= 1e-12 * reference.max()
+        singles = sum(
+            evolve(build_initial_state(spec, params), H, dt, config.samples - 1).norms
+            for spec in pair.single_specs(params.cells)
+        )
+        assert np.abs(written["P_sum_singles"] - singles).max() <= 1e-12 * singles.max()
+
+
+@pytest.mark.parametrize("experiment", ["fig5", "fig7"])
+def test_one_eigensolve_per_experiment(tmp_path, monkeypatch, experiment):
+    calls = []
+    for name in ("eigh_tridiagonal", "eigh"):
+        solver = getattr(scipy.linalg, name)
+        monkeypatch.setattr(scipy.linalg, name, lambda *a, _solver=solver, **k: calls.append(1) or _solver(*a, **k))
+    argv = [experiment, "--cells", "40", "--samples", "400", "--out", str(tmp_path / experiment)]
+    assert main(argv) == EXIT_OK
+    assert len(calls) == 1
+
+
+def test_csv_columns_format_like_cells(tmp_path):
+    # columns are formatted by dtype; the bytes must be those of the cell-by-cell formatting
+    floats = np.array([0.1, -0.0, 1e-300, 2.5e300, 1 / 3, 12345678901234567.0, -7.0])
+    halves = np.linspace(-1, 1, 7, dtype=np.float32)
+    columns = [np.arange(1, 8), floats, [f"{m}/8" for m in range(7)], [""] * 7, list(floats), halves]
+    _write_csv(tmp_path / "x.csv", ["a", "b", "c", "d", "e", "f"], columns)
+    expected = ["a,b,c,d,e,f"] + [",".join(_fmt(v) for v in row) for row in zip(*columns)]
+    assert (tmp_path / "x.csv").read_text(encoding="utf-8") == "\n".join(expected) + "\n"

@@ -15,6 +15,7 @@ from nhssh import (
     expm,
     revival_period,
 )
+from nhssh.propagate import decompose
 
 
 def taylor_expm(A: np.ndarray, order: int = 40) -> np.ndarray:
@@ -208,3 +209,53 @@ def test_trajectory_index_lookup():
     assert traj.index_at(2.49) == 5
     with pytest.raises(ValueError):
         traj.index_at(5.5)
+
+
+@pytest.mark.parametrize("boundary", [Boundary.OPEN, Boundary.PERIODIC])
+@pytest.mark.parametrize("gamma", [0.0, 1.7, 1.8, 1.9])
+def test_parseval_norms_match_states(gamma, boundary):
+    # the norms come from the mode amplitudes alone, the states from the bases: the two must agree
+    # at every sample, below, at and above the exceptional point and without gain
+    params = LatticeParams(30, 0.9, gamma, boundary)
+    psi0 = build_initial_state(PacketSpec(np.pi / 6, 0.05), params)
+    t = 0.5 * revival_period(params)
+    traj = evolve(psi0, build_hamiltonian(params), t / 300, 300, record_states=True)
+    direct = (np.abs(traj.states) ** 2).sum(axis=1)
+    assert np.abs(traj.norms / direct - 1.0).max() <= 1e-13
+
+
+def test_profiles_on_demand_agree():
+    params = LatticeParams(30, 0.9, 1.8)
+    psi0 = build_initial_state(PacketSpec(np.pi / 6, 0.05), params)
+    H = build_hamiltonian(params)
+    fresh = evolve(psi0, H, 0.7, 300)
+    assert fresh.states is None  # not requested
+    traj = evolve(psi0, H, 0.7, 300, record_states=True)
+    for k in (0, 1, 127, 128, 200, 300):  # across block edges
+        # one sample alone goes through a product of another shape: equal up to rounding
+        single = fresh.profile_at(traj.times[k])  # formed before any full profile
+        peak = traj.profiles[k].max()
+        assert np.abs(single - traj.profiles[k]).max() <= 1e-13 * peak
+        assert np.abs(traj.profiles[k] - np.abs(traj.states[k]) ** 2).max() <= 1e-13 * peak
+    assert traj.profiles is traj.profiles  # formed once
+    assert np.array_equal(fresh.profiles, traj.profiles)
+
+
+def test_shared_decomposition_gain_sweep():
+    # one eigensolve of the tuned chain serves every gain: its eigenvectors do not depend on gamma
+    tuned = LatticeParams(30, 0.9, 1.8)
+    modes = decompose(build_hamiltonian(tuned))
+    psi0 = build_initial_state(PacketSpec(np.pi / 2, 0.02), tuned)
+    dt = 0.25 * revival_period(tuned) / 200
+    for gamma in (0.0, 1.7, 1.8, 1.9):
+        own = evolve(psi0, build_hamiltonian(tuned.at_gamma(gamma)), dt, 200, record_states=True)
+        shared = evolve(psi0, modes.at_gamma(gamma), dt, 200, record_states=True)
+        assert np.abs(shared.norms / own.norms - 1.0).max() < 1e-12
+        err = np.linalg.norm(shared.states - own.states, axis=1) / np.linalg.norm(own.states, axis=1)
+        assert err.max() < 1e-12
+
+
+def test_gain_needs_a_decomposition_with_gain():
+    modes = decompose(build_hamiltonian(LatticeParams(10, 0.9, 0.0)))
+    with pytest.raises(ValueError, match="pairing"):
+        modes.at_gamma(1.8)

@@ -204,3 +204,18 @@ def test_wide_band_matches_dense_reference():
     ev = full_spectrum(T)
     assert np.abs(ev.imag).max() == 0.0
     assert np.abs(np.sort(ev.real) - np.linalg.eigvalsh(T)).max() < 1e-12
+
+
+def test_dispersion_over_an_array_of_levels():
+    params = LatticeParams(40, 0.9, 1.8)
+    levels = np.arange(1, 41)
+    eps, phi = analytic_dispersion(levels, params)
+    one_by_one = np.array([analytic_dispersion(int(n), params) for n in levels])
+    assert np.allclose(eps, one_by_one[:, 0], rtol=1e-15, atol=0.0)
+    assert np.allclose(phi, one_by_one[:, 1], rtol=1e-15, atol=0.0)
+    assert isinstance(analytic_dispersion(3, params)[0], float)
+    # the band falls below gamma = 1.9 at the low levels: the first offending one is named
+    with pytest.raises(ComplexBandError, match="at n=3;"):
+        analytic_dispersion(np.array([40, 3, 1]), params, gamma=1.9)
+    with pytest.raises(ValueError, match="got 41"):
+        analytic_dispersion(np.array([1, 41, 0]), params)

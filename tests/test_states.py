@@ -14,6 +14,7 @@ from nhssh import (
     fwhm_interval,
     measure,
     shape_distance,
+    smoothed_profile,
 )
 
 
@@ -148,3 +149,20 @@ def test_revival_and_mirror(traj_central, tau250):
     mirror = np.abs(traj_central.profile_at(tau250 / 2) - p0[::-1]).sum() / peak
     assert revival < 0.10
     assert mirror < 0.10
+
+
+def _fwhm_one_by_one(profile, window=4):
+    # the per-profile reference: np.convolve's moving average, then the half-maximum sites
+    sm = np.convolve(profile, np.ones(window) / window, mode="same")
+    idx = np.nonzero(sm >= 0.5 * sm.max())[0]
+    return int(idx[0]) + 1, int(idx[-1]) + 1
+
+
+def test_fwhm_interval_stack_matches_loop(traj_pi6):
+    profiles = traj_pi6.profiles
+    ends = fwhm_interval(profiles)
+    assert ends.shape == (len(profiles), 2)
+    assert np.array_equal(ends, [_fwhm_one_by_one(p) for p in profiles])
+    assert fwhm_interval(profiles[5]) == _fwhm_one_by_one(profiles[5])
+    assert isinstance(fwhm_interval(profiles[5]), tuple)
+    assert np.array_equal(smoothed_profile(profiles), [np.convolve(p, np.ones(4) / 4, mode="same") for p in profiles])
