@@ -163,25 +163,25 @@ class InterferenceReport:
     separated: np.ndarray = field(repr=False, default=None)
 
 
-def interference_report(
-    pair_traj: Trajectory,
-    single_trajs: tuple[Trajectory, Trajectory],
-) -> InterferenceReport:
+def interference_report(pair_traj: Trajectory, singles) -> InterferenceReport:
     """Norm ratios of a two-packet state across its first collision.
 
     The collision window is where the constituent packets' half-maximum
     intervals intersect; the constituents evolve independently (the model
-    is linear), so their own trajectories define the intervals.  Ratios
+    is linear), so their own trajectories define the intervals.  ``singles``
+    are those two trajectories, or their intervals as :func:`fwhm_interval`
+    returns them, which lets several pairs share the singles.  Ratios
     compare the pair norm inside the window to the mean norm just before
     it.  ``separated`` marks samples where the intervals clear a
     40-site pad, the regime where the pair norm should equal the sum of
     the single norms.
     """
-    t1, t2 = single_trajs
+    (a0, a1), (b0, b1) = (
+        (single if isinstance(single, np.ndarray) else fwhm_interval(single.profiles)).T for single in singles
+    )
     n = len(pair_traj.times)
-    if len(t1.times) != n or len(t2.times) != n:
+    if len(a0) != n or len(b0) != n:
         raise AnalysisError("pair and single trajectories must share the sampling grid")
-    (a0, a1), (b0, b1) = fwhm_interval(t1.profiles).T, fwhm_interval(t2.profiles).T
     overlap = (a0 <= b1) & (b0 <= a1)
     separated = ~((a0 <= b1 + SEPARATION_PAD_SITES) & (b0 <= a1 + SEPARATION_PAD_SITES))
     if not overlap.any():

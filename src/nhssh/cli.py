@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, oracle, spectra, states
-from .lattice import Boundary, LatticeParams, build_hamiltonian
+from .lattice import Boundary, LatticeParams, build_chain
 from .propagate import Trajectory, decompose, evolve
 from .specfun import ConvergenceError
 
@@ -66,6 +66,8 @@ class ExperimentConfig:
         self.lattice()
         for kappa_over_pi in (self.kappa0_over_pi, self.kappa02_over_pi):
             oracle.PacketSpec(kappa_over_pi * np.pi, self.q)
+        if self.experiment == "fig5":
+            self.gain_sweep()
         if self.experiment == "fig7":
             self.pair(+1)
 
@@ -73,6 +75,13 @@ class ExperimentConfig:
         return LatticeParams(
             self.cells, self.delta, self.gamma if gamma is None else gamma, self.boundary
         )
+
+    def gain_sweep(self) -> list[float]:
+        """fig5's gains gamma_c - 0.1, gamma_c, gamma_c + 0.1: the lowest must still be a gain."""
+        gamma_c = self.lattice().gamma_c
+        if gamma_c - 0.1 <= 0.0:
+            raise ValueError(f"fig5 sweeps gamma from 2*delta - 0.1, which needs delta > 0.05, got {self.delta}")
+        return [gamma_c + d for d in (-0.1, 0.0, 0.1)]
 
     def packet(self) -> oracle.PacketSpec:
         return oracle.PacketSpec(self.kappa0_over_pi * np.pi, self.q)
@@ -184,13 +193,13 @@ def _write_profile(path: Path, profile: np.ndarray, closed_form: np.ndarray | No
 
 
 def _evolve_packet(config: ExperimentConfig, state=None, H=None) -> Trajectory:
-    """The packet (or state) over tmax_over_tau revival periods, on H or config's chain."""
+    """The packet (or state) over tmax_over_tau revival periods, on H (a decomposition) or config's chain."""
     params = config.lattice()
     if state is None:
         state = states.build_initial_state(config.packet(), params)
     tmax = config.tmax_over_tau * spectra.revival_period(params)
     dt = tmax / (config.samples - 1)
-    return evolve(state, build_hamiltonian(params) if H is None else H, dt, config.samples - 1)
+    return evolve(state, build_chain(params) if H is None else H, dt, config.samples - 1)
 
 
 def _run_fig2(config: ExperimentConfig, outdir: Path) -> list:
@@ -283,12 +292,11 @@ def _local_maxima(t: np.ndarray, p: np.ndarray) -> list:
 def _run_fig5(config: ExperimentConfig, outdir: Path) -> list:
     params = config.lattice()
     tau = spectra.revival_period(params)
-    gammas = [config.lattice(gamma=params.gamma_c + d).gamma for d in (-0.1, 0.0, 0.1)]  # each one checked
     # one eigensolve, of the tuned chain, for the sweep: the gain moves only each mode's growth rate
-    modes = decompose(build_hamiltonian(config.lattice(gamma=params.gamma_c)))
+    modes = decompose(build_chain(config.lattice(gamma=params.gamma_c)))
     rows = []
     labels = []
-    for i, g in enumerate(gammas, start=1):
+    for i, g in enumerate(config.gain_sweep(), start=1):
         traj = _evolve_packet(config, H=modes.at_gamma(g))
         report = analysis.classify_growth(traj.times, traj.norms, (0.05 * tau, 0.2 * tau))
         rows.append((g, report.label, report.r_squared, report.fit_params["linear"]["slope"]))
@@ -319,10 +327,11 @@ def _run_fig6(config: ExperimentConfig, outdir: Path) -> list:
 
 def _run_fig7(config: ExperimentConfig, outdir: Path) -> list:
     params = config.lattice()
-    modes = decompose(build_hamiltonian(params))  # one eigensolve for all four runs
+    modes = decompose(build_chain(params))  # one eigensolve for all four runs
     plus = config.pair(+1).normalized(params.cells)
     psi1, psi2 = (states.build_initial_state(spec, params) for spec in plus.single_specs(params.cells))
     singles = [_evolve_packet(config, psi, modes) for psi in (psi1, psi2)]
+    intervals = [states.fwhm_interval(single.profiles) for single in singles]  # half-maximum intervals ignore scale
     outcomes = []
     for sign, name in ((+1, "plus"), (-1, "minus")):
         # each pair is single1 +/- single2, the singles at the pair's own scale lam/sqrt2: the minus
@@ -330,7 +339,7 @@ def _run_fig7(config: ExperimentConfig, outdir: Path) -> list:
         scale = config.pair(sign).normalized(params.cells).lam / plus.lam
         pair_traj = _evolve_packet(config, scale * (psi1 + sign * psi2), modes)
         total = scale**2 * (singles[0].norms + singles[1].norms)
-        report = analysis.interference_report(pair_traj, singles)  # half-maximum intervals ignore scale
+        report = analysis.interference_report(pair_traj, intervals)
         _write_csv(
             outdir / f"norms_{name}.csv", ["t", "P_pair", "P_sum_singles"], [pair_traj.times, pair_traj.norms, total]
         )
@@ -369,8 +378,7 @@ def _run_fig7(config: ExperimentConfig, outdir: Path) -> list:
 
 def _run_spectrum(config: ExperimentConfig, outdir: Path) -> list:
     params = config.lattice()
-    H = build_hamiltonian(params)
-    ev = spectra.full_spectrum(H)
+    ev = spectra.full_spectrum(build_chain(params))
     _write_csv(outdir / "eigenvalues.csv", ["re", "im"], [ev.real, ev.imag])
     if params.boundary is Boundary.PERIODIC:
         pair = float(np.sort(np.abs(ev))[1])

@@ -1,4 +1,4 @@
-"""Non-Hermitian SSH chain: Hamiltonian and symmetry operators.
+"""Non-Hermitian SSH chain: its hopping block, Hamiltonian and symmetry operators.
 
 Conventions used throughout the package:
 
@@ -64,6 +64,58 @@ class LatticeParams:
     def at_gamma(self, gamma: float) -> "LatticeParams":
         """Same lattice with a different gain value."""
         return LatticeParams(self.cells, self.delta, gamma, self.boundary)
+
+
+@dataclass(frozen=True)
+class Chain:
+    """A gain/loss chain by its N x N gain-to-loss hopping block B and its gain.
+
+    Site 2j (0-based) is gain site j, at ``+i*gamma``; site 2j+1 is loss
+    site j, at ``-i*gamma``.  The hopping T joins gain sites to loss sites
+    only, through ``B[j, j] = inner[j]`` and ``B[j+1 mod N, j] = outer[j]``;
+    ``outer[-1]`` closes a ring and is 0 on an open chain.  So T's positive
+    spectrum is B's singular spectrum, and ``H^2 = T^2 - gamma^2``.
+    """
+
+    inner: np.ndarray
+    outer: np.ndarray
+    gamma: float
+
+    def gram(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """B B^T, the gain-site block of T^2, as a lower band, and the order of gain sites it takes.
+
+        The band's row k holds the k-th subdiagonal.  An open chain's block
+        is tridiagonal in site order (None).  A ring's also joins gain sites
+        N-1 and 0, so its gain sites go in the order 0, N-1, 1, N-2, ...,
+        which puts every entry within two places of the diagonal.
+        """
+        n = self.inner.size
+        d = self.inner**2 + np.roll(self.outer, 1) ** 2
+        e = self.inner * self.outer  # joins gain sites j and j+1 mod N; 0 at N-1 on an open chain
+        if not self.outer[-1]:
+            return np.array([d, e]), None
+        fold = np.c_[np.arange(n), np.arange(n)[::-1]].ravel()[:n]
+        band = np.zeros((3, n))
+        band[0] = d[fold]
+        for k in (1, 2):
+            i, j = fold[k:], fold[: n - k]
+            band[k, : n - k] = np.where(i == (j + 1) % n, e[j], 0.0) + np.where(j == (i + 1) % n, e[i], 0.0)
+        return band, fold
+
+    def loss_amplitudes(self, u: np.ndarray) -> np.ndarray:
+        """B^T u: what T carries from gain amplitudes u (one column each) to the loss sites."""
+        v = self.inner[:, None] * u
+        v[:-1] += self.outer[:-1, None] * u[1:]
+        v[-1] += self.outer[-1] * u[0]
+        return v
+
+
+def build_chain(params: LatticeParams) -> Chain:
+    """The lattice as a :class:`Chain`: O(N) numbers, the same model as :func:`build_hamiltonian`."""
+    outer = np.full(params.cells, 1.0 - params.delta)
+    if params.boundary is Boundary.OPEN:
+        outer[-1] = 0.0
+    return Chain(np.full(params.cells, 1.0 + params.delta), outer, float(params.gamma))
 
 
 def build_hamiltonian(params: LatticeParams) -> np.ndarray:
@@ -134,22 +186,28 @@ def symmetry_residuals(H: np.ndarray, cells: int) -> dict:
     return {"pt_residual": float(pt), "ct_residual": float(ct)}
 
 
-def chiral_split(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split ``H = T + i*diag(g)`` into real symmetric hopping T and gain g.
+def chiral_split(H: np.ndarray) -> Chain | np.ndarray:
+    """Read a dense ``H = T + i*diag(g)`` as a :class:`Chain`, or as T alone without gain.
 
-    Requires ``|g_i| = gamma`` on every site and ``T_ij (g_i + g_j) = 0``
-    (hopping joins gain to loss only), so that ``H^2 = T^2 - gamma^2``.
+    With gain, g must alternate ``+gamma, -gamma`` from the first site
+    (``gamma < 0`` puts the loss first) and T must hold only the chain's
+    bonds.  Without gain, the real symmetric T may be any matrix.
     """
     H = np.asarray(H)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValueError(f"H must be square, got shape {H.shape}")
     T, g = H.real, np.diag(H).imag
-    i, j = np.nonzero(T)
-    if (
-        np.count_nonzero(H.imag) != np.count_nonzero(g)  # imaginary part off the diagonal
-        or not np.all(np.abs(g) == np.abs(g[:1]))
-        or not np.array_equal(T[i, j], T[j, i])
-        or np.any(g[i] + g[j])
-    ):
-        raise ValueError("H is not real symmetric hopping between sites of opposite gain +/-i*gamma")
-    return T, g
+    if np.count_nonzero(H.imag) != np.count_nonzero(g) or not np.array_equal(T, T.T):
+        raise ValueError("H is not real symmetric hopping plus an imaginary potential")
+    if not g.any():
+        return T
+    n = len(g)
+    if not np.array_equal(g, g[0] * np.resize([1.0, -1.0], n)):
+        raise ValueError("H's gain does not alternate +/-i*gamma from site to site")
+    if n % 2:
+        raise ValueError("T is singular: with gain, the zero mode of an odd chain has no -lam partner")
+    bonds = np.diagonal(T, 1)
+    inner, outer = bonds[::2].copy(), np.append(bonds[1::2], T[0, -1] if n > 2 else 0.0)
+    if np.count_nonzero(T) != 2 * (np.count_nonzero(inner) + np.count_nonzero(outer)):
+        raise ValueError("H's hopping is not a chain: gain site j must join loss sites j and j-1 alone")
+    return Chain(inner, outer, float(g[0]))

@@ -3,12 +3,13 @@
 ``expm(-iHt) = c(H^2) - i*H*s(H^2)`` with ``c(x) = cos(t*sqrt(x))`` and
 ``s(x) = sin(t*sqrt(x))/sqrt(x)``, both entire in x and real for real x:
 exact where H is defective (the ring at its exceptional point, s -> t),
-and cosh, sinh where x < 0.  One eigendecomposition of the real hopping
-T (``eigh_tridiagonal`` for an open chain, dense ``eigh`` for a ring),
-:func:`decompose`, serves every state and every gain on one chain and
-gives every sample directly, so no error builds up from step to step.
-With gain, each pair +/-lam of T is one 2x2 block on the gain and loss
-amplitudes.
+and cosh, sinh where x < 0.  One eigendecomposition, :func:`decompose`,
+serves every state and every gain on one chain and gives every sample
+directly, so no error builds up from step to step.  On a gain/loss
+:class:`~nhssh.lattice.Chain` it is that of the N x N gain-site block
+``B B^T`` of T^2 (``eigh_tridiagonal`` for an open chain, ``eig_banded``
+for a ring): each singular value lam of B is one pair +/-lam of T, one
+2x2 block on the gain and loss amplitudes.
 
 A :class:`Trajectory` lives in that mode basis.  Its Dirac norms follow
 from the mode amplitudes alone by Parseval's identity (the bases have
@@ -26,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg
 
-from .lattice import chiral_split
+from .lattice import Chain, chiral_split
 
 BLOCK = 128  # samples per eigenbasis product
 
@@ -54,12 +55,13 @@ def expm(A: np.ndarray) -> np.ndarray:
 class Modes:
     """Eigenpairs of the real hopping T of one chain, at gain ``gamma``.
 
-    With gain, ``lam`` is the positive half of T's spectrum (|lam|
-    averaged over each +/-lam pair, ascending) and ``bases`` hold its
-    eigenvectors on the gain and loss ``sites``, scaled to orthonormal
-    columns.  Without gain, all of T's eigenpairs on all sites.  Neither
-    depends on gamma, so :meth:`at_gamma` retunes a chain decomposed with
-    gain to any other gain at no cost.
+    For a :class:`~nhssh.lattice.Chain`, ``lam`` holds the singular values
+    of its block B, ascending (the positive half of T's spectrum), and
+    ``bases`` the gain-site vectors U (eigenvectors of B B^T) and the
+    loss-site vectors B^T U / lam, each with orthonormal columns, on the
+    gain and loss ``sites``.  For a gain-free dense T, all of T's
+    eigenpairs on all sites.  Neither depends on gamma, so :meth:`at_gamma`
+    retunes a chain to any other gain at no cost.
     """
 
     lam: np.ndarray
@@ -79,7 +81,7 @@ class Modes:
     def at_gamma(self, gamma: float) -> Modes:
         """The same chain at another gain: only each mode's growth rate changes."""
         if gamma and len(self.sites) == 1:
-            raise ValueError("a gain needs the gain/loss pairing of a chain decomposed with gain")
+            raise ValueError("a gain needs the gain/loss pairing of a Chain, which a gain-free dense T lacks")
         return replace(self, gamma=float(gamma))
 
     def amplitudes(self, state0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -212,38 +214,58 @@ class Trajectory:
             yield self._run.states(start, min(start + BLOCK, self.times.size))
 
 
-def decompose(H: np.ndarray) -> Modes:
-    """One eigendecomposition of H's real hopping, for every state and gain on the chain."""
-    T, g = chiral_split(H)
-    gamma = float(np.abs(g).max())
-    if max(scipy.linalg.bandwidth(T)) <= 1:  # every open chain; no site order makes a ring tridiagonal
-        lam, W = scipy.linalg.eigh_tridiagonal(np.diag(T).copy(), np.diag(T, 1).copy())
-    else:
-        lam, W = scipy.linalg.eigh(T)
-    if not gamma:  # gain-free T need not be bipartite: one block over all sites, its own partner
+def decompose(H: Chain | np.ndarray) -> Modes:
+    """One eigendecomposition of a chain's hopping, for every state and gain on the chain.
+
+    ``H`` is a :class:`~nhssh.lattice.Chain` or a dense Hamiltonian, which
+    :func:`~nhssh.lattice.chiral_split` reads as one.
+    """
+    chain = H if isinstance(H, Chain) else chiral_split(H)
+    if not isinstance(chain, Chain):  # gain-free T need not be bipartite: one block over all sites, its own partner
+        T = chain
+        if max(scipy.linalg.bandwidth(T)) <= 1:
+            lam, W = scipy.linalg.eigh_tridiagonal(np.diag(T).copy(), np.diag(T, 1).copy())
+        else:
+            lam, W = scipy.linalg.eigh(T)
         return Modes(lam, (slice(None),), (np.ascontiguousarray(W),), 0.0)
-    # C = g/gamma anticommutes with T: w(lam) = (u, v) on gain and loss sites pairs with (u, -v)
-    # for -lam, and H acts on (u, 0), (0, v) as one 2x2 block: keep lam > 0 alone
-    if np.abs(lam).min() <= lam.size * np.finfo(float).eps * np.abs(lam).max():
-        raise ValueError("T is singular: with gain, its zero modes have no -lam partner")
-    half = lam.size // 2
-    sites = (g > 0, g < 0)
-    bases = tuple(np.sqrt(2.0) * W[rows, half:] for rows in sites)  # orthonormal columns
-    return Modes(0.5 * (lam[half:] - lam[half - 1 :: -1]), sites, bases, gamma)  # |lam| averaged over each pair
+    lam2, U = _gram_eigh(chain)
+    if lam2[0] <= lam2.size * np.finfo(float).eps * lam2[-1]:
+        raise ValueError("T is singular: a zero mode has no -lam partner to pair its gain and loss sites")
+    lam = np.sqrt(lam2)
+    V = chain.loss_amplitudes(U)
+    V /= lam
+    return Modes(lam, (slice(0, None, 2), slice(1, None, 2)), (U, V), chain.gamma)
+
+
+def _gram_eigh(chain: Chain) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of B B^T, ascending, with U row-major and its rows in site order.
+
+    Row-major, because :func:`_product` passes BLAS the transposed basis,
+    which it then takes without a copy.
+    """
+    band, order = chain.gram()
+    if order is None:
+        lam2, U = scipy.linalg.eigh_tridiagonal(band[0], band[1, :-1])
+        return lam2, np.ascontiguousarray(U)
+    lam2, folded = scipy.linalg.eig_banded(band, lower=True)
+    U = np.empty(folded.shape)
+    U[order] = folded
+    return lam2, U
 
 
 def evolve(
     state0: np.ndarray,
-    H: np.ndarray | Modes,
+    H: Chain | np.ndarray | Modes,
     dt: float,
     steps: int,
     record_states: bool = False,
 ) -> Trajectory:
     """Sample ``psi(t) = expm(-iHt) state0`` at t = 0, dt, ..., steps*dt.
 
-    ``H`` is the Hamiltonian or its :func:`decompose`, which lets many
-    runs on one chain share one eigensolve.  Dirac norms are computed at
-    once; profiles, and states with ``record_states``, when read.
+    ``H`` is the :class:`~nhssh.lattice.Chain`, the dense Hamiltonian or
+    their :func:`decompose`, which lets many runs on one chain share one
+    eigensolve.  Dirac norms are computed at once; profiles, and states
+    with ``record_states``, when read.
     Raises OverflowError naming the first sample that leaves float range.
     """
     modes = H if isinstance(H, Modes) else decompose(H)

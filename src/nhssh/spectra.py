@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .lattice import LatticeParams, chiral_split
+from .lattice import Chain, LatticeParams, chiral_split
 
 
 class EigensolverError(RuntimeError):
@@ -25,30 +25,31 @@ class ComplexBandError(ValueError):
     """Dispersion argument went negative: the requested gain exceeds the band."""
 
 
-def full_spectrum(H: np.ndarray) -> np.ndarray:
-    """All eigenvalues of ``H = T + i*diag(g)`` from the real hopping T alone.
+def full_spectrum(H: Chain | np.ndarray) -> np.ndarray:
+    """All eigenvalues of ``H = T + i*diag(g)`` from the eigenvalues alone of a real matrix.
 
-    ``H^2 = T^2 - gamma^2`` maps each pair +/-lam of T to
-    ``+/-sqrt(lam^2 - gamma^2)``, exact also at the exceptional point.
-    Sites reordered as 0, n-1, 1, n-2, ... turn the open chain and the
-    ring alike into a band of width <= 2, solved by ``eigvals_banded``.
-    Sorted by |Re|, then Re, then Im.
+    ``H`` is a :class:`~nhssh.lattice.Chain` or a dense Hamiltonian, which
+    :func:`~nhssh.lattice.chiral_split` reads as one.  ``H^2 = T^2 - gamma^2``
+    maps each eigenvalue lam^2 of the chain's gain-site block ``B B^T`` to
+    ``+/-sqrt(lam^2 - gamma^2)``, exact also at the exceptional point.  The
+    open chain's block is tridiagonal, the ring's a band of width 2
+    (:meth:`~nhssh.lattice.Chain.gram`).  A gain-free dense T is solved as
+    it stands.  Sorted by |Re|, then Re, then Im.
     """
-    T, g = chiral_split(H)
-    gamma = float(np.abs(g).max())
-    fold = np.c_[np.arange(len(T)), np.arange(len(T))[::-1]].ravel()[: len(T)]  # 0, n-1, 1, n-2, ...
-    T = T[np.ix_(fold, fold)]
-    width = scipy.linalg.bandwidth(T)[0]  # from the nonzeros, so any symmetric T works
-    band = np.array([np.pad(np.diagonal(T, -k), (0, k)) for k in range(width + 1)])
+    chain = H if isinstance(H, Chain) else chiral_split(H)
     try:
-        ev = scipy.linalg.eigvals_banded(band, lower=True).astype(complex)
+        if not isinstance(chain, Chain):
+            ev = scipy.linalg.eigvalsh(chain).astype(complex)
+        else:
+            band, order = chain.gram()
+            if order is None:
+                lam2 = scipy.linalg.eigvalsh_tridiagonal(band[0], band[1, :-1], lapack_driver="sterf")
+            else:
+                lam2 = scipy.linalg.eigvals_banded(band, lower=True)
+            root = np.sqrt(lam2 - chain.gamma**2 + 0j)
+            ev = np.concatenate([-root, root])
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"eigenvalue iteration did not converge: {exc}") from exc
-    if gamma:
-        # gain makes T bipartite: pair lam[k] with -lam[-1-k] so both members of a zero pair survive
-        mag = 0.5 * np.abs(ev - ev[::-1])
-        sign = np.where(np.arange(ev.size) < ev.size // 2, -1.0, 1.0)
-        ev = sign * np.sqrt((mag - gamma) * (mag + gamma) + 0j)
     order = np.lexsort((ev.imag, ev.real, np.abs(ev.real)))
     return ev[order]
 

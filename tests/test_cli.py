@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from nhssh import analysis, states
 from nhssh import build_hamiltonian, build_initial_state, build_pair_state, evolve, revival_period
 from nhssh.cli import (
     EXIT_CHECK,
@@ -191,6 +192,17 @@ def test_main_fig7_equal_positions_rejected_before_output(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("delta", ["0.05", "0.04"])
+def test_main_fig5_needs_a_gain_below_threshold(tmp_path, capsys, delta):
+    # fig5 sweeps gamma from 2*delta - 0.1: at delta = 0.05 that gain is 0 (a Hermitian chain whose
+    # norm is constant), below it negative; both are config errors found before any output
+    out = tmp_path / "fig5"
+    assert main(["fig5", "--cells", "60", "--samples", "500", "--delta", delta, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "delta > 0.05" in err
+    assert not out.exists()
+
+
 def test_main_overflow_exit_code(tmp_path, capsys):
     # above threshold the norm leaves float range within a few periods; the
     # run must fail instead of writing inf/NaN and exiting 0
@@ -205,7 +217,7 @@ def test_main_memory_error_exit_code(tmp_path, capsys, monkeypatch):
     def out_of_memory(params):
         raise MemoryError
 
-    monkeypatch.setattr("nhssh.cli.build_hamiltonian", out_of_memory)
+    monkeypatch.setattr("nhssh.spectra.full_spectrum", out_of_memory)
     code = main(["spectrum", "--cells", "40", "--out", str(tmp_path / "oom")])
     assert code == EXIT_NUMERICAL
     err = capsys.readouterr().err
@@ -286,6 +298,21 @@ def test_one_eigensolve_per_experiment(tmp_path, monkeypatch, experiment):
     argv = [experiment, "--cells", "40", "--samples", "400", "--out", str(tmp_path / experiment)]
     assert main(argv) == EXIT_OK
     assert len(calls) == 1
+
+
+def test_fig7_smooths_each_single_once(tmp_path, monkeypatch):
+    # both pairs are formed from the same two singles, so their half-maximum intervals are found once
+    calls = []
+    fwhm_interval = states.fwhm_interval
+
+    def counted(profiles):
+        calls.append(1)
+        return fwhm_interval(profiles)
+
+    monkeypatch.setattr(states, "fwhm_interval", counted)
+    monkeypatch.setattr(analysis, "fwhm_interval", counted)
+    assert main(["fig7", "--cells", "40", "--samples", "400", "--out", str(tmp_path / "fig7")]) == EXIT_OK
+    assert len(calls) == 2
 
 
 def test_csv_columns_format_like_cells(tmp_path):

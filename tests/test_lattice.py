@@ -12,6 +12,7 @@ from nhssh import (
     symmetry_operator,
     symmetry_residuals,
 )
+from nhssh.lattice import build_chain, chiral_split
 
 
 def test_hermitian_limit_matrix():
@@ -164,3 +165,44 @@ def test_residual_dimension_check():
     H = build_hamiltonian(LatticeParams(4, 0.5, 0.2))
     with pytest.raises(ValueError):
         symmetry_residuals(H, 5)
+
+
+@pytest.mark.parametrize("boundary", [Boundary.OPEN, Boundary.PERIODIC])
+@pytest.mark.parametrize("cells", [2, 6])
+def test_chiral_split_reads_the_chain(cells, boundary):
+    params = LatticeParams(cells, 0.7, 1.2, boundary)
+    H = build_hamiltonian(params)
+    chain = chiral_split(H)
+    built = build_chain(params)
+    assert np.array_equal(chain.inner, built.inner) and np.array_equal(chain.outer, built.outer)
+    assert chain.gamma == built.gamma == 1.2
+    # B is T's block from gain sites (even) to loss sites (odd): inner on its diagonal, outer below
+    # it, and the bond that closes a ring in the top right corner
+    B = np.diag(chain.inner) + np.diag(chain.outer[:-1], -1)
+    B[0, -1] += chain.outer[-1]
+    assert np.array_equal(B, H.real[0::2, 1::2])
+    band, order = chain.gram()  # B B^T as a lower band, in the gain-site order `order`
+    assert (order is None) == (boundary is Boundary.OPEN)
+    order = np.arange(cells) if order is None else order
+    gram = sum(np.diag(row[: cells - k], -k) for k, row in enumerate(band))
+    gram = np.tril(gram) + np.tril(gram, -1).T
+    assert np.abs(gram - (B @ B.T)[np.ix_(order, order)]).max() < 1e-15
+    assert np.array_equal(chiral_split(H.conj()).inner, chain.inner)  # loss first: the same chain ...
+    assert chiral_split(H.conj()).gamma == -1.2  # ... with the gain on the odd sites
+    assert np.array_equal(chiral_split(build_hamiltonian(params.at_gamma(0.0))), H.real)  # no gain: T
+
+
+def test_chiral_split_rejects_what_is_not_a_chain():
+    H = build_hamiltonian(LatticeParams(4, 0.7, 1.2))
+    stray = H.copy()
+    stray[0, 5] = stray[5, 0] = 0.3  # gain site 0 to loss site 2
+    with pytest.raises(ValueError, match="not a chain"):
+        chiral_split(stray)
+    swapped = H.copy()
+    swapped[[6, 7], [6, 7]] *= -1  # loss before gain in the last cell only
+    with pytest.raises(ValueError, match="alternate"):
+        chiral_split(swapped)
+    with pytest.raises(ValueError, match="symmetric"):
+        chiral_split(H + np.triu(H.real, 1))
+    with pytest.raises(ValueError, match="square"):
+        chiral_split(H[:, :-1])

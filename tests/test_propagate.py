@@ -1,3 +1,6 @@
+import functools
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
@@ -13,8 +16,10 @@ from nhssh import (
     coalescing_state,
     evolve,
     expm,
+    full_spectrum,
     revival_period,
 )
+from nhssh.lattice import build_chain
 from nhssh.propagate import decompose
 
 
@@ -98,22 +103,44 @@ def test_jordan_block_linear_growth():
     assert traj.norms[-1] == pytest.approx(1 + (4 * delta * 10.0) ** 2, rel=1e-9)
 
 
-@pytest.mark.parametrize("boundary", [Boundary.OPEN, Boundary.PERIODIC])
-@pytest.mark.parametrize("gamma", [0.0, 1.7, 1.8, 1.9])
-def test_evolve_matches_mpmath_expm(gamma, boundary):
-    # 30-digit reference without gain (the general eigenbasis path), below,
-    # at and above the exceptional point gamma_c = 1.8 (where the ring is
-    # defective), half a period in
-    params = LatticeParams(12, 0.9, gamma, boundary)
+@functools.lru_cache(maxsize=None)
+def _mpmath_evolved(params: LatticeParams) -> tuple[float, np.ndarray, np.ndarray]:
+    """The packet and its state half a period in, by a 30-digit expm of the dense H."""
     H = build_hamiltonian(params)
-    # the open chain takes the tridiagonal eigensolver, the ring the dense one
-    assert (max(scipy.linalg.bandwidth(H.real)) <= 1) == (boundary is Boundary.OPEN)
     psi0 = build_initial_state(PacketSpec(np.pi / 2, 0.02), params)
     t = 0.5 * revival_period(params)
-    traj = evolve(psi0, H, t / 4, 4, record_states=True)
     with mpmath.workdps(30):
         U = mpmath.expm(mpmath.matrix(H.tolist()) * mpmath.mpc(0, -t))
-        reference = np.array([complex(x) for x in U * mpmath.matrix(psi0.tolist())])
+        return t, psi0, np.array([complex(x) for x in U * mpmath.matrix(psi0.tolist())])
+
+
+# (gamma, delta, structured): the dense H and the chain itself, at delta = 0.9 and at the smallest
+# delta fig5 takes (where every gain but 0 lies far above gamma_c = 0.1); the first cases keep
+# their plain "gamma-boundary" ids
+_EXPM_CASES = [
+    (gamma, delta, structured)
+    for delta in (0.9, 0.05)
+    for structured in (False, True)
+    for gamma in (0.0, 1.7, 1.8, 1.9)
+]
+
+
+@pytest.mark.parametrize("boundary", [Boundary.OPEN, Boundary.PERIODIC])
+@pytest.mark.parametrize(
+    "gamma,delta,structured",
+    _EXPM_CASES,
+    ids=[f"{g}" + (f"-delta{d}" if d != 0.9 else "") + ("-chain" if c else "") for g, d, c in _EXPM_CASES],
+)
+def test_evolve_matches_mpmath_expm(gamma, delta, structured, boundary):
+    # 30-digit reference without gain (the general eigenbasis path for a dense H), below,
+    # at and above the exceptional point gamma_c = 1.8 (where the ring is
+    # defective), half a period in
+    params = LatticeParams(12, delta, gamma, boundary)
+    H = build_hamiltonian(params)
+    # the open chain takes the tridiagonal eigensolvers, the ring the banded or the dense one
+    assert (max(scipy.linalg.bandwidth(H.real)) <= 1) == (boundary is Boundary.OPEN)
+    t, psi0, reference = _mpmath_evolved(params)
+    traj = evolve(psi0, build_chain(params) if structured else H, t / 4, 4, record_states=True)
     err = np.linalg.norm(traj.states[-1] - reference) / np.linalg.norm(reference)
     assert err < 1e-10
 
@@ -259,3 +286,19 @@ def test_gain_needs_a_decomposition_with_gain():
     modes = decompose(build_hamiltonian(LatticeParams(10, 0.9, 0.0)))
     with pytest.raises(ValueError, match="pairing"):
         modes.at_gamma(1.8)
+
+
+@pytest.mark.parametrize("boundary,decompose_mib,spectrum_mib", [(Boundary.OPEN, 32, 1), (Boundary.PERIODIC, 48, 48)])
+def test_chain_solvers_stay_half_size(boundary, decompose_mib, spectrum_mib):
+    # at 2N = 2000 one 2N x 2N float64 array is 32 MiB: the open chain's decomposition stays below
+    # it (U, B^T U and the products that form it), its spectrum needs no matrix at all, and the
+    # ring's decomposition adds one N x N copy of U, from the folded order back to site order
+    chain = build_chain(LatticeParams(1000, 0.9, 1.8, boundary))
+    for solver, bound in ((decompose, decompose_mib), (full_spectrum, spectrum_mib)):
+        tracemalloc.start()
+        try:
+            solver(chain)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * 2**20, (solver.__name__, peak / 2**20)

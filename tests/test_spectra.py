@@ -12,6 +12,8 @@ from nhssh import (
     revival_period,
     verify_equal_spacing,
 )
+from nhssh.lattice import build_chain
+from nhssh.propagate import decompose
 
 
 def test_two_site_hermitian():
@@ -194,6 +196,41 @@ def test_folded_band_matches_dense_reference(boundary, gamma):
         ev, ref = ev[np.abs(ev) > 1e-6], ref[np.abs(ref) > 1e-6]
     assert ev.shape == ref.shape
     assert np.abs(ev - ref).max() < 1e-12
+
+
+@pytest.mark.parametrize("cells", [100, 1000])
+@pytest.mark.parametrize("gamma", [0.0, 1.8])
+def test_ring_spectrum_matches_bloch_closed_form(cells, gamma):
+    # independent reference: the ring's Bloch waves, one 2x2 block per k = 2*pi*m/N, give
+    # E = +/-sqrt(|1 + delta + (1 - delta) e^{ik}|^2 - gamma^2)
+    delta = 0.9
+    ev = np.sort_complex(full_spectrum(build_chain(LatticeParams(cells, delta, gamma, Boundary.PERIODIC))))
+    k = 2 * np.pi * np.arange(cells) / cells
+    root = np.sqrt(np.abs(1 + delta + (1 - delta) * np.exp(1j * k)) ** 2 - gamma**2 + 0j)
+    ref = np.sort_complex(np.concatenate([root, -root]))
+    if gamma:
+        # at gamma_c the k = pi pair is sqrt(rounding): compare its square
+        assert np.abs(ev[np.abs(ev) < 1e-6] ** 2).max() < 1e-12
+        ev, ref = ev[np.abs(ev) > 1e-6], ref[np.abs(ref) > 1e-6]
+    assert ev.shape == ref.shape
+    assert np.abs(ev - ref).max() < 1e-12
+
+
+@pytest.mark.parametrize("boundary", [Boundary.OPEN, Boundary.PERIODIC])
+def test_uneven_bonds_match_dense_reference(boundary):
+    # a dense chain may carry any bond values; uneven ones tell apart the bonds that each entry of
+    # B B^T comes from, which a uniform chain cannot
+    rng = np.random.default_rng(7)
+    H = build_hamiltonian(LatticeParams(30, 0.5, 0.4, boundary))
+    scale = rng.uniform(0.5, 1.5, H.shape)
+    H = H.real * (scale + scale.T) / 2 + 1j * H.imag
+    ev, ref = np.sort_complex(full_spectrum(H)), np.sort_complex(_dense_reference(H))
+    assert np.abs(ev - ref).max() < 1e-12
+    # and the modes: U on the gain sites, B^T U / lam on the loss sites, are T's eigenvectors
+    modes = decompose(H)
+    W = np.empty((60, 30))
+    W[0::2], W[1::2] = modes.bases
+    assert np.abs(H.real @ W - W * modes.lam).max() < 1e-13
 
 
 def test_wide_band_matches_dense_reference():
