@@ -24,7 +24,6 @@ import numpy as np
 from . import analysis, oracle, spectra, states
 from .lattice import Boundary, LatticeParams, build_chain
 from .propagate import Trajectory, decompose, evolve
-from .specfun import ConvergenceError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -456,7 +455,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return run_experiment(config)
     except (
-        ConvergenceError,
         analysis.AnalysisError,
         spectra.EigensolverError,
         np.linalg.LinAlgError,

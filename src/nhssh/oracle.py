@@ -5,8 +5,8 @@ compared against the numerically exact evolution:
 
 * the analytic eigenstate family and its symmetry phases,
 * the compact form of the evolved wave packet,
-* the Dirac-norm formula built from the Lerch transcendent and the
-  dilogarithm, with its q = 0 triangle-wave reduction,
+* the Dirac-norm formula through Legendre's chi of the dilogarithm,
+  with its q = 0 triangle-wave reduction,
 * the coalescing-mode overlap estimate.
 
 Normalization policy: packets are coefficient-normalized,
@@ -26,7 +26,7 @@ import numpy as np
 
 from .lattice import LatticeParams
 from .spectra import analytic_dispersion, esm_spacing
-from .specfun import dilog, lerch_phi, lerch_phi_inside
+from .specfun import _chi2
 
 # exp(-q n)/n weights below exp(-40) never reach float relevance
 COEFF_CUTOFF = 40.0
@@ -192,54 +192,41 @@ def evolved_state_closed_form(
     return state
 
 
-def dirac_norm_closed_form(
-    t,
-    spec: PacketSpec,
-    params: LatticeParams,
-    via_series: bool = False,
-    tol: float = 1e-9,
-):
+def dirac_norm_closed_form(t, spec: PacketSpec, params: LatticeParams):
     """Closed-form Dirac norm P(t) of the evolved kappa0 = pi/2 packet.
 
-    ``P(t) = -(lam^2 e^{-2q}/2) Re[e^{-2 i omega t} Phi(e^{-4(q + i omega t)}, 2, 1/2)]
-    + lam^2 (Li2(e^{-2q}) - Li2(-e^{-2q}))``.
+    ``P(t) = 2 lam^2 [chi2(e^{-2q}) - Re chi2(e^{-2q - 2 i omega t})]`` with
+    Legendre's ``chi2(x) = (Li2(x) - Li2(-x))/2``.  This is the Lerch form
+    ``-(lam^2 e^{-2q}/2) Re[e^{-2 i omega t} Phi(e^{-4(q + i omega t)}, 2, 1/2)]
+    + lam^2 (Li2(e^{-2q}) - Li2(-e^{-2q}))`` with
+    ``Phi(z, 2, 1/2) = 4 chi2(sqrt z)/sqrt z``, where every phase cancels.
+    The one expression holds for every q >= 0; at q = 0 the argument runs
+    on the unit circle and P is :func:`triangle_wave_norm`.
 
-    At q = 0 the expression collapses to a triangle wave of slope
-    ``2 lam^2 pi^2 / tau`` and period tau/2, which is returned directly
-    unless ``via_series`` forces the Lerch evaluation (then the argument
-    sits on the unit circle and the boundary machinery is exercised).
-
-    Accepts scalar or array t.  ``tol`` bounds the truncation error of
-    Phi; the dilogarithms are summed to their own default 1e-12.
+    Accepts scalar or array t.
     """
-    if abs(spec.kappa0 - np.pi / 2.0) > 1e-9:
-        raise ValueError("the Dirac-norm formula is derived for kappa0 = pi/2 only")
-    spec = spec.normalized(params.cells)
+    spec = _central(spec, params)
     omega = esm_spacing(params)
-    tau = 2.0 * np.pi / omega
-    lam2 = spec.lam**2
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-
-    if spec.q == 0.0 and not via_series:
-        phase = np.mod(t_arr, tau / 2.0)
-        tri = np.where(phase < tau / 4.0, phase, tau / 2.0 - phase)
-        out = (2.0 * lam2 * np.pi**2 / tau) * tri
-        return float(out[0]) if np.isscalar(t) or np.ndim(t) == 0 else out
-
-    decay = math.exp(-2.0 * spec.q)
-    constant = lam2 * (dilog(decay).value - dilog(-decay).value).real
-    z = np.exp(-4.0 * (spec.q + 1j * omega * t_arr))
-    if spec.q > 0.0:
-        phi = lerch_phi_inside(z, 2.0, 0.5, tol=tol).value
-    else:  # via_series on the unit circle: the scalar boundary routines
-        phi = np.array([lerch_phi(zk, 2.0, 0.5, tol=tol).value for zk in z])
-    out = -0.5 * lam2 * decay * (np.exp(-2j * omega * t_arr) * phi).real + constant
-    return float(out[0]) if np.isscalar(t) or np.ndim(t) == 0 else out
+    t = np.asarray(t, dtype=float)
+    # the first entry, t = 0, gives chi2(e^{-2q})
+    chi = _chi2(np.exp(-2.0 * (spec.q + 1j * omega * np.append(0.0, t)))).real
+    out = 2.0 * spec.lam**2 * (chi[0] - chi[1:]).reshape(t.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 def triangle_wave_norm(t, spec: PacketSpec, params: LatticeParams):
-    """The explicit q = 0 triangle wave (slope ``2 lam^2 pi^2/tau``, period tau/2)."""
-    return dirac_norm_closed_form(t, replace(spec, q=0.0), params, via_series=False)
+    """The explicit q = 0 norm: a triangle wave of slope ``2 lam^2 pi^2/tau`` and period tau/2."""
+    spec = _central(replace(spec, q=0.0), params)
+    tau = 2.0 * np.pi / esm_spacing(params)
+    phase = np.mod(t, tau / 2.0)
+    out = (2.0 * spec.lam**2 * np.pi**2 / tau) * np.minimum(phase, tau / 2.0 - phase)
+    return float(out) if np.ndim(t) == 0 else out
+
+
+def _central(spec: PacketSpec, params: LatticeParams) -> PacketSpec:
+    if abs(spec.kappa0 - np.pi / 2.0) > 1e-9:
+        raise ValueError("the Dirac-norm formula is derived for kappa0 = pi/2 only")
+    return spec.normalized(params.cells)
 
 
 def overlap_formula(spec: PacketSpec, params: LatticeParams) -> float:

@@ -226,7 +226,7 @@ def decompose(H: Chain | np.ndarray) -> Modes:
         if max(scipy.linalg.bandwidth(T)) <= 1:
             lam, W = scipy.linalg.eigh_tridiagonal(np.diag(T).copy(), np.diag(T, 1).copy())
         else:
-            lam, W = scipy.linalg.eigh(T)
+            lam, W = scipy.linalg.eigh(T, driver="evd")
         return Modes(lam, (slice(None),), (np.ascontiguousarray(W),), 0.0)
     lam2, U = _gram_eigh(chain)
     if lam2[0] <= lam2.size * np.finfo(float).eps * lam2[-1]:

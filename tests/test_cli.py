@@ -1,9 +1,14 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+import nhssh
 from nhssh import analysis, states
 from nhssh import build_hamiltonian, build_initial_state, build_pair_state, evolve, revival_period
 from nhssh.cli import (
@@ -106,6 +111,24 @@ def test_main_fig3_outputs(tmp_path):
     for idx in range(3):
         prof = (out / f"profile_t{idx}.csv").read_text().splitlines()
         assert len(prof) == 1 + 80  # 2N rows
+
+
+@pytest.mark.parametrize("q", ["1e-9", "0"])
+def test_main_fig3_closed_form_as_q_goes_to_zero(tmp_path, q):
+    # the closed-form norm's argument e^{-2q - 2i omega t} reaches the unit circle at q = 0
+    out = tmp_path / "fig3"
+    assert main(["fig3", "--cells", "40", "--q", q, "--out", str(out)]) == EXIT_OK
+    closed = np.loadtxt(out / "norms.csv", delimiter=",", skiprows=1)[:, 2]
+    assert np.isfinite(closed).all() and closed[0] == 0.0 and 1.5 < closed.max() < 2.5
+
+
+def test_cli_import_needs_neither_scipy_special_nor_mpmath():
+    # scipy.special alone adds about 75 ms to the start-up of every run
+    code = "import sys, nhssh.cli; print([m for m in ('scipy.special', 'mpmath') if m in sys.modules])"
+    src = str(Path(nhssh.__file__).resolve().parents[1])
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                            env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert result.stdout.strip() == "[]"
 
 
 def test_main_outputs_bit_identical(tmp_path):

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -168,19 +169,38 @@ def test_norm_formula_array_and_scalar_t_agree(params250, tau250, q):
     assert np.abs(batch - single).max() <= 1e-14 * np.abs(batch).max()
 
 
+@pytest.mark.parametrize("q, periods", [(0.02, 0.5), (0.05, 1.0)])  # fig3, fig4
+def test_norm_formula_against_30_digit_chi2(params250, tau250, q, periods):
+    # every 50th of fig3's and fig4's 2000 samples, against
+    # 2 lam^2 [chi2(e^{-2q}) - Re chi2(e^{-2q - 2i omega t})] in 30-digit arithmetic
+    spec = PacketSpec(np.pi / 2, q).normalized(250)
+    t = np.linspace(0.0, periods * tau250, 2000)[::50]
+    omega = 2 * np.pi / tau250
+    with mpmath.workdps(30):
+        def chi2(x):
+            return (mpmath.polylog(2, x) - mpmath.polylog(2, -x)) / 2
+
+        at_zero = chi2(mpmath.exp(-2 * mpmath.mpf(q)))
+        reference = [
+            float(2 * mpmath.mpf(spec.lam) ** 2
+                  * (at_zero - mpmath.re(chi2(mpmath.exp(-2 * (q + 1j * omega * mpmath.mpf(tk)))))))
+            for tk in t
+        ]
+    assert np.abs(dirac_norm_closed_form(t, spec, params250) - reference).max() <= 1e-12
+
+
 def test_norm_formula_requires_central_packet(params250):
     with pytest.raises(ValueError):
         dirac_norm_closed_form(1.0, PacketSpec(np.pi / 3, 0.0), params250)
 
 
-def test_series_route_agrees_with_triangle(params250, tau250):
-    # the Lerch expression evaluated on the unit circle must reproduce the
-    # explicit triangle wave pointwise
+def test_q0_norm_agrees_with_triangle(params250, tau250):
+    # the chi2 expression on the unit circle must reproduce the explicit
+    # triangle wave pointwise, its kinks included
     spec = PacketSpec(np.pi / 2, 0.0).normalized(250)
-    t = np.linspace(0.013 * tau250, tau250, 23)
+    t = np.concatenate([np.linspace(0.013 * tau250, tau250, 23), [0.0, tau250 / 4, tau250 / 2]])
     tri = triangle_wave_norm(t, spec, params250)
-    series = dirac_norm_closed_form(t, spec, params250, via_series=True, tol=1e-9)
-    assert np.abs(series - tri).max() < 1e-6
+    assert np.abs(dirac_norm_closed_form(t, spec, params250) - tri).max() < 1e-12
 
 
 def test_overlap_formula_limits(params250):
