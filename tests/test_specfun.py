@@ -101,6 +101,16 @@ def test_dilog_domain():
     assert dilog(0.0) == 0.0
 
 
+def test_inside_rejects_arguments_off_the_open_disk():
+    # lerch_phi now takes the closed disk, so |z| = 1 is accepted; beyond it, and NaN, raise
+    for z in ([0.5, 1.5], [np.exp(0.1 + 0.1j)], [np.nan]):
+        with pytest.raises(ValueError):
+            lerch_phi(np.array(z), 2.0, 0.5)
+    with pytest.raises(ValueError):
+        lerch_phi(np.array([0.5]), 2.0, 0.0)
+    assert np.isfinite(lerch_phi(np.array([1.0, np.exp(0.1j)]), 2.0, 0.5).value).all()
+
+
 def test_twenty_point_grid_against_mpmath():
     # the disk, its boundary, z = +/-1 and the radius e^{-2e-9} of fig3 at q = 1e-9
     rng = np.random.default_rng(42)
