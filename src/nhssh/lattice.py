@@ -19,6 +19,7 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 
 class Boundary(enum.Enum):
@@ -101,6 +102,29 @@ class Chain:
             i, j = fold[k:], fold[: n - k]
             band[k, : n - k] = np.where(i == (j + 1) % n, e[j], 0.0) + np.where(j == (i + 1) % n, e[i], 0.0)
         return band, fold
+
+    def gram_eigh(self, eigvals_only: bool = False):
+        """Eigenvalues of B B^T, ascending, and unless ``eigvals_only`` its eigenvectors U.
+
+        U is row-major with its rows in site order (gain site j is row j):
+        :func:`~nhssh.propagate.decompose` passes BLAS its transpose, which
+        it then takes without a copy.  The open chain's block goes to
+        ``sterf`` or ``eigh_tridiagonal``, the ring's to ``eigvals_banded``
+        or ``eig_banded``; a solver that does not converge raises
+        ``LinAlgError``.
+        """
+        band, order = self.gram()
+        if order is None:
+            if eigvals_only:
+                return scipy.linalg.eigvalsh_tridiagonal(band[0], band[1, :-1], lapack_driver="sterf")
+            lam2, U = scipy.linalg.eigh_tridiagonal(band[0], band[1, :-1])
+            return lam2, np.ascontiguousarray(U)
+        if eigvals_only:
+            return scipy.linalg.eigvals_banded(band, lower=True)
+        lam2, folded = scipy.linalg.eig_banded(band, lower=True)
+        U = np.empty(folded.shape)
+        U[order] = folded
+        return lam2, U
 
     def loss_amplitudes(self, u: np.ndarray) -> np.ndarray:
         """B^T u: what T carries from gain amplitudes u (one column each) to the loss sites."""
@@ -186,26 +210,24 @@ def symmetry_residuals(H: np.ndarray, cells: int) -> dict:
     return {"pt_residual": float(pt), "ct_residual": float(ct)}
 
 
-def chiral_split(H: np.ndarray) -> Chain | np.ndarray:
-    """Read a dense ``H = T + i*diag(g)`` as a :class:`Chain`, or as T alone without gain.
+def chiral_split(H: np.ndarray) -> Chain:
+    """Read a dense ``H = T + i*diag(g)`` as a :class:`Chain`.
 
-    With gain, g must alternate ``+gamma, -gamma`` from the first site
-    (``gamma < 0`` puts the loss first) and T must hold only the chain's
-    bonds.  Without gain, the real symmetric T may be any matrix.
+    g must alternate ``+gamma, -gamma`` from the first site (``gamma < 0``
+    puts the loss first; ``gamma = 0`` is a gain-free chain), the number of
+    sites must be even and T must hold only the chain's bonds.
     """
     H = np.asarray(H)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise ValueError(f"H must be square, got shape {H.shape}")
+    if H.ndim != 2 or H.shape[0] != H.shape[1] or not H.size:
+        raise ValueError(f"H must be square and not empty, got shape {H.shape}")
     T, g = H.real, np.diag(H).imag
     if np.count_nonzero(H.imag) != np.count_nonzero(g) or not np.array_equal(T, T.T):
         raise ValueError("H is not real symmetric hopping plus an imaginary potential")
-    if not g.any():
-        return T
     n = len(g)
     if not np.array_equal(g, g[0] * np.resize([1.0, -1.0], n)):
         raise ValueError("H's gain does not alternate +/-i*gamma from site to site")
     if n % 2:
-        raise ValueError("T is singular: with gain, the zero mode of an odd chain has no -lam partner")
+        raise ValueError("T is singular: the zero mode of an odd chain has no -lam partner")
     bonds = np.diagonal(T, 1)
     inner, outer = bonds[::2].copy(), np.append(bonds[1::2], T[0, -1] if n > 2 else 0.0)
     if np.count_nonzero(T) != 2 * (np.count_nonzero(inner) + np.count_nonzero(outer)):

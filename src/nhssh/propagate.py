@@ -5,11 +5,10 @@
 exact where H is defective (the ring at its exceptional point, s -> t),
 and cosh, sinh where x < 0.  One eigendecomposition, :func:`decompose`,
 serves every state and every gain on one chain and gives every sample
-directly, so no error builds up from step to step.  On a gain/loss
-:class:`~nhssh.lattice.Chain` it is that of the N x N gain-site block
-``B B^T`` of T^2 (``eigh_tridiagonal`` for an open chain, ``eig_banded``
-for a ring): each singular value lam of B is one pair +/-lam of T, one
-2x2 block on the gain and loss amplitudes.
+directly, so no error builds up from step to step.  It is that of the
+N x N gain-site block ``B B^T`` of T^2 of a :class:`~nhssh.lattice.Chain`
+(:meth:`~nhssh.lattice.Chain.gram_eigh`): each singular value lam of B is
+one pair +/-lam of T, one 2x2 block on the gain and loss amplitudes.
 
 A :class:`Trajectory` lives in that mode basis.  Its Dirac norms follow
 from the mode amplitudes alone by Parseval's identity (the bases have
@@ -53,25 +52,23 @@ def expm(A: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Modes:
-    """Eigenpairs of the real hopping T of one chain, at gain ``gamma``.
+    """Eigenpairs of the real hopping T of one :class:`~nhssh.lattice.Chain`, at gain ``gamma``.
 
-    For a :class:`~nhssh.lattice.Chain`, ``lam`` holds the singular values
-    of its block B, ascending (the positive half of T's spectrum), and
-    ``bases`` the gain-site vectors U (eigenvectors of B B^T) and the
-    loss-site vectors B^T U / lam, each with orthonormal columns, on the
-    gain and loss ``sites``.  For a gain-free dense T, all of T's
-    eigenpairs on all sites.  Neither depends on gamma, so :meth:`at_gamma`
-    retunes a chain to any other gain at no cost.
+    ``lam`` holds the singular values of the chain's block B, ascending (the
+    positive half of T's spectrum), and ``bases`` the gain-site vectors U
+    (eigenvectors of B B^T) and the loss-site vectors B^T U / lam, each
+    with orthonormal columns, one row per gain (even) or loss (odd) site.
+    Neither depends on gamma, so :meth:`at_gamma` retunes the chain to any
+    other gain, 0 included, at no cost.
     """
 
     lam: np.ndarray
-    sites: tuple
     bases: tuple
     gamma: float
 
     @property
     def n_sites(self) -> int:
-        return sum(basis.shape[0] for basis in self.bases)
+        return 2 * self.lam.size
 
     @property
     def x(self) -> np.ndarray:
@@ -80,21 +77,21 @@ class Modes:
 
     def at_gamma(self, gamma: float) -> Modes:
         """The same chain at another gain: only each mode's growth rate changes."""
-        if gamma and len(self.sites) == 1:
-            raise ValueError("a gain needs the gain/loss pairing of a Chain, which a gain-free dense T lacks")
         return replace(self, gamma=float(gamma))
 
     def amplitudes(self, state0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Mode amplitudes (a, b) of state0 and of -iH state0, one row per site group.
+        """Mode amplitudes (a, b) of state0 and of -iH state0, a row each for the gain and loss sites.
 
         The state at time t has the amplitudes ``c*a + s*b``.
         """
         psi0 = np.ascontiguousarray(state0, dtype=complex)
         if psi0.shape != (self.n_sites,):
             raise ValueError(f"state length {psi0.shape} does not match H dimension {self.n_sites}")
-        a = np.array([_product(B.T, psi0[rows, None])[:, 0] for rows, B in zip(self.sites, self.bases)])
+        if not np.isfinite(psi0).all():
+            raise ValueError("state0 has non-finite entries")
+        a = np.array([_product(basis.T, psi0[k::2, None])[:, 0] for k, basis in enumerate(self.bases)])
         # H acts on a mode's gain and loss amplitudes as [[i*gamma, lam], [lam, -i*gamma]]
-        sign = np.array([1.0, -1.0])[: len(a), None]
+        sign = np.array([[1.0], [-1.0]])
         return a, sign * self.gamma * a - 1j * self.lam * a[::-1]
 
     def cs(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -157,9 +154,10 @@ class _Run:
     def states(self, start: int, stop: int) -> np.ndarray:
         """The states at samples start, ..., stop - 1 (in one block), one per row."""
         c, s = self.cs(start, stop)
+        a, b = self.amplitudes
         psi = np.empty((self.modes.n_sites, stop - start), dtype=complex)
-        for rows, basis, a, b in zip(self.modes.sites, self.modes.bases, *self.amplitudes):
-            psi[rows] = _product(basis, c * a[:, None] + s * b[:, None])
+        for k, basis in enumerate(self.modes.bases):  # gain sites are the even rows, loss sites the odd
+            psi[k::2] = _product(basis, c * a[k, :, None] + s * b[k, :, None])
         return psi.T
 
 
@@ -218,39 +216,17 @@ def decompose(H: Chain | np.ndarray) -> Modes:
     """One eigendecomposition of a chain's hopping, for every state and gain on the chain.
 
     ``H`` is a :class:`~nhssh.lattice.Chain` or a dense Hamiltonian, which
-    :func:`~nhssh.lattice.chiral_split` reads as one.
+    :func:`~nhssh.lattice.chiral_split` reads as one.  Raises ValueError
+    where B is singular, and LinAlgError where the eigensolver fails.
     """
     chain = H if isinstance(H, Chain) else chiral_split(H)
-    if not isinstance(chain, Chain):  # gain-free T need not be bipartite: one block over all sites, its own partner
-        T = chain
-        if max(scipy.linalg.bandwidth(T)) <= 1:
-            lam, W = scipy.linalg.eigh_tridiagonal(np.diag(T).copy(), np.diag(T, 1).copy())
-        else:
-            lam, W = scipy.linalg.eigh(T, driver="evd")
-        return Modes(lam, (slice(None),), (np.ascontiguousarray(W),), 0.0)
-    lam2, U = _gram_eigh(chain)
+    lam2, U = chain.gram_eigh()
     if lam2[0] <= lam2.size * np.finfo(float).eps * lam2[-1]:
         raise ValueError("T is singular: a zero mode has no -lam partner to pair its gain and loss sites")
     lam = np.sqrt(lam2)
     V = chain.loss_amplitudes(U)
     V /= lam
-    return Modes(lam, (slice(0, None, 2), slice(1, None, 2)), (U, V), chain.gamma)
-
-
-def _gram_eigh(chain: Chain) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of B B^T, ascending, with U row-major and its rows in site order.
-
-    Row-major, because :func:`_product` passes BLAS the transposed basis,
-    which it then takes without a copy.
-    """
-    band, order = chain.gram()
-    if order is None:
-        lam2, U = scipy.linalg.eigh_tridiagonal(band[0], band[1, :-1])
-        return lam2, np.ascontiguousarray(U)
-    lam2, folded = scipy.linalg.eig_banded(band, lower=True)
-    U = np.empty(folded.shape)
-    U[order] = folded
-    return lam2, U
+    return Modes(lam, (U, V), chain.gamma)
 
 
 def evolve(

@@ -12,13 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .lattice import Chain, LatticeParams, chiral_split
-
-
-class EigensolverError(RuntimeError):
-    """The symmetric eigensolver failed to converge."""
 
 
 class ComplexBandError(ValueError):
@@ -30,26 +25,14 @@ def full_spectrum(H: Chain | np.ndarray) -> np.ndarray:
 
     ``H`` is a :class:`~nhssh.lattice.Chain` or a dense Hamiltonian, which
     :func:`~nhssh.lattice.chiral_split` reads as one.  ``H^2 = T^2 - gamma^2``
-    maps each eigenvalue lam^2 of the chain's gain-site block ``B B^T`` to
-    ``+/-sqrt(lam^2 - gamma^2)``, exact also at the exceptional point.  The
-    open chain's block is tridiagonal, the ring's a band of width 2
-    (:meth:`~nhssh.lattice.Chain.gram`).  A gain-free dense T is solved as
-    it stands.  Sorted by |Re|, then Re, then Im.
+    maps each eigenvalue lam^2 of the chain's gain-site block ``B B^T``
+    (:meth:`~nhssh.lattice.Chain.gram_eigh`) to ``+/-sqrt(lam^2 - gamma^2)``,
+    exact also at the exceptional point.  Sorted by |Re|, then Re, then Im.
+    Raises LinAlgError where the eigensolver fails.
     """
     chain = H if isinstance(H, Chain) else chiral_split(H)
-    try:
-        if not isinstance(chain, Chain):
-            ev = scipy.linalg.eigvalsh(chain).astype(complex)
-        else:
-            band, order = chain.gram()
-            if order is None:
-                lam2 = scipy.linalg.eigvalsh_tridiagonal(band[0], band[1, :-1], lapack_driver="sterf")
-            else:
-                lam2 = scipy.linalg.eigvals_banded(band, lower=True)
-            root = np.sqrt(lam2 - chain.gamma**2 + 0j)
-            ev = np.concatenate([-root, root])
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(f"eigenvalue iteration did not converge: {exc}") from exc
+    root = np.sqrt(chain.gram_eigh(eigvals_only=True) - chain.gamma**2 + 0j)
+    ev = np.concatenate([-root, root])
     order = np.lexsort((ev.imag, ev.real, np.abs(ev.real)))
     return ev[order]
 

@@ -131,6 +131,19 @@ def test_cli_import_needs_neither_scipy_special_nor_mpmath():
     assert result.stdout.strip() == "[]"
 
 
+def test_reproduce_all_passes_every_check(tmp_path):
+    # the whole published-scale sweep, in a fresh interpreter, writing out/ under tmp_path
+    src = Path(nhssh.__file__).resolve().parents[1]
+    script = src.parent / "scripts" / "reproduce_all.py"
+    result = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, cwd=tmp_path,
+                            env={**os.environ, "PYTHONPATH": str(src)}, timeout=300)
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert sum(line.startswith("[PASS]") for line in lines) == 31
+    assert not any(line.startswith("[FAIL]") for line in lines)
+    assert (tmp_path / "out" / "spectrum_1" / "eigenvalues.csv").exists()
+
+
 def test_main_outputs_bit_identical(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["fig3", *SMALL, "--out", str(out1)]) == EXIT_OK
@@ -247,6 +260,19 @@ def test_main_memory_error_exit_code(tmp_path, capsys, monkeypatch):
     assert err.count("\n") == 1 and "MemoryError" in err and "--cells" in err
 
 
+def test_main_eigensolver_failure_exit_code(tmp_path, capsys, monkeypatch):
+    # every spectrum and decomposition goes through the chain's one solver: its failure is a
+    # numerical failure with a one-line reason
+    def no_convergence(self, eigvals_only=False):
+        raise np.linalg.LinAlgError("eigenvalue iteration did not converge")
+
+    monkeypatch.setattr("nhssh.lattice.Chain.gram_eigh", no_convergence)
+    code = main(["spectrum", "--cells", "40", "--out", str(tmp_path / "noconv")])
+    assert code == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("numerical failure [LinAlgError]: ")
+
+
 def test_main_fig2_small(tmp_path):
     out = tmp_path / "fig2"
     assert main(["fig2", "--cells", "100", "--out", str(out)]) == EXIT_OK
@@ -282,7 +308,6 @@ def test_every_experiment_runs_silently(tmp_path, capsys, experiment):
 def test_config_dataclass_lattice_helpers():
     config = ExperimentConfig(experiment="fig3", cells=30, delta=0.8, gamma=1.6)
     assert config.lattice().gamma == 1.6
-    assert config.lattice(gamma=0.5).gamma == 0.5
     assert config.packet().kappa0 == pytest.approx(np.pi / 2)
 
 

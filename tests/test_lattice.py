@@ -9,10 +9,12 @@ from nhssh import (
     apply_antilinear,
     build_hamiltonian,
     coalescing_state,
+    full_spectrum,
     symmetry_operator,
     symmetry_residuals,
 )
 from nhssh.lattice import build_chain, chiral_split
+from nhssh.propagate import decompose
 
 
 def test_hermitian_limit_matrix():
@@ -189,7 +191,21 @@ def test_chiral_split_reads_the_chain(cells, boundary):
     assert np.abs(gram - (B @ B.T)[np.ix_(order, order)]).max() < 1e-15
     assert np.array_equal(chiral_split(H.conj()).inner, chain.inner)  # loss first: the same chain ...
     assert chiral_split(H.conj()).gamma == -1.2  # ... with the gain on the odd sites
-    assert np.array_equal(chiral_split(build_hamiltonian(params.at_gamma(0.0))), H.real)  # no gain: T
+    free = chiral_split(build_hamiltonian(params.at_gamma(0.0)))  # no gain: the same bonds, gamma = 0
+    assert np.array_equal(free.inner, chain.inner) and np.array_equal(free.outer, chain.outer)
+    assert free.gamma == 0.0
+
+
+@pytest.mark.parametrize("boundary", [Boundary.OPEN, Boundary.PERIODIC])
+@pytest.mark.parametrize("gamma", [0.0, 1.8])
+def test_dense_hamiltonian_solves_as_its_chain(gamma, boundary):
+    # the dense H is only read as its chain: both inputs take the same solver, bit for bit
+    params = LatticeParams(20, 0.9, gamma, boundary)
+    dense, chain = decompose(build_hamiltonian(params)), decompose(build_chain(params))
+    assert dense.gamma == chain.gamma == gamma
+    assert np.array_equal(dense.lam, chain.lam)
+    assert all(np.array_equal(a, b) for a, b in zip(dense.bases, chain.bases, strict=True))
+    assert np.array_equal(full_spectrum(build_hamiltonian(params)), full_spectrum(build_chain(params)))
 
 
 def test_chiral_split_rejects_what_is_not_a_chain():
@@ -206,3 +222,15 @@ def test_chiral_split_rejects_what_is_not_a_chain():
         chiral_split(H + np.triu(H.real, 1))
     with pytest.raises(ValueError, match="square"):
         chiral_split(H[:, :-1])
+    with pytest.raises(ValueError, match="square"):
+        chiral_split(np.zeros((0, 0)))
+    # without gain too: a dense symmetric T (band width n - 1 in any order), a hopping inside one
+    # sublattice, an on-site energy, and an odd chain
+    A = np.random.default_rng(3).normal(size=(40, 40))
+    free = H.real.copy()
+    free[0, 2] = free[2, 0] = 0.3  # gain site 0 to gain site 1
+    for T in (A + A.T, free, H.real + np.eye(8)):
+        with pytest.raises(ValueError, match="not a chain"):
+            chiral_split(T)
+    with pytest.raises(ValueError, match="odd chain"):
+        chiral_split(H.real[:7, :7])

@@ -132,12 +132,12 @@ _EXPM_CASES = [
     ids=[f"{g}" + (f"-delta{d}" if d != 0.9 else "") + ("-chain" if c else "") for g, d, c in _EXPM_CASES],
 )
 def test_evolve_matches_mpmath_expm(gamma, delta, structured, boundary):
-    # 30-digit reference without gain (the general eigenbasis path for a dense H), below,
-    # at and above the exceptional point gamma_c = 1.8 (where the ring is
-    # defective), half a period in
+    # 30-digit reference without gain, below, at and above the exceptional point
+    # gamma_c = 1.8 (where the ring is defective), half a period in, for the dense H
+    # and for its chain
     params = LatticeParams(12, delta, gamma, boundary)
     H = build_hamiltonian(params)
-    # the open chain takes the tridiagonal eigensolvers, the ring the banded or the dense one
+    # the open chain takes the tridiagonal eigensolver, the ring the banded one
     assert (max(scipy.linalg.bandwidth(H.real)) <= 1) == (boundary is Boundary.OPEN)
     t, psi0, reference = _mpmath_evolved(params)
     traj = evolve(psi0, build_chain(params) if structured else H, t / 4, 4, record_states=True)
@@ -213,7 +213,8 @@ def test_expm_overflow_reported():
 
 
 def test_evolve_validation():
-    H = np.eye(4, dtype=complex)
+    H = build_chain(LatticeParams(2, 0.5, 0.0))
+    assert evolve(np.ones(4, dtype=complex), H, 0.1, 5).norms[0] == pytest.approx(4.0)  # a valid run
     with pytest.raises(ValueError):
         evolve(np.zeros(3, dtype=complex), H, 0.1, 5)
     with pytest.raises(ValueError):
@@ -221,6 +222,13 @@ def test_evolve_validation():
     for dt in (0.0, -0.1, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             evolve(np.zeros(4, dtype=complex), H, dt, 5)
+    # a non-finite entry is a bad input, not an overflow of the run
+    chain = build_chain(LatticeParams(10, 0.9, 1.8))
+    for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+        state0 = np.zeros(20, dtype=complex)
+        state0[3] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            evolve(state0, chain, 0.1, 5)
 
 
 def test_evolve_rejects_gain_with_zero_mode():
@@ -231,8 +239,8 @@ def test_evolve_rejects_gain_with_zero_mode():
 
 
 def test_trajectory_index_lookup():
-    H = np.diag([1.0, -1.0]).astype(complex)
-    traj = evolve(np.array([1.0, 0.0], dtype=complex), H, 0.5, 10)
+    H = build_chain(LatticeParams(2, 0.5, 0.0))
+    traj = evolve(np.array([1.0, 0.0, 0.0, 0.0], dtype=complex), H, 0.5, 10)
     assert traj.index_at(2.49) == 5
     with pytest.raises(ValueError):
         traj.index_at(5.5)
@@ -269,23 +277,19 @@ def test_profiles_on_demand_agree():
 
 
 def test_shared_decomposition_gain_sweep():
-    # one eigensolve of the tuned chain serves every gain: its eigenvectors do not depend on gamma
+    # one eigensolve of the chain serves every gain, from the tuned gain and from none alike:
+    # its eigenvectors do not depend on gamma
     tuned = LatticeParams(30, 0.9, 1.8)
-    modes = decompose(build_hamiltonian(tuned))
     psi0 = build_initial_state(PacketSpec(np.pi / 2, 0.02), tuned)
     dt = 0.25 * revival_period(tuned) / 200
-    for gamma in (0.0, 1.7, 1.8, 1.9):
-        own = evolve(psi0, build_hamiltonian(tuned.at_gamma(gamma)), dt, 200, record_states=True)
-        shared = evolve(psi0, modes.at_gamma(gamma), dt, 200, record_states=True)
-        assert np.abs(shared.norms / own.norms - 1.0).max() < 1e-12
-        err = np.linalg.norm(shared.states - own.states, axis=1) / np.linalg.norm(own.states, axis=1)
-        assert err.max() < 1e-12
-
-
-def test_gain_needs_a_decomposition_with_gain():
-    modes = decompose(build_hamiltonian(LatticeParams(10, 0.9, 0.0)))
-    with pytest.raises(ValueError, match="pairing"):
-        modes.at_gamma(1.8)
+    for gamma0 in (1.8, 0.0):
+        modes = decompose(build_hamiltonian(tuned.at_gamma(gamma0)))
+        for gamma in (0.0, 1.7, 1.8, 1.9):
+            own = evolve(psi0, build_hamiltonian(tuned.at_gamma(gamma)), dt, 200, record_states=True)
+            shared = evolve(psi0, modes.at_gamma(gamma), dt, 200, record_states=True)
+            assert np.abs(shared.norms / own.norms - 1.0).max() < 1e-12
+            err = np.linalg.norm(shared.states - own.states, axis=1) / np.linalg.norm(own.states, axis=1)
+            assert err.max() < 1e-12
 
 
 @pytest.mark.parametrize("boundary,decompose_mib,spectrum_mib", [(Boundary.OPEN, 32, 1), (Boundary.PERIODIC, 48, 48)])

@@ -233,16 +233,6 @@ def test_uneven_bonds_match_dense_reference(boundary):
     assert np.abs(H.real @ W - W * modes.lam).max() < 1e-13
 
 
-def test_wide_band_matches_dense_reference():
-    # a dense symmetric T has band width n - 1 in any order
-    rng = np.random.default_rng(3)
-    A = rng.normal(size=(40, 40))
-    T = A + A.T
-    ev = full_spectrum(T)
-    assert np.abs(ev.imag).max() == 0.0
-    assert np.abs(np.sort(ev.real) - np.linalg.eigvalsh(T)).max() < 1e-12
-
-
 def test_dispersion_over_an_array_of_levels():
     params = LatticeParams(40, 0.9, 1.8)
     levels = np.arange(1, 41)

@@ -124,6 +124,15 @@ def test_measure_rejects_zero_state():
         measure(np.zeros(10))
 
 
+def test_smoothing_window_must_cover_a_site():
+    profile = np.array([0.0, 1.0, 4.0, 1.0, 0.0, 0.0])
+    assert np.array_equal(smoothed_profile(profile, 1), profile)  # one site: no smoothing
+    for window in (0, -1):  # a division by zero, and a silent (1, 2N) half-maximum interval
+        for measurement in (smoothed_profile, fwhm_interval, measure):
+            with pytest.raises(ValueError, match="window"):
+                measurement(profile, window)
+
+
 def test_fwhm_interval_plateau():
     profile = np.zeros(200)
     profile[40:80] = 2.0
