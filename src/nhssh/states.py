@@ -109,8 +109,8 @@ def direct_coalescing_overlap(spec: PacketSpec, params: LatticeParams) -> comple
 
 def smoothed_profile(profile: np.ndarray, window: int = SMOOTH_WINDOW) -> np.ndarray:
     """``window``-site moving average over the last axis (sites), centered as np.convolve's "same"."""
-    if window < 1:
-        raise ValueError(f"smoothing window must be >= 1 site, got {window}")
+    if not isinstance(window, (int, np.integer)) or window < 1:
+        raise ValueError(f"smoothing window must be a whole number >= 1 of sites, got {window!r}")
     p = np.asarray(profile, dtype=float)
     n = p.shape[-1]
     sm = np.zeros_like(p)

@@ -20,7 +20,7 @@ from nhssh import (
     revival_period,
 )
 from nhssh.lattice import build_chain
-from nhssh.propagate import decompose
+from nhssh.propagate import BLOCK, decompose
 
 
 def taylor_expm(A: np.ndarray, order: int = 40) -> np.ndarray:
@@ -263,10 +263,11 @@ def test_profiles_on_demand_agree():
     params = LatticeParams(30, 0.9, 1.8)
     psi0 = build_initial_state(PacketSpec(np.pi / 6, 0.05), params)
     H = build_hamiltonian(params)
-    fresh = evolve(psi0, H, 0.7, 300)
+    steps = 4 * BLOCK + BLOCK // 2  # the last block holds only BLOCK // 2 + 1 samples
+    fresh = evolve(psi0, H, 0.7, steps)
     assert fresh.states is None  # not requested
-    traj = evolve(psi0, H, 0.7, 300, record_states=True)
-    for k in (0, 1, 127, 128, 200, 300):  # across block edges
+    traj = evolve(psi0, H, 0.7, steps, record_states=True)
+    for k in (0, 1, BLOCK - 1, BLOCK, 2 * BLOCK + 3, 4 * BLOCK - 1, 4 * BLOCK, steps):  # across block edges
         # one sample alone goes through a product of another shape: equal up to rounding
         single = fresh.profile_at(traj.times[k])  # formed before any full profile
         peak = traj.profiles[k].max()
@@ -274,6 +275,61 @@ def test_profiles_on_demand_agree():
         assert np.abs(traj.profiles[k] - np.abs(traj.states[k]) ** 2).max() <= 1e-13 * peak
     assert traj.profiles is traj.profiles  # formed once
     assert np.array_equal(fresh.profiles, traj.profiles)
+
+
+def _longdouble_norms(modes, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """sum |c*a + s*b|^2 over the modes with c and s of every sample taken directly, in long double."""
+    ld = np.longdouble
+    a, b = (np.stack((u.real, u.imag)).astype(ld) for u in modes.amplitudes(psi0))
+    aa, ab, bb = ((u * v).sum(axis=(0, 1)) for u, v in ((a, a), (a, b), (b, b)))
+    x = modes.x.astype(ld)
+    k = np.sqrt(np.abs(x))
+    t = np.arange(times.size, dtype=ld) * ld(times[1] - times[0])
+    kt = t[:, None] * k
+    grow = x < 0
+    c = np.where(grow, np.cosh(np.where(grow, kt, 0)), np.cos(kt))
+    s = np.where(grow, np.sinh(np.where(grow, kt, 0)), np.sin(kt))
+    s = np.where(k > 0, s / np.where(k > 0, k, 1), t[:, None])
+    return (c * c * aa + 2 * c * s * ab + s * s * bb).sum(axis=1)
+
+
+_LONG_DOUBLE = pytest.mark.skipif(np.finfo(np.longdouble).precision < 18, reason="long double is double here")
+
+
+@_LONG_DOUBLE
+@pytest.mark.parametrize(
+    "q,tmax_over_tau,gain_offset",
+    [(0.02, 0.5, 0.0), (0.05, 1.0, 0.0), (0.02, 0.25, -0.1), (0.02, 0.25, 0.0), (0.02, 0.25, 0.1)],
+    ids=["fig3", "fig4", "fig5-below", "fig5-at", "fig5-above"],
+)
+def test_norms_match_long_double(params250, tau250, q, tmax_over_tau, gain_offset):
+    # each block's norms are an expanded quadratic form in the offset table, which cancels more the
+    # longer the block; the figures' runs at 2 000 samples stay within 2e-13 of a long-double
+    # evaluation of the same modes (1.1e-13 measured with 64-sample blocks, 1.06e-12 with 128)
+    modes = decompose(build_chain(params250)).at_gamma(params250.gamma_c + gain_offset)
+    psi0 = build_initial_state(PacketSpec(np.pi / 2, q), params250)
+    traj = evolve(psi0, modes, tmax_over_tau * tau250 / 1999, 1999)
+    reference = _longdouble_norms(modes, psi0, traj.times)
+    assert float(np.abs(traj.norms / reference - 1.0).max()) <= 2e-13
+
+
+@_LONG_DOUBLE
+@pytest.mark.parametrize("gamma,tmax", [(1.9, None), (5.0, 80.0), (9.0, 44.4)])
+def test_overflow_names_the_first_sample_out_of_range(gamma, tmax):
+    # fig5's run above threshold (cells 20, gamma_c + 0.1, 4 000 samples over 8 periods) leaves float
+    # range at t = 591.346; at larger gains a block's coefficients outgrow its norms (by up to the
+    # squared growth rate), and must not name a sample before the state itself leaves float range
+    params = LatticeParams(20, 0.9, gamma)
+    modes = decompose(build_chain(params))
+    psi0 = build_initial_state(PacketSpec(np.pi / 2, 0.02), params)
+    dt = (8 * revival_period(params) if tmax is None else tmax) / 3999
+    times = np.arange(4000) * dt
+    first = int(np.argmax(_longdouble_norms(modes, psi0, times) > np.finfo(float).max))
+    assert first > 0
+    with pytest.raises(OverflowError, match=f"at t = {times[first]:.6g}$"):
+        evolve(psi0, modes, dt, 3999)
+    if tmax is None:
+        assert f"{times[first]:.6g}" == "591.346"
 
 
 def test_shared_decomposition_gain_sweep():

@@ -127,7 +127,8 @@ def test_measure_rejects_zero_state():
 def test_smoothing_window_must_cover_a_site():
     profile = np.array([0.0, 1.0, 4.0, 1.0, 0.0, 0.0])
     assert np.array_equal(smoothed_profile(profile, 1), profile)  # one site: no smoothing
-    for window in (0, -1):  # a division by zero, and a silent (1, 2N) half-maximum interval
+    # a division by zero, a silent (1, 2N) half-maximum interval, and a TypeError from range()
+    for window in (0, -1, 2.5):
         for measurement in (smoothed_profile, fwhm_interval, measure):
             with pytest.raises(ValueError, match="window"):
                 measurement(profile, window)
