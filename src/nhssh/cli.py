@@ -289,7 +289,7 @@ def _local_maxima(t: np.ndarray, p: np.ndarray) -> list:
 def _run_fig5(config: ExperimentConfig, outdir: Path) -> list:
     params = config.lattice()
     tau = spectra.revival_period(params)
-    # one eigensolve for the sweep: B B^T does not depend on the gain, which moves only each mode's growth rate
+    # one decomposition for the sweep: B B^T does not depend on the gain, which moves only each mode's growth rate
     modes = decompose(build_chain(params))
     rows = []
     labels = []
@@ -324,7 +324,7 @@ def _run_fig6(config: ExperimentConfig, outdir: Path) -> list:
 
 def _run_fig7(config: ExperimentConfig, outdir: Path) -> list:
     params = config.lattice()
-    modes = decompose(build_chain(params))  # one eigensolve for all four runs
+    modes = decompose(build_chain(params))  # one decomposition for all four runs
     plus = config.pair(+1).normalized(params.cells)
     psi1, psi2 = (states.build_initial_state(spec, params) for spec in plus.single_specs(params.cells))
     singles = [_evolve_packet(config, psi, modes) for psi in (psi1, psi2)]
@@ -454,7 +454,7 @@ def main(argv: list[str] | None = None) -> int:
         return run_experiment(config)
     except (
         analysis.AnalysisError,
-        np.linalg.LinAlgError,
+        np.linalg.LinAlgError,  # a growth fit's least squares
         OverflowError,
         FloatingPointError,
     ) as exc:

@@ -19,7 +19,6 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 
 class Boundary(enum.Enum):
@@ -69,77 +68,98 @@ class LatticeParams:
 
 @dataclass(frozen=True)
 class Chain:
-    """A gain/loss chain by its N x N gain-to-loss hopping block B and its gain.
+    """A gain/loss chain of N cells with one strong bond a and one weak bond b <= a, and its gain.
 
     Site 2j (0-based) is gain site j, at ``+i*gamma``; site 2j+1 is loss
     site j, at ``-i*gamma``.  The hopping T joins gain sites to loss sites
-    only, through ``B[j, j] = inner[j]`` and ``B[j+1 mod N, j] = outer[j]``;
-    ``outer[-1]`` closes a ring and is 0 on an open chain.  So T's positive
-    spectrum is B's singular spectrum, and ``H^2 = T^2 - gamma^2``.
+    only, through its N x N block B: ``B[j, j] = a`` and ``B[j+1, j] = b``,
+    with ``B[0, N-1] = b`` closing a ring.  So T's positive spectrum is B's
+    singular spectrum, ``sigma^2 = 4ab*w + (a - b)^2`` with each mode's
+    weight w in [0, 1], and ``H^2 = T^2 - gamma^2``.
     """
 
-    inner: np.ndarray
-    outer: np.ndarray
+    cells: int
+    strong: float
+    weak: float
     gamma: float
+    ring: bool
 
-    def gram(self) -> tuple[np.ndarray, np.ndarray | None]:
-        """B B^T, the gain-site block of T^2, as a lower band, and the order of gain sites it takes.
+    def x(self, w: np.ndarray) -> np.ndarray:
+        """``sigma^2 - gamma^2 = 4ab*w + (a - b - gamma)(a - b + gamma)``, with no difference of squares."""
+        a, b, g = self.strong, self.weak, abs(self.gamma)
+        d = a - b
+        low = (d - g) + ((a - d) - b)  # (a - d) - b is exactly what d rounded off, as a >= b
+        return 4.0 * a * b * w + low * (d + g)
 
-        The band's row k holds the k-th subdiagonal.  An open chain's block
-        is tridiagonal in site order (None).  A ring's also joins gain sites
-        N-1 and 0, so its gain sites go in the order 0, N-1, 1, N-2, ...,
-        which puts every entry within two places of the diagonal.
+    def modes(self, vectors: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+        """Every mode's weight w, ascending, and unless not ``vectors`` U: orthonormal columns, a row per gain site.
+
+        Open chain: ``u_j = sin(k(N - j))`` and ``w = sin^2(q/2)``, where
+        ``k = pi - q`` solves ``a sin((N+1)k) + b sin(Nk) = 0``.  Ring: B is
+        circulant, with modes cos and sin of 2 pi m j/N (a pair for every m
+        but 0 and N/2) and ``w = cos^2(pi m/N)``.
         """
-        n = self.inner.size
-        d = self.inner**2 + np.roll(self.outer, 1) ** 2
-        e = self.inner * self.outer  # joins gain sites j and j+1 mod N; 0 at N-1 on an open chain
-        if not self.outer[-1]:
-            return np.array([d, e]), None
-        fold = np.c_[np.arange(n), np.arange(n)[::-1]].ravel()[:n]
-        band = np.zeros((3, n))
-        band[0] = d[fold]
-        for k in (1, 2):
-            i, j = fold[k:], fold[: n - k]
-            band[k, : n - k] = np.where(i == (j + 1) % n, e[j], 0.0) + np.where(j == (i + 1) % n, e[i], 0.0)
-        return band, fold
-
-    def gram_eigh(self, eigvals_only: bool = False):
-        """Eigenvalues of B B^T, ascending, and unless ``eigvals_only`` its eigenvectors U.
-
-        U is row-major with its rows in site order (gain site j is row j):
-        :func:`~nhssh.propagate.decompose` passes BLAS its transpose, which
-        it then takes without a copy.  The open chain's block goes to
-        ``sterf`` or ``eigh_tridiagonal``, the ring's to ``eigvals_banded``
-        or ``eig_banded``; a solver that does not converge raises
-        ``LinAlgError``.
-        """
-        band, order = self.gram()
-        if order is None:
-            if eigvals_only:
-                return scipy.linalg.eigvalsh_tridiagonal(band[0], band[1, :-1], lapack_driver="sterf")
-            lam2, U = scipy.linalg.eigh_tridiagonal(band[0], band[1, :-1])
-            return lam2, np.ascontiguousarray(U)
-        if eigvals_only:
-            return scipy.linalg.eigvals_banded(band, lower=True)
-        lam2, folded = scipy.linalg.eig_banded(band, lower=True)
-        U = np.empty(folded.shape)
-        U[order] = folded
-        return lam2, U
+        n, j = self.cells, np.arange(self.cells)
+        if self.ring:
+            top = np.arange(n // 2, -1, -1)
+            m = np.repeat(top, np.where((top == 0) | (2 * top == n), 1, 2))
+            w = np.sin(np.pi * (n - 2 * m) / (2 * n)) ** 2  # from the exact N - 2m: 0 at m = N/2
+            if not vectors:
+                return w, None
+            sine = np.r_[False, m[1:] == m[:-1]]  # the second mode of a pair
+            U = np.cos(np.outer(j, m) % n * (2 * np.pi / n) - 0.5 * np.pi * sine)
+        else:
+            q, r = _open_roots(self.strong, self.weak, n)
+            w = np.sin(0.5 * (q + r)) ** 2
+            if not vectors:
+                return w, None
+            # sin(k(N - j)) = (-1)^(N - j + 1) sin(m(q + r)) with m = N - j, and to first order in the
+            # small m*r, sin(m(q + r)) = sin(mq) + m*r*cos(mq), where 2 sin(q) cos(mq) = sin((m+1)q) - sin((m-1)q)
+            m = np.arange(n + 1, -1, -1)[:, None]
+            table = np.sin(m * q)  # exact arguments
+            U = table[:-2] - table[2:]
+            U *= m[1:-1] * (0.5 * r / np.sin(q))
+            U += table[1:-1]
+            U[(n - j) % 2 == 0] *= -1.0
+        U /= np.linalg.norm(U, axis=0)
+        return w, U
 
     def loss_amplitudes(self, u: np.ndarray) -> np.ndarray:
         """B^T u: what T carries from gain amplitudes u (one column each) to the loss sites."""
-        v = self.inner[:, None] * u
-        v[:-1] += self.outer[:-1, None] * u[1:]
-        v[-1] += self.outer[-1] * u[0]
+        v = self.strong * u
+        v[:-1] += self.weak * u[1:]
+        if self.ring:
+            v[-1] += self.weak * u[0]
         return v
 
 
+def _open_roots(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The N roots in (0, pi) of ``f(q) = a sin((N+1)q) - b sin(Nq)``, ascending, each as a sum q + r.
+
+    For a >= b >= 0, f has the sign (-1)^j at j*pi/N and j*pi/(N+1), and is
+    positive just above its spurious root 0: root j lies between them.
+    Bisecting in q keeps the lowest roots to their own relative precision.
+    q keeps the bits whose products with 0, ..., N+1 are exact, and one
+    Newton step gives the rest, r, to well below q's last bit.
+    """
+    j = np.arange(1, n + 1)
+    lo, hi = (j - 1) * np.pi / n, j * np.pi / (n + 1)
+    sign = np.where(j % 2, 1.0, -1.0)  # f's sign at lo
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        left = sign * (a * np.sin((n + 1) * mid) - b * np.sin(n * mid)) > 0.0
+        lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
+    bits = 50 - (n + 1).bit_length()  # q < 4, so (N+1) * q * 2^bits < 2^52
+    q = np.ldexp(np.round(np.ldexp(0.5 * (lo + hi), bits)), -bits)
+    f = a * np.sin((n + 1) * q) - b * np.sin(n * q)
+    slope = a * (n + 1) * np.cos((n + 1) * q) - b * n * np.cos(n * q)
+    return q, -f / slope
+
+
 def build_chain(params: LatticeParams) -> Chain:
-    """The lattice as a :class:`Chain`: O(N) numbers, the same model as :func:`build_hamiltonian`."""
-    outer = np.full(params.cells, 1.0 - params.delta)
-    if params.boundary is Boundary.OPEN:
-        outer[-1] = 0.0
-    return Chain(np.full(params.cells, 1.0 + params.delta), outer, float(params.gamma))
+    """The lattice as a :class:`Chain`: the same model as :func:`build_hamiltonian`, in five numbers."""
+    ring = params.boundary is Boundary.PERIODIC
+    return Chain(params.cells, 1.0 + params.delta, 1.0 - params.delta, float(params.gamma), ring)
 
 
 def build_hamiltonian(params: LatticeParams) -> np.ndarray:
@@ -215,7 +235,8 @@ def chiral_split(H: np.ndarray) -> Chain:
 
     g must alternate ``+gamma, -gamma`` from the first site (``gamma < 0``
     puts the loss first; ``gamma = 0`` is a gain-free chain), the number of
-    sites must be even and T must hold only the chain's bonds.
+    sites must be even and T must hold only the chain's bonds: one value a
+    inside every cell and one value b, with ``a >= b >= 0``, between them.
     """
     H = np.asarray(H)
     if H.ndim != 2 or H.shape[0] != H.shape[1] or not H.size:
@@ -229,7 +250,12 @@ def chiral_split(H: np.ndarray) -> Chain:
     if n % 2:
         raise ValueError("T is singular: the zero mode of an odd chain has no -lam partner")
     bonds = np.diagonal(T, 1)
-    inner, outer = bonds[::2].copy(), np.append(bonds[1::2], T[0, -1] if n > 2 else 0.0)
-    if np.count_nonzero(T) != 2 * (np.count_nonzero(inner) + np.count_nonzero(outer)):
+    closing = T[0, -1] if n > 2 else 0.0
+    if np.count_nonzero(T) != 2 * (np.count_nonzero(bonds) + np.count_nonzero(closing)):
         raise ValueError("H's hopping is not a chain: gain site j must join loss sites j and j-1 alone")
-    return Chain(inner, outer, float(g[0]))
+    a, b = bonds[0], bonds[1] if n > 2 else 0.0
+    if np.any(bonds[::2] != a) or np.any(bonds[1::2] != b) or closing not in (0.0, b):
+        raise ValueError("H's bonds are uneven: the chain takes one value inside its cells and one between them")
+    if not (a > 0.0 and a >= b >= 0.0):
+        raise ValueError(f"H's bonds need a > 0 and a >= b >= 0 (a inside a cell), got a = {a:g}, b = {b:g}")
+    return Chain(n // 2, float(a), float(b), float(g[0]), bool(closing))

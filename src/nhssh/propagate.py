@@ -3,25 +3,24 @@
 ``expm(-iHt) = c(H^2) - i*H*s(H^2)`` with ``c(x) = cos(t*sqrt(x))`` and
 ``s(x) = sin(t*sqrt(x))/sqrt(x)``, both entire in x and real for real x:
 exact where H is defective (the ring at its exceptional point, s -> t),
-and cosh, sinh where x < 0.  One eigendecomposition, :func:`decompose`,
-serves every state and every gain on one chain and gives every sample
-directly, so no error builds up from step to step.  It is that of the
-N x N gain-site block ``B B^T`` of T^2 of a :class:`~nhssh.lattice.Chain`
-(:meth:`~nhssh.lattice.Chain.gram_eigh`): each singular value lam of B is
-one pair +/-lam of T, one 2x2 block on the gain and loss amplitudes.
+and cosh, sinh where x < 0.  One decomposition, :func:`decompose`, serves
+every state and every gain on one chain and gives every sample directly,
+so no error builds up from step to step.  It takes the closed-form modes
+of the N x N gain-site block ``B B^T`` of T^2 of a
+:class:`~nhssh.lattice.Chain` (:meth:`~nhssh.lattice.Chain.modes`): each
+singular value lam of B is one pair +/-lam of T, one 2x2 block on the
+gain and loss amplitudes.
 
 A :class:`Trajectory` lives in that mode basis, sampled in blocks of
 BLOCK samples that share one table of c and s at the offsets inside a
 block.  Its Dirac norms follow from the mode amplitudes alone by
 Parseval's identity (the bases have orthonormal columns): in a block each
 mode adds a quadratic form in the table's (c, s), so every norm of a run
-is one real GEMM of per-block coefficient rows by the table's squares,
-and no 2N-wide state is formed.  Profiles and states are formed from the
-amplitudes and the bases only when read, one real GEMM per block and
-basis, written straight into their gain (even) or loss (odd) site
-columns.  Every product goes through scipy's BLAS: numpy may bundle a
-BLAS of its own, whose threads would then compete with scipy's for the
-cores.  :func:`expm` is the dense reference for tests.
+is one real matrix product of per-block coefficient rows by the table's
+squares, and no 2N-wide state is formed.  Profiles and states are formed
+from the amplitudes and the bases only when read, one real matrix
+product per block and basis, written straight into their gain (even) or
+loss (odd) site columns.  :func:`expm` is the dense reference for tests.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from .lattice import Chain, chiral_split
 
@@ -41,8 +39,11 @@ def expm(A: np.ndarray) -> np.ndarray:
 
     Thin validation wrapper over the scipy implementation (order-13
     diagonal Pade with norm-based squaring), which is reliable for the
-    non-normal matrices this package produces.
+    non-normal matrices this package produces.  scipy is imported here
+    alone: no experiment needs it.
     """
+    import scipy.linalg
+
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expm needs a square matrix, got shape {A.shape}")
@@ -57,32 +58,33 @@ def expm(A: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Modes:
-    """Eigenpairs of the real hopping T of one :class:`~nhssh.lattice.Chain`, at gain ``gamma``.
+    """Eigenpairs of the real hopping T of one :class:`~nhssh.lattice.Chain`, at the chain's gain.
 
-    ``lam`` holds the singular values of the chain's block B, ascending (the
-    positive half of T's spectrum), and ``bases`` the gain-site vectors U
-    (eigenvectors of B B^T) and the loss-site vectors B^T U / lam, each
-    with orthonormal columns, one row per gain (even) or loss (odd) site.
-    Neither depends on gamma, so :meth:`at_gamma` retunes the chain to any
-    other gain, 0 included, at no cost.
+    ``w`` holds the modes' weights (:meth:`~nhssh.lattice.Chain.modes`) and
+    ``lam`` the singular values of B, both ascending, and ``bases`` the
+    gain-site vectors U (eigenvectors of B B^T) and the loss-site vectors
+    B^T U / lam, each with orthonormal columns, one row per gain (even) or
+    loss (odd) site.  None of them depends on gamma, so :meth:`at_gamma`
+    retunes the chain to any other gain, 0 included, at no cost.
     """
 
+    chain: Chain
+    w: np.ndarray
     lam: np.ndarray
     bases: tuple
-    gamma: float
 
     @property
     def n_sites(self) -> int:
-        return 2 * self.lam.size
+        return 2 * self.w.size
 
     @property
     def x(self) -> np.ndarray:
-        """Eigenvalues of H^2, one per mode."""
-        return (self.lam - self.gamma) * (self.lam + self.gamma)
+        """Eigenvalues of H^2, one per mode, ascending."""
+        return self.chain.x(self.w)
 
     def at_gamma(self, gamma: float) -> Modes:
         """The same chain at another gain: only each mode's growth rate changes."""
-        return replace(self, gamma=float(gamma))
+        return replace(self, chain=replace(self.chain, gamma=float(gamma)))
 
     def amplitudes(self, state0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Mode amplitudes (a, b) of state0 and of -iH state0, a row each for the gain and loss sites.
@@ -94,16 +96,18 @@ class Modes:
             raise ValueError(f"state length {psi0.shape} does not match H dimension {self.n_sites}")
         if not np.isfinite(psi0).all():
             raise ValueError("state0 has non-finite entries")
-        a = np.array([_product(basis.T, psi0[k::2, None])[:, 0] for k, basis in enumerate(self.bases)])
+        parts = np.stack((psi0.real, psi0.imag))  # (part, site)
+        re, im = np.stack([parts[:, k::2] @ basis for k, basis in enumerate(self.bases)], axis=1)
+        a = re + 1j * im
         # H acts on a mode's gain and loss amplitudes as [[i*gamma, lam], [lam, -i*gamma]]
         sign = np.array([[1.0], [-1.0]])
-        return a, sign * self.gamma * a - 1j * self.lam * a[::-1]
+        return a, sign * self.chain.gamma * a - 1j * self.lam * a[::-1]
 
     def cs(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """c and s at the times t (rows) of every mode (columns)."""
         x = self.x
         k = np.sqrt(np.abs(x))
-        grow = np.count_nonzero(x < 0)  # a leading run, as lam ascends
+        grow = np.count_nonzero(x < 0)  # a leading run, as x ascends
         kt = t[:, None] * k
         c, s = np.cos(kt), np.sin(kt)
         with np.errstate(over="ignore"):
@@ -161,7 +165,7 @@ class _Run:
             p, r, p2, r2 = np.ldexp(factors, -exponent[:, None])
             rows = np.hstack([p * p + p2 * p2, 2.0 * (p * r + p2 * r2), r * r + r2 * r2])
             table = np.hstack([c1 * c1, c1 * s1, s1 * s1])
-            scaled = scipy.linalg.blas.dgemm(1.0, table.T, rows.T, trans_a=1).T
+            scaled = rows @ table.T
             return np.ldexp(scaled, 2 * exponent[:, None]).ravel()[: self.samples]
 
     def fill(self, out: np.ndarray, first: int = 0) -> np.ndarray:
@@ -190,8 +194,7 @@ class _Run:
             alpha, beta = c0 * a + s0 * b, c0 * b - self.modes.x * s0 * a
             for basis, al, be in zip(self.modes.bases, alpha, beta):
                 coef = (c1 * al[:, None] + s1 * be[:, None]).reshape(-1, basis.shape[1])  # rows (part, sample)
-                psi = scipy.linalg.blas.dgemm(1.0, basis.T, coef.T, trans_a=1).T  # coef @ basis.T
-                yield psi.reshape(2, stop - start, -1)
+                yield (coef @ basis.T).reshape(2, stop - start, -1)
 
 
 class Trajectory:
@@ -242,20 +245,21 @@ class Trajectory:
 
 
 def decompose(H: Chain | np.ndarray) -> Modes:
-    """One eigendecomposition of a chain's hopping, for every state and gain on the chain.
+    """The closed-form modes of a chain's hopping, for every state and gain on the chain.
 
     ``H`` is a :class:`~nhssh.lattice.Chain` or a dense Hamiltonian, which
     :func:`~nhssh.lattice.chiral_split` reads as one.  Raises ValueError
-    where B is singular, and LinAlgError where the eigensolver fails.
+    where B is singular.
     """
     chain = H if isinstance(H, Chain) else chiral_split(H)
-    lam2, U = chain.gram_eigh()
+    w, U = chain.modes()
+    lam2 = replace(chain, gamma=0.0).x(w)
     if lam2[0] <= lam2.size * np.finfo(float).eps * lam2[-1]:
         raise ValueError("T is singular: a zero mode has no -lam partner to pair its gain and loss sites")
     lam = np.sqrt(lam2)
     V = chain.loss_amplitudes(U)
     V /= lam
-    return Modes(lam, (U, V), chain.gamma)
+    return Modes(chain, w, lam, (U, V))
 
 
 def evolve(
@@ -269,7 +273,7 @@ def evolve(
 
     ``H`` is the :class:`~nhssh.lattice.Chain`, the dense Hamiltonian or
     their :func:`decompose`, which lets many runs on one chain share one
-    eigensolve.  Dirac norms are computed at once; profiles, and states
+    decomposition.  Dirac norms are computed at once; profiles, and states
     with ``record_states``, when read.
     Raises OverflowError naming the first sample that leaves float range.
     """
@@ -286,9 +290,3 @@ def evolve(
     traj = Trajectory(times, None, norms)
     traj._run, traj._keep_states = run, record_states
     return traj
-
-
-def _product(basis: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # basis @ x (real by complex) as one real GEMM in scipy's BLAS: numpy may bundle a BLAS of its
-    # own, whose threads would then compete for the cores with those the eigensolver just woke
-    return scipy.linalg.blas.dgemm(1.0, x.view(float).T, basis.T).T.view(complex)

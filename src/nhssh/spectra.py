@@ -10,6 +10,7 @@ that analytic structure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -21,17 +22,16 @@ class ComplexBandError(ValueError):
 
 
 def full_spectrum(H: Chain | np.ndarray) -> np.ndarray:
-    """All eigenvalues of ``H = T + i*diag(g)`` from the eigenvalues alone of a real matrix.
+    """All eigenvalues of ``H = T + i*diag(g)``, in closed form.
 
     ``H`` is a :class:`~nhssh.lattice.Chain` or a dense Hamiltonian, which
     :func:`~nhssh.lattice.chiral_split` reads as one.  ``H^2 = T^2 - gamma^2``
-    maps each eigenvalue lam^2 of the chain's gain-site block ``B B^T``
-    (:meth:`~nhssh.lattice.Chain.gram_eigh`) to ``+/-sqrt(lam^2 - gamma^2)``,
-    exact also at the exceptional point.  Sorted by |Re|, then Re, then Im.
-    Raises LinAlgError where the eigensolver fails.
+    maps each mode of the chain (:meth:`~nhssh.lattice.Chain.modes`) to
+    ``+/-sqrt(x)``, exact also at the exceptional point.  Sorted by |Re|,
+    then Re, then Im.
     """
     chain = H if isinstance(H, Chain) else chiral_split(H)
-    root = np.sqrt(chain.gram_eigh(eigvals_only=True) - chain.gamma**2 + 0j)
+    root = np.sqrt(chain.x(chain.modes(vectors=False)[0]) + 0j)
     ev = np.concatenate([-root, root])
     order = np.lexsort((ev.imag, ev.real, np.abs(ev.real)))
     return ev[order]
@@ -91,58 +91,31 @@ class SpectrumReport:
     message: str = ""
 
 
-def verify_equal_spacing(
-    eigenvalues: np.ndarray,
-    n_max: int,
-    params: LatticeParams,
-    im_tol: float | None = None,
-) -> SpectrumReport:
+def verify_equal_spacing(eigenvalues: np.ndarray, n_max: int, params: LatticeParams) -> SpectrumReport:
     """Pair the 2*n_max eigenvalues nearest zero into +/-E_n and grade them.
 
     ``spacing_deviations[n-1] = |E_n - n*omega| / (n*omega)`` where E_n is
     the pair-averaged magnitude.  Levels count as near-real when
-    ``|Im E| < im_tol`` (default ``1e-6`` times the spectral radius); if
+    ``|Im E|`` is below ``1e-6`` times the spectral radius; if
     fewer than ``2*n_max`` qualify the report comes back with ``ok=False``
     instead of raising.
     """
     ev = np.asarray(eigenvalues, dtype=complex)
     omega = esm_spacing(params)
-    scale = np.abs(ev).max() if ev.size else 1.0
-    if im_tol is None:
-        im_tol = 1e-6 * scale
-
+    im_tol = 1e-6 * (np.abs(ev).max() if ev.size else 1.0)
     nearest = ev[np.argsort(np.abs(ev))][: 2 * n_max]
-    max_imag = float(np.abs(nearest.imag).max()) if nearest.size else 0.0
+    report = partial(SpectrumReport, ev, omega, float(np.abs(nearest.imag).max()) if nearest.size else 0.0)
     real_enough = nearest[np.abs(nearest.imag) < im_tol]
     if real_enough.size < 2 * n_max:
-        return SpectrumReport(
-            eigenvalues=ev,
-            esm_spacing=omega,
-            max_imag=max_imag,
-            ok=False,
-            message=(
-                f"only {real_enough.size} of {2 * n_max} near-zero levels have "
-                f"|Im E| < {im_tol:.3g}"
-            ),
-        )
+        message = f"only {real_enough.size} of {2 * n_max} near-zero levels have |Im E| < {im_tol:.3g}"
+        return report(ok=False, message=message)
 
     pos = np.sort(real_enough.real[real_enough.real > 0])
     neg = np.sort(-real_enough.real[real_enough.real < 0])
     if len(pos) != n_max or len(neg) != n_max:
-        return SpectrumReport(
-            eigenvalues=ev,
-            esm_spacing=omega,
-            max_imag=max_imag,
-            ok=False,
-            message=f"levels do not split into +/- pairs ({len(pos)} positive, {len(neg)} negative)",
-        )
+        message = f"levels do not split into +/- pairs ({len(pos)} positive, {len(neg)} negative)"
+        return report(ok=False, message=message)
 
     levels = 0.5 * (pos + neg)
     deviations = [float(abs(levels[n - 1] - n * omega) / (n * omega)) for n in range(1, n_max + 1)]
-    return SpectrumReport(
-        eigenvalues=ev,
-        esm_spacing=omega,
-        max_imag=max_imag,
-        spacing_deviations=deviations,
-        levels=[float(e) for e in levels],
-    )
+    return report(spacing_deviations=deviations, levels=[float(e) for e in levels])

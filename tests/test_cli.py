@@ -1,3 +1,4 @@
+import json
 import os
 import re
 import subprocess
@@ -6,7 +7,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 import nhssh
 from nhssh import analysis, states
@@ -25,7 +25,9 @@ from nhssh.cli import (
     _write_csv,
     parse_config,
 )
-from nhssh.lattice import Boundary
+from nhssh.lattice import Boundary, Chain
+
+from golden_summary import GOLDEN, mismatches
 
 
 def test_parse_config_basic():
@@ -122,26 +124,47 @@ def test_main_fig3_closed_form_as_q_goes_to_zero(tmp_path, q):
     assert np.isfinite(closed).all() and closed[0] == 0.0 and 1.5 < closed.max() < 2.5
 
 
-def test_cli_import_needs_neither_scipy_special_nor_mpmath():
-    # scipy.special alone adds about 75 ms to the start-up of every run
-    code = "import sys, nhssh.cli; print([m for m in ('scipy.special', 'mpmath') if m in sys.modules])"
+def test_cli_import_needs_neither_scipy_special_nor_mpmath(tmp_path):
+    # nor scipy at all: its linear algebra alone was most of the start-up of every run; checked after
+    # a small fig3 run, in a fresh interpreter
+    code = (
+        "import sys, nhssh.cli\n"
+        "assert nhssh.cli.main(['fig3', '--cells', '20', '--samples', '50', '--out', sys.argv[1]]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'mpmath')))"
+    )
     src = str(Path(nhssh.__file__).resolve().parents[1])
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+    result = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True, text=True, check=True,
                             env={**os.environ, "PYTHONPATH": src}, timeout=60)
     assert result.stdout.strip() == "[]"
+    assert (tmp_path / "norms.csv").exists()
 
 
-def test_reproduce_all_passes_every_check(tmp_path):
-    # the whole published-scale sweep, in a fresh interpreter, writing out/ under tmp_path
+@pytest.fixture(scope="module")
+def reproduce_all(tmp_path_factory):
+    """The whole published-scale sweep, in a fresh interpreter, writing out/ under a temporary directory."""
+    cwd = tmp_path_factory.mktemp("reproduce_all")
     src = Path(nhssh.__file__).resolve().parents[1]
     script = src.parent / "scripts" / "reproduce_all.py"
-    result = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, cwd=tmp_path,
+    result = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, cwd=cwd,
                             env={**os.environ, "PYTHONPATH": str(src)}, timeout=300)
+    return result, cwd / "out"
+
+
+def test_reproduce_all_passes_every_check(reproduce_all):
+    result, out = reproduce_all
     assert result.returncode == 0, result.stderr
     lines = result.stdout.splitlines()
     assert sum(line.startswith("[PASS]") for line in lines) == 31
     assert not any(line.startswith("[FAIL]") for line in lines)
-    assert (tmp_path / "out" / "spectrum_1" / "eigenvalues.csv").exists()
+    assert (out / "spectrum_1" / "eigenvalues.csv").exists()
+
+
+def test_reproduce_all_matches_golden_summary(reproduce_all):
+    # centers, spacings, labels, translation, interference, period report and oracle L1, each within
+    # its own tolerance of the golden file (see golden_summary.py)
+    result, out = reproduce_all
+    assert result.returncode == 0, result.stderr
+    assert mismatches(out, json.loads(GOLDEN.read_text(encoding="utf-8"))) == []
 
 
 def test_main_outputs_bit_identical(tmp_path):
@@ -260,19 +283,6 @@ def test_main_memory_error_exit_code(tmp_path, capsys, monkeypatch):
     assert err.count("\n") == 1 and "MemoryError" in err and "--cells" in err
 
 
-def test_main_eigensolver_failure_exit_code(tmp_path, capsys, monkeypatch):
-    # every spectrum and decomposition goes through the chain's one solver: its failure is a
-    # numerical failure with a one-line reason
-    def no_convergence(self, eigvals_only=False):
-        raise np.linalg.LinAlgError("eigenvalue iteration did not converge")
-
-    monkeypatch.setattr("nhssh.lattice.Chain.gram_eigh", no_convergence)
-    code = main(["spectrum", "--cells", "40", "--out", str(tmp_path / "noconv")])
-    assert code == EXIT_NUMERICAL
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("numerical failure [LinAlgError]: ")
-
-
 def test_main_fig2_small(tmp_path):
     out = tmp_path / "fig2"
     assert main(["fig2", "--cells", "100", "--out", str(out)]) == EXIT_OK
@@ -339,10 +349,10 @@ def test_fig7_pairs_from_singles_match_pair_evolution(tmp_path):
 
 @pytest.mark.parametrize("experiment", ["fig5", "fig7"])
 def test_one_eigensolve_per_experiment(tmp_path, monkeypatch, experiment):
+    # fig5's three gains and fig7's four runs share one closed-form solve of the chain's modes
     calls = []
-    for name in ("eigh_tridiagonal", "eigh"):
-        solver = getattr(scipy.linalg, name)
-        monkeypatch.setattr(scipy.linalg, name, lambda *a, _solver=solver, **k: calls.append(1) or _solver(*a, **k))
+    solve = Chain.modes
+    monkeypatch.setattr(Chain, "modes", lambda *a, **k: calls.append(1) or solve(*a, **k))
     argv = [experiment, "--cells", "40", "--samples", "400", "--out", str(tmp_path / experiment)]
     assert main(argv) == EXIT_OK
     assert len(calls) == 1

@@ -1,5 +1,9 @@
+from dataclasses import replace
+
+import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -175,25 +179,16 @@ def test_chiral_split_reads_the_chain(cells, boundary):
     params = LatticeParams(cells, 0.7, 1.2, boundary)
     H = build_hamiltonian(params)
     chain = chiral_split(H)
-    built = build_chain(params)
-    assert np.array_equal(chain.inner, built.inner) and np.array_equal(chain.outer, built.outer)
-    assert chain.gamma == built.gamma == 1.2
-    # B is T's block from gain sites (even) to loss sites (odd): inner on its diagonal, outer below
-    # it, and the bond that closes a ring in the top right corner
-    B = np.diag(chain.inner) + np.diag(chain.outer[:-1], -1)
-    B[0, -1] += chain.outer[-1]
+    assert chain == build_chain(params)
+    # B is T's block from gain sites (even) to loss sites (odd): a on its diagonal, b below it, and
+    # the bond that closes a ring in the top right corner
+    B = np.diag(np.full(cells, chain.strong)) + np.diag(np.full(cells - 1, chain.weak), -1)
+    B[0, -1] += chain.weak * chain.ring
+    assert chain.ring == (boundary is Boundary.PERIODIC)
     assert np.array_equal(B, H.real[0::2, 1::2])
-    band, order = chain.gram()  # B B^T as a lower band, in the gain-site order `order`
-    assert (order is None) == (boundary is Boundary.OPEN)
-    order = np.arange(cells) if order is None else order
-    gram = sum(np.diag(row[: cells - k], -k) for k, row in enumerate(band))
-    gram = np.tril(gram) + np.tril(gram, -1).T
-    assert np.abs(gram - (B @ B.T)[np.ix_(order, order)]).max() < 1e-15
-    assert np.array_equal(chiral_split(H.conj()).inner, chain.inner)  # loss first: the same chain ...
-    assert chiral_split(H.conj()).gamma == -1.2  # ... with the gain on the odd sites
-    free = chiral_split(build_hamiltonian(params.at_gamma(0.0)))  # no gain: the same bonds, gamma = 0
-    assert np.array_equal(free.inner, chain.inner) and np.array_equal(free.outer, chain.outer)
-    assert free.gamma == 0.0
+    assert np.array_equal(chain.loss_amplitudes(np.eye(cells)), B.T)
+    assert chiral_split(H.conj()) == replace(chain, gamma=-1.2)  # loss first: the gain on the odd sites
+    assert chiral_split(build_hamiltonian(params.at_gamma(0.0))) == replace(chain, gamma=0.0)  # no gain
 
 
 @pytest.mark.parametrize("boundary", [Boundary.OPEN, Boundary.PERIODIC])
@@ -202,10 +197,68 @@ def test_dense_hamiltonian_solves_as_its_chain(gamma, boundary):
     # the dense H is only read as its chain: both inputs take the same solver, bit for bit
     params = LatticeParams(20, 0.9, gamma, boundary)
     dense, chain = decompose(build_hamiltonian(params)), decompose(build_chain(params))
-    assert dense.gamma == chain.gamma == gamma
+    assert dense.chain == chain.chain == build_chain(params)
     assert np.array_equal(dense.lam, chain.lam)
     assert all(np.array_equal(a, b) for a, b in zip(dense.bases, chain.bases, strict=True))
     assert np.array_equal(full_spectrum(build_hamiltonian(params)), full_spectrum(build_chain(params)))
+
+
+def _lowest_x_mpmath(chain, count: int = 3) -> list:
+    """The lowest x = sigma^2 - gamma^2 at 40 digits, from the chain's exact float a, b and gamma.
+
+    Open chain: sigma^2 = a^2 + b^2 - 2ab cos q at the roots q in (0, pi) of
+    a sin((N+1)q) - b sin(Nq), root j found by findroot inside [(j-1)pi/N, j pi/(N+1)].
+    Ring: sigma^2 = a^2 + b^2 + 2ab cos(2 pi m/N) at m = N/2, N/2 - 1, N/2 - 1, ...
+    """
+    n = chain.cells
+    with mpmath.workdps(40):
+        a, b, g = (mpmath.mpf(v) for v in (chain.strong, chain.weak, chain.gamma))
+        if chain.ring:
+            angles = [2 * mpmath.pi * (n // 2 - (k + 1) // 2) / n for k in range(count)]
+        else:
+            def f(q):
+                return a * mpmath.sin((n + 1) * q) - b * mpmath.sin(n * q)
+
+            tiny = mpmath.mpf(10) ** -35  # keeps the first bracket off the spurious root q = 0
+            roots = [mpmath.findroot(f, ((j - 1) * mpmath.pi / n + tiny, j * mpmath.pi / (n + 1)), solver="anderson")
+                     for j in range(1, count + 1)]
+            angles = [mpmath.pi - q for q in roots]
+        return [a * a + b * b + 2 * a * b * mpmath.cos(k) - g * g for k in angles]
+
+
+@pytest.mark.parametrize("boundary", [Boundary.OPEN, Boundary.PERIODIC])
+@pytest.mark.parametrize("cells", [250, 1000])
+def test_closed_form_modes_match_mpmath_and_lapack(cells, boundary):
+    # the tuned chain at its exceptional point, where the lowest x are small and the ring's lowest is
+    # (a - b - gamma)(a - b + gamma), a rounding error of 2*delta - gamma: each of the lowest three x
+    # within 1e-14 relative of the 40-digit secular equation (2-4e-16 measured)
+    chain = build_chain(LatticeParams(cells, 0.9, 1.8, boundary))
+    w, U = chain.modes()
+    x = chain.x(w)
+    for got, ref in zip(x[:3], _lowest_x_mpmath(chain), strict=True):
+        assert abs(mpmath.mpf(float(got)) - ref) <= 1e-14 * abs(ref)
+    if cells != 1000:
+        return
+    # and at 2N = 2000, LAPACK's eigenpairs of B B^T, built from the dense H: the ring's in the order
+    # 0, N-1, 1, N-2, ..., which puts B B^T in a band of width 2
+    B = build_hamiltonian(LatticeParams(cells, 0.9, 1.8, boundary)).real[0::2, 1::2]
+    gram = B @ B.T
+    if chain.ring:
+        order = np.c_[np.arange(cells), np.arange(cells)[::-1]].ravel()[:cells]
+        folded = gram[np.ix_(order, order)]
+        band = np.array([np.r_[np.diagonal(folded, -k), np.zeros(k)] for k in range(3)])
+        lam2, vectors = scipy.linalg.eig_banded(band, lower=True)
+        reference = np.empty_like(vectors)
+        reference[order] = vectors
+    else:
+        lam2, reference = scipy.linalg.eigh_tridiagonal(np.diagonal(gram), np.diagonal(gram, 1))
+    assert np.abs(x + chain.gamma**2 - lam2).max() <= 1e-14 * lam2[-1]
+    # each closed-form vector lies in its eigenvalue's reference subspace (a cos and a sin mode share
+    # one on the ring): its weight outside it is LAPACK's own error, at most eps*|B B^T|/gap
+    _, group = np.unique(w, return_inverse=True)
+    outside = np.where(group[:, None] == group, 0.0, reference.T @ U)
+    gap = np.abs(np.subtract.outer(lam2, lam2) + np.where(group[:, None] == group, np.inf, 0.0)).min(axis=0)
+    assert np.all(np.linalg.norm(outside, axis=0) <= 10 * np.finfo(float).eps * lam2[-1] / gap)
 
 
 def test_chiral_split_rejects_what_is_not_a_chain():

@@ -186,8 +186,7 @@ def _dense_reference(H: np.ndarray) -> np.ndarray:
 
 @pytest.mark.parametrize("boundary", [Boundary.OPEN, Boundary.PERIODIC])
 @pytest.mark.parametrize("gamma", [0.0, 1.8])
-def test_folded_band_matches_dense_reference(boundary, gamma):
-    # the folded site order puts both boundaries in a band of width <= 2
+def test_closed_form_spectrum_matches_dense_reference(boundary, gamma):
     H = build_hamiltonian(LatticeParams(100, 0.9, gamma, boundary))
     ev, ref = np.sort_complex(full_spectrum(H)), np.sort_complex(_dense_reference(H))
     if gamma and boundary is Boundary.PERIODIC:
@@ -217,20 +216,24 @@ def test_ring_spectrum_matches_bloch_closed_form(cells, gamma):
 
 
 @pytest.mark.parametrize("boundary", [Boundary.OPEN, Boundary.PERIODIC])
-def test_uneven_bonds_match_dense_reference(boundary):
-    # a dense chain may carry any bond values; uneven ones tell apart the bonds that each entry of
-    # B B^T comes from, which a uniform chain cannot
+def test_uneven_bonds_are_rejected(boundary):
+    # only the model's chain, one bond value inside the cells and a weaker one between them, has
+    # closed-form modes: a dense H with other bonds gets a one-line ValueError from every solver
     rng = np.random.default_rng(7)
     H = build_hamiltonian(LatticeParams(30, 0.5, 0.4, boundary))
     scale = rng.uniform(0.5, 1.5, H.shape)
-    H = H.real * (scale + scale.T) / 2 + 1j * H.imag
-    ev, ref = np.sort_complex(full_spectrum(H)), np.sort_complex(_dense_reference(H))
-    assert np.abs(ev - ref).max() < 1e-12
-    # and the modes: U on the gain sites, B^T U / lam on the loss sites, are T's eigenvectors
-    modes = decompose(H)
-    W = np.empty((60, 30))
-    W[0::2], W[1::2] = modes.bases
-    assert np.abs(H.real @ W - W * modes.lam).max() < 1e-13
+    uneven = H.real * (scale + scale.T) / 2 + 1j * H.imag
+    corner = H.copy()
+    corner[0, -1] = corner[-1, 0] = 0.3  # a ring closed by a bond of its own, or an open chain's ends joined
+    # and the weak bond inside the cells: the chain that ends in edge modes
+    flipped = H.copy()
+    flipped[H == 1.5], flipped[H == 0.5] = 0.5, 1.5
+    for solver in (full_spectrum, decompose):
+        for bad in (uneven, corner):
+            with pytest.raises(ValueError, match="uneven"):
+                solver(bad)
+        with pytest.raises(ValueError, match=r"a >= b >= 0 .*, got a = 0\.5, b = 1\.5$"):
+            solver(flipped)
 
 
 def test_dispersion_over_an_array_of_levels():
