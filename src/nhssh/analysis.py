@@ -163,22 +163,20 @@ class InterferenceReport:
     separated: np.ndarray = field(repr=False, default=None)
 
 
-def interference_report(pair_traj: Trajectory, singles) -> InterferenceReport:
+def interference_report(pair_traj: Trajectory, intervals) -> InterferenceReport:
     """Norm ratios of a two-packet state across its first collision.
 
     The collision window is where the constituent packets' half-maximum
     intervals intersect; the constituents evolve independently (the model
-    is linear), so their own trajectories define the intervals.  ``singles``
-    are those two trajectories, or their intervals as :func:`fwhm_interval`
-    returns them, which lets several pairs share the singles.  Ratios
-    compare the pair norm inside the window to the mean norm just before
-    it.  ``separated`` marks samples where the intervals clear a
-    40-site pad, the regime where the pair norm should equal the sum of
-    the single norms.
+    is linear), so their own trajectories define the intervals.
+    ``intervals`` are the two singles' :func:`fwhm_interval` of their
+    profiles, (samples, 2) each, which lets several pairs share the
+    singles.  Ratios compare the pair norm inside the window to the mean
+    norm just before it.  ``separated`` marks samples where the intervals
+    clear a 40-site pad, the regime where the pair norm should equal the
+    sum of the single norms.
     """
-    (a0, a1), (b0, b1) = (
-        (single if isinstance(single, np.ndarray) else fwhm_interval(single.profiles)).T for single in singles
-    )
+    (a0, a1), (b0, b1) = (ends.T for ends in intervals)
     n = len(pair_traj.times)
     if len(a0) != n or len(b0) != n:
         raise AnalysisError("pair and single trajectories must share the sampling grid")

@@ -149,24 +149,13 @@ def build_config(explicit: dict) -> ExperimentConfig:
 # ---------------------------------------------------------------- output
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, str):
-        return value
-    return format(float(value), ".17g")
-
-
-def _fmt_column(column) -> list[str]:
-    """One column's cells: a numeric array by its dtype, anything else cell by cell."""
-    if isinstance(column, np.ndarray) and column.dtype.kind in "fiu":
-        spec = ".17g" if column.dtype.kind == "f" else "d"
-        return [format(v, spec) for v in column.tolist()]
-    return [_fmt(v) for v in column]
+_CELL = {"f": "%.17g", "i": "%d", "U": "%s"}  # by a column's dtype kind
 
 
 def _write_csv(path: Path, header: list[str], columns) -> None:
-    lines = [",".join(header), *map(",".join, zip(*map(_fmt_column, columns)))]
+    columns = [np.asarray(column) for column in columns]
+    row = ",".join(_CELL[column.dtype.kind] for column in columns)
+    lines = [",".join(header), *(row % cells for cells in zip(*(column.tolist() for column in columns)))]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .lattice import LatticeParams
-from .spectra import analytic_dispersion, esm_spacing
+from .spectra import analytic_dispersion, esm_spacing, revival_period
 from .specfun import _chi2
 
 # exp(-q n)/n weights below exp(-40) never reach float relevance
@@ -139,15 +139,14 @@ def superpose_eigenstates(c_plus_coeffs: np.ndarray, params: LatticeParams, t: f
 
 
 def _sawtooth(theta: np.ndarray, q: float) -> np.ndarray:
-    """Abel-summed sawtooth ``sum_n e^{-qn} sin(n theta)/n``.
+    """Abel-summed sawtooth ``sum_n e^{-qn} sin(n theta)/n``, for every q >= 0.
 
-    For q > 0 this is ``arctan(sin theta / (e^q - cos theta))``; the
-    q = 0 limit is the periodic triangular ramp ``(pi - theta mod 2pi)/2``,
-    evaluated directly to avoid the 0/0 at theta = 0.
+    This is ``arctan(sin theta / (e^q - cos theta))``, with the denominator
+    written ``expm1(q) + 2 sin^2(theta/2)`` so that nothing cancels as
+    q -> 0; at q = 0 arctan2 gives the periodic triangular ramp
+    ``(pi - theta mod 2pi)/2``, and the series' 0 at theta = 0 mod 2pi.
     """
-    if q > 0.0:
-        return np.arctan(np.sin(theta) / (np.exp(q) - np.cos(theta)))
-    return 0.5 * (np.pi - np.mod(theta, 2.0 * np.pi))
+    return np.arctan2(np.sin(theta), np.expm1(q) + 2.0 * np.sin(0.5 * theta) ** 2)
 
 
 def evolved_state_closed_form(
@@ -174,7 +173,7 @@ def evolved_state_closed_form(
     N = params.cells
     spec = spec.normalized(N)
     omega = esm_spacing(params)
-    lam_n = (spec.lam / 2.0) * complex(np.sqrt(complex((-1.0) ** N / (N + 1))))
+    lam_n = (spec.lam / 2.0) * _branch_constants(N)[0]
     j = np.arange(1, N + 1, dtype=float)
     cell_phase = np.pi * j / (N + 1)
     alternating = (-1.0) ** j
@@ -217,7 +216,7 @@ def dirac_norm_closed_form(t, spec: PacketSpec, params: LatticeParams):
 def triangle_wave_norm(t, spec: PacketSpec, params: LatticeParams):
     """The explicit q = 0 norm: a triangle wave of slope ``2 lam^2 pi^2/tau`` and period tau/2."""
     spec = _central(replace(spec, q=0.0), params)
-    tau = 2.0 * np.pi / esm_spacing(params)
+    tau = revival_period(params)
     phase = np.mod(t, tau / 2.0)
     out = (2.0 * spec.lam**2 * np.pi**2 / tau) * np.minimum(phase, tau / 2.0 - phase)
     return float(out) if np.ndim(t) == 0 else out

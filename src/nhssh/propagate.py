@@ -11,14 +11,15 @@ of the N x N gain-site block ``B B^T`` of T^2 of a
 singular value lam of B is one pair +/-lam of T, one 2x2 block on the
 gain and loss amplitudes.
 
-A :class:`Trajectory` lives in that mode basis, sampled in blocks of
-BLOCK samples that share one table of c and s at the offsets inside a
-block.  Its Dirac norms follow from the mode amplitudes alone by
-Parseval's identity (the bases have orthonormal columns): in a block each
-mode adds a quadratic form in the table's (c, s), so every norm of a run
-is one real matrix product of per-block coefficient rows by the table's
-squares, and no 2N-wide state is formed.  Profiles and states are formed
-from the amplitudes and the bases only when read, one real matrix
+A :class:`Trajectory`, which only :func:`evolve` builds, lives in that
+mode basis, sampled in blocks of BLOCK samples that share one table of c
+and s at the offsets inside a block.  Its Dirac norms follow from the
+mode amplitudes alone by Parseval's identity (the bases have orthonormal
+columns): in a block each mode adds a quadratic form in the table's
+(c, s), so every norm of a run is one real matrix product of per-block
+coefficient rows by the table's squares, and no 2N-wide state is formed.
+Profiles and states are formed from the amplitudes and the bases only
+when read (all of them once, or one sample alone), one real matrix
 product per block and basis, written straight into their gain (even) or
 loss (odd) site columns.  :func:`expm` is the dense reference for tests.
 """
@@ -26,12 +27,13 @@ loss (odd) site columns.  :func:`expm` is the dense reference for tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from .lattice import Chain, chiral_split
 
-BLOCK = 64  # samples per block; longer blocks lose norm accuracy to cancellation (see _Run)
+BLOCK = 64  # samples per block; longer blocks lose norm accuracy to cancellation (see Trajectory)
 
 
 def expm(A: np.ndarray) -> np.ndarray:
@@ -117,12 +119,19 @@ class Modes:
         return c, s
 
 
-class _Run:
-    """One state's evolution in the mode basis, sampled at t = n*dt in blocks of BLOCK samples.
+class Trajectory:
+    """Time-ordered record of one state's evolution, sampled at t = n*dt; built only by :func:`evolve`.
 
-    At t = t0 + tau, with t0 the first sample of a block and tau an
-    offset inside it, c and s follow by angle addition,
-    ``c(t0+tau) = c(t0)c(tau) - x s(t0)s(tau)`` and
+    ``norms[k]`` is the Dirac norm P(t_k), ``profiles[k]`` holds the site
+    probabilities |psi_l(t_k)|^2 (2N entries, 1-based site l maps to
+    column l-1) and ``states[k]`` the amplitudes, which are kept only when
+    requested (else None).  The run keeps the mode amplitudes; all
+    profiles are formed on first read, straight into one (samples, 2N)
+    array, states likewise, and :meth:`profile_at` forms one sample alone.
+
+    Samples come in blocks of BLOCK.  At t = t0 + tau, with t0 the first
+    sample of a block and tau an offset inside it, c and s follow by angle
+    addition, ``c(t0+tau) = c(t0)c(tau) - x s(t0)s(tau)`` and
     ``s(t0+tau) = s(t0)c(tau) + c(t0)s(tau)`` with x the mode's
     eigenvalue of H^2.  So a mode's amplitude ``c*a + s*b`` in the block
     is ``c(tau)*alpha + s(tau)*beta`` with ``alpha = c(t0)a + s(t0)b`` and
@@ -130,18 +139,40 @@ class _Run:
     and on one sample per block, and every quantity of a block is a real
     product with that table.  The norms' expanded form cancels inside a
     block, more the longer the block: on fig4's run at 2N = 500 the worst
-    norm is 1.1e-13 off a long-double evaluation with 64 samples a block,
+    norm is 1.3e-13 off a long-double evaluation with 64 samples a block,
     1.1e-12 with 128.
     """
 
-    def __init__(self, modes: Modes, amplitudes: tuple[np.ndarray, np.ndarray], dt: float, samples: int):
-        self.modes, self.samples = modes, samples
+    def __init__(self, modes: Modes, amplitudes: tuple, dt: float, samples: int, record_states: bool):
+        self.times, self.dt = np.arange(samples) * dt, float(dt)
+        self._modes, self._record_states = modes, record_states
         # real and imaginary parts apart: (basis, part, mode)
-        self.amplitudes = tuple(np.stack((u.real, u.imag), axis=1) for u in amplitudes)
-        self.offsets = modes.cs(np.arange(min(BLOCK, samples)) * dt)  # (offset, mode)
-        self.starts = modes.cs(np.arange(0, samples, BLOCK) * dt)  # (block, mode)
+        self._amplitudes = tuple(np.stack((u.real, u.imag), axis=1) for u in amplitudes)
+        self._offsets = modes.cs(np.arange(min(BLOCK, samples)) * dt)  # (offset, mode)
+        self._starts = modes.cs(np.arange(0, samples, BLOCK) * dt)  # (block, mode)
+        self.norms = self._norms()
 
-    def norms(self) -> np.ndarray:
+    @cached_property
+    def profiles(self) -> np.ndarray:
+        return self._fill(np.empty((self.times.size, self._modes.n_sites)))
+
+    @cached_property
+    def states(self) -> np.ndarray | None:
+        if not self._record_states:
+            return None
+        return self._fill(np.empty((self.times.size, self._modes.n_sites), dtype=complex))
+
+    def index_at(self, t: float) -> int:
+        """Index of the sample nearest t; t must lie inside the span."""
+        if t < self.times[0] - 0.5 * self.dt or t > self.times[-1] + 0.5 * self.dt:
+            raise ValueError(f"t={t} outside the recorded span [{self.times[0]}, {self.times[-1]}]")
+        return int(np.argmin(np.abs(self.times - t)))
+
+    def profile_at(self, t: float) -> np.ndarray:
+        """The profile at the sample nearest t, formed alone."""
+        return self._fill(np.empty((1, self._modes.n_sites)), self.index_at(t))[0]
+
+    def _norms(self) -> np.ndarray:
         """Dirac norms sum |c*a + s*b|^2 over the modes, as one GEMM for every block.
 
         A mode's norm is a quadratic form in (c, s) with Cholesky factor
@@ -152,23 +183,23 @@ class _Run:
         two (exact) so that no coefficient leaves float range before the
         norm itself does.
         """
-        a, b = self.amplitudes
+        a, b = self._amplitudes
         aa, ab, bb = ((u * v).sum(axis=(0, 1)) for u, v in ((a, a), (a, b), (b, b)))
         l11 = np.sqrt(aa)
         l21 = np.divide(ab, l11, out=np.zeros_like(ab), where=l11 > 0)
         l22 = np.sqrt(np.maximum(bb - l21 * l21, 0.0))
-        c0, s0 = self.starts
-        c1, s1 = self.offsets
+        c0, s0 = self._starts
+        c1, s1 = self._offsets
         with np.errstate(over="ignore", invalid="ignore"):
-            factors = np.array([c0 * l11 + s0 * l21, c0 * l21 - self.modes.x * s0 * l11, s0 * l22, c0 * l22])
+            factors = np.array([c0 * l11 + s0 * l21, c0 * l21 - self._modes.x * s0 * l11, s0 * l22, c0 * l22])
             exponent = np.frexp(np.abs(factors).max(axis=(0, 2)))[1]
             p, r, p2, r2 = np.ldexp(factors, -exponent[:, None])
             rows = np.hstack([p * p + p2 * p2, 2.0 * (p * r + p2 * r2), r * r + r2 * r2])
             table = np.hstack([c1 * c1, c1 * s1, s1 * s1])
             scaled = rows @ table.T
-            return np.ldexp(scaled, 2 * exponent[:, None]).ravel()[: self.samples]
+            return np.ldexp(scaled, 2 * exponent[:, None]).ravel()[: self.times.size]
 
-    def fill(self, out: np.ndarray, first: int = 0) -> np.ndarray:
+    def _fill(self, out: np.ndarray, first: int = 0) -> np.ndarray:
         """out's rows from sample ``first`` on: the states if out is complex, else the profiles |psi|^2."""
         stop = first + len(out)
         edges = [first, *range((first // BLOCK + 1) * BLOCK, stop, BLOCK), stop]
@@ -187,61 +218,14 @@ class _Run:
     def _parts(self, start: int, stop: int):
         """Per basis, the real and imaginary parts of the states at samples start, ..., stop - 1 (in one block)."""
         i, j = divmod(start, BLOCK)
-        c1, s1 = (table[j : j + stop - start] for table in self.offsets)
-        c0, s0 = (table[i] for table in self.starts)
-        a, b = self.amplitudes
+        c1, s1 = (table[j : j + stop - start] for table in self._offsets)
+        c0, s0 = (table[i] for table in self._starts)
+        a, b = self._amplitudes
         with np.errstate(over="ignore", invalid="ignore"):
-            alpha, beta = c0 * a + s0 * b, c0 * b - self.modes.x * s0 * a
-            for basis, al, be in zip(self.modes.bases, alpha, beta):
+            alpha, beta = c0 * a + s0 * b, c0 * b - self._modes.x * s0 * a
+            for basis, al, be in zip(self._modes.bases, alpha, beta):
                 coef = (c1 * al[:, None] + s1 * be[:, None]).reshape(-1, basis.shape[1])  # rows (part, sample)
                 yield (coef @ basis.T).reshape(2, stop - start, -1)
-
-
-class Trajectory:
-    """Time-ordered record of one evolution run.
-
-    ``norms[k]`` is the Dirac norm P(t_k), ``profiles[k]`` holds the site
-    probabilities |psi_l(t_k)|^2 (2N entries, 1-based site l maps to
-    column l-1) and ``states[k]`` the amplitudes, which are kept only when
-    requested (else None).  A trajectory from :func:`evolve` keeps the
-    mode amplitudes and forms profiles (all of them once, on first
-    access, straight into one (samples, 2N) array; one with
-    :meth:`profile_at`) and states only when read, block by block.
-    """
-
-    def __init__(self, times: np.ndarray, profiles: np.ndarray | None, norms: np.ndarray, states=None):
-        self.times, self.norms = times, norms
-        self._profiles, self._states = profiles, states
-        self._run: _Run | None = None  # the run in the mode basis that evolve sampled
-        self._keep_states = False
-
-    @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
-
-    @property
-    def profiles(self) -> np.ndarray | None:
-        if self._profiles is None and self._run is not None:
-            self._profiles = self._run.fill(np.empty((self.times.size, self._run.modes.n_sites)))
-        return self._profiles
-
-    @property
-    def states(self) -> np.ndarray | None:
-        if self._states is None and self._keep_states:
-            self._states = self._run.fill(np.empty((self.times.size, self._run.modes.n_sites), dtype=complex))
-        return self._states
-
-    def index_at(self, t: float) -> int:
-        """Index of the sample nearest t; t must lie inside the span."""
-        if t < self.times[0] - 0.5 * self.dt or t > self.times[-1] + 0.5 * self.dt:
-            raise ValueError(f"t={t} outside the recorded span [{self.times[0]}, {self.times[-1]}]")
-        return int(np.argmin(np.abs(self.times - t)))
-
-    def profile_at(self, t: float) -> np.ndarray:
-        k = self.index_at(t)
-        if self._profiles is not None or self._run is None:
-            return self.profiles[k]
-        return self._run.fill(np.empty((1, self._run.modes.n_sites)), k)[0]
 
 
 def decompose(H: Chain | np.ndarray) -> Modes:
@@ -281,12 +265,8 @@ def evolve(
     amplitudes = modes.amplitudes(state0)
     if steps < 1 or not 0.0 < dt < np.inf:
         raise ValueError(f"need steps >= 1 and a finite dt > 0, got steps={steps}, dt={dt}")
-    run = _Run(modes, amplitudes, dt, steps + 1)
-    times = np.arange(steps + 1) * dt
-    norms = run.norms()
-    bad = ~np.isfinite(norms)
+    traj = Trajectory(modes, amplitudes, dt, steps + 1, record_states)
+    bad = ~np.isfinite(traj.norms)
     if bad.any():
-        raise OverflowError(f"state left float range at t = {times[np.argmax(bad)]:.6g}")
-    traj = Trajectory(times, None, norms)
-    traj._run, traj._keep_states = run, record_states
+        raise OverflowError(f"state left float range at t = {traj.times[np.argmax(bad)]:.6g}")
     return traj

@@ -107,46 +107,41 @@ def direct_coalescing_overlap(spec: PacketSpec, params: LatticeParams) -> comple
     return complex(np.vdot(coalescing_state(params.cells), build_initial_state(spec, params)))
 
 
-def smoothed_profile(profile: np.ndarray, window: int = SMOOTH_WINDOW) -> np.ndarray:
-    """``window``-site moving average over the last axis (sites), centered as np.convolve's "same"."""
-    if not isinstance(window, (int, np.integer)) or window < 1:
-        raise ValueError(f"smoothing window must be a whole number >= 1 of sites, got {window!r}")
+def smoothed_profile(profile: np.ndarray) -> np.ndarray:
+    """SMOOTH_WINDOW-site moving average over the last axis (sites), centered as np.convolve's "same"."""
     p = np.asarray(profile, dtype=float)
     n = p.shape[-1]
     sm = np.zeros_like(p)
-    for shift in range(-(window // 2), (window + 1) // 2):  # sm[i] += p[i + shift], in np.convolve's order
+    for shift in range(-(SMOOTH_WINDOW // 2), (SMOOTH_WINDOW + 1) // 2):  # sm[i] += p[i + shift], in np.convolve's order
         sm[..., max(0, -shift) : n - max(0, shift)] += p[..., max(0, shift) : n + min(0, shift)]
-    sm *= 1.0 / window
+    sm *= 1.0 / SMOOTH_WINDOW
     return sm
 
 
-def fwhm_interval(profile: np.ndarray, window: int = SMOOTH_WINDOW) -> tuple[int, int] | np.ndarray:
+def fwhm_interval(profile: np.ndarray) -> np.ndarray:
     """First and last 1-based site where the smoothed profile reaches half max.
 
-    A single profile gives a tuple; a stack of profiles (sites on the last
-    axis) gives an (m, 2) array of the same endpoints, one row per profile.
+    The two endpoints lie on the last axis: shape (2,) for one profile,
+    (m, 2) for a stack of m profiles (sites on the last axis).
     """
-    sm = smoothed_profile(profile, window)
+    sm = smoothed_profile(profile)
     above = sm >= 0.5 * sm.max(axis=-1, keepdims=True)
-    ends = np.stack([above.argmax(axis=-1), sm.shape[-1] - 1 - above[..., ::-1].argmax(axis=-1)], axis=-1) + 1
-    return (int(ends[0]), int(ends[1])) if ends.ndim == 1 else ends
+    return np.stack([above.argmax(axis=-1), sm.shape[-1] - 1 - above[..., ::-1].argmax(axis=-1)], axis=-1) + 1
 
 
-def shape_distance(profile_a: np.ndarray, profile_b: np.ndarray, shift: int, slack: int = 5) -> float:
+def shape_distance(profile_a: np.ndarray, profile_b: np.ndarray, shift: int) -> float:
     """L1 distance between two packet shapes after translating b by ~shift.
 
     Shapes are mass-normalized, smoothed profiles (the same envelope the
     width measurement uses), and the integer shift is optimized within
-    ``slack`` sites: packet centers sit on the site grid only up to a
+    5 sites: packet centers sit on the site grid only up to a
     fraction of a site, which a pure integer roll cannot absorb.
     """
     a = smoothed_profile(profile_a)
     b = smoothed_profile(profile_b)
     a = a / a.sum()
     b = b / b.sum()
-    return min(
-        float(np.abs(a - np.roll(b, shift + d)).sum()) for d in range(-slack, slack + 1)
-    )
+    return min(float(np.abs(a - np.roll(b, shift + d)).sum()) for d in range(-5, 6))
 
 
 @dataclass(frozen=True)
@@ -156,19 +151,17 @@ class Measurement:
     width: float
 
 
-def measure(state_or_profile: np.ndarray, window: int = SMOOTH_WINDOW) -> Measurement:
-    """Dirac norm, probability-weighted mean site and FWHM width.
+def measure(profile: np.ndarray) -> Measurement:
+    """Dirac norm, probability-weighted mean site and FWHM width of a probability profile.
 
-    Accepts either a complex state vector or a real probability profile.
-    The width is read off a ``window``-site moving average so that the
-    A/B alternation does not fake narrow features.
+    The width is read off the SMOOTH_WINDOW-site moving average so that
+    the A/B alternation does not fake narrow features.
     """
-    arr = np.asarray(state_or_profile)
-    profile = np.abs(arr) ** 2 if np.iscomplexobj(arr) else arr.astype(float)
+    profile = np.asarray(profile, dtype=float)
     total = profile.sum()
     if total <= 0.0:
         raise ValueError("cannot measure a zero state")
     sites = np.arange(1, profile.size + 1)
     center = float((sites * profile).sum() / total)
-    lo, hi = fwhm_interval(profile, window)
+    lo, hi = fwhm_interval(profile)
     return Measurement(dirac_norm=float(total), center=center, width=float(hi - lo + 1))

@@ -25,6 +25,7 @@ from nhssh import (
     evolved_state_closed_form,
     expm,
     full_spectrum,
+    fwhm_interval,
     interference_report,
     lerch_phi,
     measure,
@@ -217,13 +218,14 @@ def test_c12_translation_window(traj_pi6):
 
 
 def test_c13_interference(pair_runs):
-    plus = interference_report(pair_runs[+1][0], pair_runs[+1][1:])
-    minus = interference_report(pair_runs[-1][0], pair_runs[-1][1:])
+    intervals = {sign: [fwhm_interval(single.profiles) for single in runs[1:]] for sign, runs in pair_runs.items()}
+    plus = interference_report(pair_runs[+1][0], intervals[+1])
+    minus = interference_report(pair_runs[-1][0], intervals[-1])
     sums_ok = True
     worst_sum = 0.0
     for sign in (+1, -1):
         pair_traj, traj1, traj2 = pair_runs[sign]
-        rep = interference_report(pair_traj, (traj1, traj2))
+        rep = interference_report(pair_traj, intervals[sign])
         total = traj1.norms + traj2.norms
         usable = rep.separated & (pair_traj.norms > 0.05 * pair_traj.norms.max())
         rel = float((np.abs(pair_traj.norms[usable] - total[usable]) / total[usable]).max())

@@ -6,12 +6,14 @@ from hypothesis import strategies as st
 from nhssh import (
     AnalysisError,
     LatticeParams,
+    PacketPairSpec,
     PacketSpec,
-    Trajectory,
     build_hamiltonian,
     build_initial_state,
+    build_pair_state,
     classify_growth,
     evolve,
+    fwhm_interval,
     interference_report,
     measure,
     reflection_symmetry,
@@ -132,9 +134,13 @@ def test_translation_window_needs_reflections(params250, h250, tau250):
         translation_window(short)
 
 
+def _intervals(singles):
+    return [fwhm_interval(single.profiles) for single in singles]
+
+
 def test_interference_doubling_and_annihilation(pair_runs):
-    plus_report = interference_report(pair_runs[+1][0], pair_runs[+1][1:])
-    minus_report = interference_report(pair_runs[-1][0], pair_runs[-1][1:])
+    plus_report = interference_report(pair_runs[+1][0], _intervals(pair_runs[+1][1:]))
+    minus_report = interference_report(pair_runs[-1][0], _intervals(pair_runs[-1][1:]))
     assert plus_report.ratio_max == pytest.approx(2.0, rel=0.20)
     assert minus_report.ratio_min < 0.25
     assert plus_report.p_ratio_extremum == plus_report.ratio_max
@@ -144,16 +150,17 @@ def test_interference_doubling_and_annihilation(pair_runs):
 def test_interference_norm_additivity_when_separated(pair_runs):
     for sign in (+1, -1):
         pair_traj, traj1, traj2 = pair_runs[sign]
-        report = interference_report(pair_traj, (traj1, traj2))
+        report = interference_report(pair_traj, _intervals((traj1, traj2)))
         total = traj1.norms + traj2.norms
         usable = report.separated & (pair_traj.norms > 0.05 * pair_traj.norms.max())
         rel = np.abs(pair_traj.norms[usable] - total[usable]) / total[usable]
         assert rel.max() < 0.05
 
 
-def test_interference_requires_a_meeting(pair_runs):
-    pair_traj, traj1, traj2 = pair_runs[+1]
-    cut = 120  # stop before the packets meet
-    clip = lambda tr: Trajectory(tr.times[:cut], tr.profiles[:cut], tr.norms[:cut])
+def test_interference_requires_a_meeting(params250, h250, tau250):
+    # pair_runs' grid, stopped after 120 samples: before the packets meet
+    pair = PacketPairSpec(np.pi / 6, 5 * np.pi / 6, 0.05, +1).normalized(250)
+    psis = [build_pair_state(pair, params250), *(build_initial_state(s, params250) for s in pair.single_specs(250))]
+    pair_traj, *singles = (evolve(psi, h250, tau250 / 1600, 119) for psi in psis)
     with pytest.raises(AnalysisError, match="never meet"):
-        interference_report(clip(pair_traj), (clip(traj1), clip(traj2)))
+        interference_report(pair_traj, _intervals(singles))

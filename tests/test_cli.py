@@ -21,7 +21,6 @@ from nhssh.cli import (
     ExperimentConfig,
     build_config,
     main,
-    _fmt,
     _write_csv,
     parse_config,
 )
@@ -373,11 +372,42 @@ def test_fig7_smooths_each_single_once(tmp_path, monkeypatch):
     assert len(calls) == 2
 
 
+def _cell(value) -> str:
+    # the cell-by-cell reference: ints in full, strings as they are, every float as a double to 17 digits
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return value if isinstance(value, str) else format(float(value), ".17g")
+
+
 def test_csv_columns_format_like_cells(tmp_path):
-    # columns are formatted by dtype; the bytes must be those of the cell-by-cell formatting
+    # a row template is built from the columns' dtypes; the bytes must be those of the cell-by-cell formatting
     floats = np.array([0.1, -0.0, 1e-300, 2.5e300, 1 / 3, 12345678901234567.0, -7.0])
     halves = np.linspace(-1, 1, 7, dtype=np.float32)
-    columns = [np.arange(1, 8), floats, [f"{m}/8" for m in range(7)], [""] * 7, list(floats), halves]
-    _write_csv(tmp_path / "x.csv", ["a", "b", "c", "d", "e", "f"], columns)
-    expected = ["a,b,c,d,e,f"] + [",".join(_fmt(v) for v in row) for row in zip(*columns)]
-    assert (tmp_path / "x.csv").read_text(encoding="utf-8") == "\n".join(expected) + "\n"
+    names = [f"{m}/8" for m in range(7)]
+    names[3] = "100%"  # a value is never read as a format
+    columns = [np.arange(1, 8), floats, names, [""] * 7, list(floats), halves, range(7), tuple(floats)]
+    header = ["a%s", "b", "c", "d", "e", "f", "g", "h"]  # nor is the header
+    _write_csv(tmp_path / "x.csv", header, columns)
+    expected = [",".join(header)] + [",".join(_cell(v) for v in row) for row in zip(*columns)]
+    text = (tmp_path / "x.csv").read_text(encoding="utf-8")
+    assert text == "\n".join(expected) + "\n"
+    assert text.splitlines()[1] == "1,0.10000000000000001,0/8,,0.10000000000000001,-1,0,0.10000000000000001"
+
+
+def test_benchmark_traced_names_exist(tmp_path, monkeypatch):
+    # the benchmark traces nhssh functions by name: each must still be a public function of its module
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import gates  # noqa: F401  (the accuracy gates import the package's public names)
+    import tracing
+    import worker
+
+    tracer = tracing.Tracer()
+    restore = tracing.install(tracer, worker.SAMPLERS)
+    try:
+        argv = ["fig3", "--cells", "10", "--samples", "20", "--out", str(tmp_path / "fig3")]
+        assert nhssh.cli.main(argv) == EXIT_OK  # the traced main
+    finally:
+        restore()
+    assert set(worker.SPAN_SELF_S + worker.SPAN_CALLS) <= set(tracer.stats)
+    assert tracer.stats["cli.main"].calls == 1
+    assert nhssh.cli.main is main  # restored

@@ -19,7 +19,7 @@ from nhssh import (
     packet_coefficients,
     triangle_wave_norm,
 )
-from nhssh.oracle import superpose_eigenstates
+from nhssh.oracle import _sawtooth, superpose_eigenstates
 
 
 def test_eigenstates_dirac_normalized(params250):
@@ -125,6 +125,16 @@ def test_branch_shift_is_needed_at_t0(params250):
     err_without = np.abs(without - numeric).sum() / numeric.sum()
     assert err_with < 0.10
     assert err_without > 0.9
+
+
+@pytest.mark.parametrize("q", [0.0, 1e-9, 1e-3, 0.02, 0.05, 1.0])
+def test_sawtooth_against_40_digit_log(q):
+    # sum_n e^{-qn} sin(n theta)/n = Im(-log(1 - e^{-q + i theta})); theta = 0 is left out, where the
+    # q = 0 series jumps.  arctan(sin/(e^q - cos)) was 4e-8 off at q = 1e-9 and 1.8e-14 at q = 1e-3
+    theta = np.concatenate([np.linspace(-7.0, 7.0, 100), [1e-9, -1e-6, 1e-3, np.pi, 2 * np.pi - 1e-7]])
+    with mpmath.workdps(40):
+        reference = [float(mpmath.im(-mpmath.log(1 - mpmath.exp(mpmath.mpc(-q, th))))) for th in theta]
+    assert np.abs(_sawtooth(theta, q) - reference).max() <= 4.5e-16
 
 
 @pytest.mark.parametrize("m", [1, 4, 7])
