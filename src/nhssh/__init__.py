@@ -5,24 +5,19 @@ from .lattice import (
     LatticeParams,
     apply_antilinear,
     build_hamiltonian,
-    symmetry_operator,
     symmetry_residuals,
 )
 from .oracle import (
     PacketSpec,
     analytic_eigenstate,
-    coefficient_lambda,
     dirac_norm_closed_form,
     evolved_state_closed_form,
     overlap_formula,
     packet_coefficients,
-    triangle_wave_norm,
 )
 from .propagate import Trajectory, evolve, expm
-from .specfun import SpecialValue, dilog, lerch_phi
+from .specfun import dilog, lerch_phi
 from .spectra import (
-    ComplexBandError,
-    SpectrumReport,
     analytic_dispersion,
     esm_spacing,
     full_spectrum,
@@ -30,7 +25,6 @@ from .spectra import (
     verify_equal_spacing,
 )
 from .states import (
-    Measurement,
     PacketPairSpec,
     build_initial_state,
     build_pair_state,
@@ -39,13 +33,9 @@ from .states import (
     fwhm_interval,
     measure,
     shape_distance,
-    smoothed_profile,
 )
 from .analysis import (
     AnalysisError,
-    GrowthReport,
-    InterferenceReport,
-    TranslationReport,
     classify_growth,
     interference_report,
     reflection_symmetry,
@@ -57,17 +47,10 @@ __version__ = "0.1.0"
 __all__ = [
     "AnalysisError",
     "Boundary",
-    "ComplexBandError",
-    "GrowthReport",
-    "InterferenceReport",
     "LatticeParams",
-    "Measurement",
     "PacketPairSpec",
     "PacketSpec",
-    "SpecialValue",
-    "SpectrumReport",
     "Trajectory",
-    "TranslationReport",
     "analytic_dispersion",
     "analytic_eigenstate",
     "apply_antilinear",
@@ -76,7 +59,6 @@ __all__ = [
     "build_pair_state",
     "classify_growth",
     "coalescing_state",
-    "coefficient_lambda",
     "dilog",
     "dirac_norm_closed_form",
     "direct_coalescing_overlap",
@@ -94,10 +76,7 @@ __all__ = [
     "reflection_symmetry",
     "revival_period",
     "shape_distance",
-    "smoothed_profile",
-    "symmetry_operator",
     "symmetry_residuals",
     "translation_window",
-    "triangle_wave_norm",
     "verify_equal_spacing",
 ]

@@ -156,7 +156,6 @@ def translation_window(traj: Trajectory) -> TranslationReport:
 @dataclass
 class InterferenceReport:
     overlap_window: tuple
-    p_ratio_extremum: float
     ratio_max: float
     ratio_min: float
     p_before: float
@@ -193,10 +192,8 @@ def interference_report(pair_traj: Trajectory, intervals) -> InterferenceReport:
     inside = pair_traj.norms[i0 : i1 + 1]
     ratio_max = float(inside.max() / p_before)
     ratio_min = float(inside.min() / p_before)
-    extremum = ratio_max if abs(ratio_max - 1.0) >= abs(1.0 - ratio_min) else ratio_min
     return InterferenceReport(
         overlap_window=(float(pair_traj.times[i0]), float(pair_traj.times[i1])),
-        p_ratio_extremum=extremum,
         ratio_max=ratio_max,
         ratio_min=ratio_min,
         p_before=p_before,

@@ -61,10 +61,6 @@ class LatticeParams:
     def n_sites(self) -> int:
         return 2 * self.cells
 
-    def at_gamma(self, gamma: float) -> "LatticeParams":
-        """Same lattice with a different gain value."""
-        return LatticeParams(self.cells, self.delta, gamma, self.boundary)
-
 
 @dataclass(frozen=True)
 class Chain:
@@ -176,23 +172,6 @@ def build_hamiltonian(params: LatticeParams) -> np.ndarray:
     if params.boundary is Boundary.PERIODIC:
         H[n - 1, 0] = H[0, n - 1] = 1.0 - params.delta
     return H
-
-
-def symmetry_operator(kind: str, cells: int) -> np.ndarray:
-    """Parity P or sublattice-sign C as a dense 2N x 2N matrix.
-
-    P exchanges the A site of cell j with the B site of cell N+1-j, which
-    is the site reversal; C is diagonal with +1 on A sites and -1 on B
-    sites.  Both square to the identity.
-    """
-    if cells < 1:
-        raise ValueError("cells must be >= 1")
-    n = 2 * cells
-    if kind == "C":
-        return np.diag(np.resize([1.0, -1.0], n))
-    if kind == "P":
-        return np.eye(n)[::-1]
-    raise ValueError(f"unknown symmetry operator kind {kind!r}; expected 'P' or 'C'")
 
 
 def apply_antilinear(kind: str, state: np.ndarray) -> np.ndarray:

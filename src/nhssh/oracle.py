@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .lattice import LatticeParams
-from .spectra import analytic_dispersion, esm_spacing, revival_period
+from .spectra import analytic_dispersion, esm_spacing
 from .specfun import _chi2
 
 # exp(-q n)/n weights below exp(-40) never reach float relevance
@@ -88,22 +88,17 @@ def _branch_constants(cells: int) -> tuple[complex, complex]:
     return c_plus, c_minus
 
 
-def analytic_eigenstate(
-    n: int, sign: int, params: LatticeParams, approx: bool = False
-) -> np.ndarray:
+def analytic_eigenstate(n: int, sign: int, params: LatticeParams) -> np.ndarray:
     """Analytic eigenstate of the tuned open chain, Dirac-normalized.
 
     A-site amplitude ``C (-1)^j sin(kj) e^{+i s phi_k/2}`` and B-site
     amplitude ``s C (-1)^j sin(kj) e^{-i s phi_k/2}`` with s = +/-1 and
-    ``C = sqrt(s (-1)^N/(N+1))``.  With ``approx=True`` the mixing angle
-    is frozen at ``phi_k = pi/2`` (deep strong-dimerization form).
+    ``C = sqrt(s (-1)^N/(N+1))``.
     """
     if sign not in (+1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     N = params.cells
     _, phi = analytic_dispersion(n, params)
-    if approx:
-        phi = np.pi / 2.0
     c_plus, c_minus = _branch_constants(N)
     C = c_plus if sign > 0 else c_minus
     j = np.arange(1, N + 1, dtype=float)
@@ -149,12 +144,7 @@ def _sawtooth(theta: np.ndarray, q: float) -> np.ndarray:
     return np.arctan2(np.sin(theta), np.expm1(q) + 2.0 * np.sin(0.5 * theta) ** 2)
 
 
-def evolved_state_closed_form(
-    t: float,
-    spec: PacketSpec,
-    params: LatticeParams,
-    branch_shift: bool = True,
-) -> np.ndarray:
+def evolved_state_closed_form(t: float, spec: PacketSpec, params: LatticeParams) -> np.ndarray:
     """Compact analytic form of the evolved packet at time t.
 
     Amplitudes are ``Lam_N sum_{rho,ups,eta} w(theta) (-1)^j rho ups eta
@@ -166,9 +156,8 @@ def evolved_state_closed_form(
     the first-order deviation of the mixing angle from pi/2 (the phases
     ``e^{+/- i phi_k/2}`` expand to ``e^{+/- i pi/4}`` times a shift of
     the time argument by ``1/(4 delta)``, opposite on the two
-    sublattices).  ``branch_shift=False`` drops it, which is useful for
-    measuring how much the correction matters: without it the two
-    branches cancel exactly at t = 0.
+    sublattices).  Without it the two branches would cancel exactly at
+    t = 0.
     """
     N = params.cells
     spec = spec.normalized(N)
@@ -181,8 +170,7 @@ def evolved_state_closed_form(
     for rho in (1.0, -1.0):
         for ups in (1.0, -1.0):
             for eta in (1, -1):
-                shift = eta / (4.0 * params.delta) if branch_shift else 0.0
-                theta = rho * spec.kappa0 + ups * cell_phase + omega * (t - shift)
+                theta = rho * spec.kappa0 + ups * cell_phase + omega * (t - eta / (4.0 * params.delta))
                 w = _sawtooth(theta, spec.q)
                 prefactor = lam_n * rho * ups * eta * np.exp(1j * eta * np.pi / 4.0)
                 # eta = +1 lands on B sites (2j), eta = -1 on A sites (2j-1)
@@ -200,7 +188,8 @@ def dirac_norm_closed_form(t, spec: PacketSpec, params: LatticeParams):
     + lam^2 (Li2(e^{-2q}) - Li2(-e^{-2q}))`` with
     ``Phi(z, 2, 1/2) = 4 chi2(sqrt z)/sqrt z``, where every phase cancels.
     The one expression holds for every q >= 0; at q = 0 the argument runs
-    on the unit circle and P is :func:`triangle_wave_norm`.
+    on the unit circle and P is a triangle wave of slope
+    ``2 lam^2 pi^2/tau`` and period tau/2.
 
     Accepts scalar or array t.
     """
@@ -211,15 +200,6 @@ def dirac_norm_closed_form(t, spec: PacketSpec, params: LatticeParams):
     chi = _chi2(np.exp(-2.0 * (spec.q + 1j * omega * np.append(0.0, t)))).real
     out = 2.0 * spec.lam**2 * (chi[0] - chi[1:]).reshape(t.shape)
     return float(out) if out.ndim == 0 else out
-
-
-def triangle_wave_norm(t, spec: PacketSpec, params: LatticeParams):
-    """The explicit q = 0 norm: a triangle wave of slope ``2 lam^2 pi^2/tau`` and period tau/2."""
-    spec = _central(replace(spec, q=0.0), params)
-    tau = revival_period(params)
-    phase = np.mod(t, tau / 2.0)
-    out = (2.0 * spec.lam**2 * np.pi**2 / tau) * np.minimum(phase, tau / 2.0 - phase)
-    return float(out) if np.ndim(t) == 0 else out
 
 
 def _central(spec: PacketSpec, params: LatticeParams) -> PacketSpec:

@@ -41,8 +41,10 @@ def expm(A: np.ndarray) -> np.ndarray:
 
     Thin validation wrapper over the scipy implementation (order-13
     diagonal Pade with norm-based squaring), which is reliable for the
-    non-normal matrices this package produces.  scipy is imported here
-    alone: no experiment needs it.
+    non-normal matrices this package produces.  It is the tests' dense
+    reference: no experiment calls it, and this is the only import of
+    scipy in the package, so scipy is a test dependency and no CLI run
+    loads it.
     """
     import scipy.linalg
 

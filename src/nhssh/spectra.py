@@ -17,10 +17,6 @@ import numpy as np
 from .lattice import Chain, LatticeParams, chiral_split
 
 
-class ComplexBandError(ValueError):
-    """Dispersion argument went negative: the requested gain exceeds the band."""
-
-
 def full_spectrum(H: Chain | np.ndarray) -> np.ndarray:
     """All eigenvalues of ``H = T + i*diag(g)``, in closed form.
 
@@ -47,13 +43,15 @@ def revival_period(params: LatticeParams) -> float:
     return 2.0 * np.pi / esm_spacing(params)
 
 
-def analytic_dispersion(n, params: LatticeParams, gamma: float | None = None):
-    """Analytic level ``eps_k`` and mixing angle ``phi_k`` for mode n.
+def analytic_dispersion(n, params: LatticeParams):
+    """Analytic level ``eps_k`` and mixing angle ``phi_k`` for mode n, at the tuned gain.
 
-    ``k = n*pi/(N+1)`` and ``eps_k = sqrt(((1+delta)-(1-delta)cos k)^2 - gamma^2)``
-    with ``gamma`` defaulting to the tuned value ``gamma_c = 2*delta``
-    (the regime where the expression is a real band).  ``phi_k`` solves
-    ``tan(phi_k) = gamma/eps_k`` on the principal branch (0, pi/2].
+    ``k = n*pi/(N+1)`` and ``eps_k^2 = band^2 - gamma_c^2`` with
+    ``band = (1+delta) - (1-delta)cos k`` and ``gamma_c = 2*delta``, formed
+    as ``(band - gamma_c)(band + gamma_c)`` with ``band - gamma_c =
+    2(1-delta) sin^2(k/2)``: no difference of squares, so the lowest levels
+    keep their relative precision as delta -> 1.  ``phi_k`` solves
+    ``tan(phi_k) = gamma_c/eps_k`` on the principal branch (0, pi/2].
 
     Returns
     -------
@@ -64,16 +62,10 @@ def analytic_dispersion(n, params: LatticeParams, gamma: float | None = None):
     outside = ~((levels >= 1) & (levels <= N))
     if outside.any():
         raise ValueError(f"level index n must lie in 1..{N}, got {levels[outside].flat[0]}")
-    g = params.gamma_c if gamma is None else gamma
+    g = params.gamma_c
     k = levels * np.pi / (N + 1)
-    band = (1.0 + params.delta) - (1.0 - params.delta) * np.cos(k)
-    arg = band * band - g * g
-    if (arg < 0.0).any():
-        first = np.argmax(arg.ravel() < 0.0)
-        raise ComplexBandError(
-            f"gamma={g} exceeds the band value {band.flat[first]:.6g} at n={levels.flat[first]}; level is complex"
-        )
-    eps = np.sqrt(arg)
+    low = 2.0 * (1.0 - params.delta) * np.sin(0.5 * k) ** 2  # band - gamma_c = (1-delta)(1 - cos k)
+    eps = np.sqrt(low * (low + 2.0 * g))
     phi = np.arctan2(g, eps)
     return (float(eps), float(phi)) if levels.ndim == 0 else (eps, phi)
 
@@ -82,8 +74,6 @@ def analytic_dispersion(n, params: LatticeParams, gamma: float | None = None):
 class SpectrumReport:
     """Near-zero level pairing against the equal-spacing prediction."""
 
-    eigenvalues: np.ndarray
-    esm_spacing: float
     max_imag: float
     spacing_deviations: list = field(default_factory=list)
     levels: list = field(default_factory=list)
@@ -104,7 +94,7 @@ def verify_equal_spacing(eigenvalues: np.ndarray, n_max: int, params: LatticePar
     omega = esm_spacing(params)
     im_tol = 1e-6 * (np.abs(ev).max() if ev.size else 1.0)
     nearest = ev[np.argsort(np.abs(ev))][: 2 * n_max]
-    report = partial(SpectrumReport, ev, omega, float(np.abs(nearest.imag).max()) if nearest.size else 0.0)
+    report = partial(SpectrumReport, float(np.abs(nearest.imag).max()) if nearest.size else 0.0)
     real_enough = nearest[np.abs(nearest.imag) < im_tol]
     if real_enough.size < 2 * n_max:
         message = f"only {real_enough.size} of {2 * n_max} near-zero levels have |Im E| < {im_tol:.3g}"

@@ -31,36 +31,25 @@ class PacketPairSpec:
     lam: float | None = None
 
     def __post_init__(self):
-        for name, k in (("kappa01", self.kappa01), ("kappa02", self.kappa02)):
-            if not 0.0 < k < math.pi:
-                raise ValueError(f"{name} must lie strictly inside (0, pi), got {k}")
+        self._specs(self.lam)  # PacketSpec checks both kappas, q and lam
         if self.kappa01 == self.kappa02:
             raise ValueError("kappa01 and kappa02 must differ for a genuine two-packet state")
-        if not 0.0 <= self.q < math.inf:
-            raise ValueError(f"q must be finite and >= 0, got {self.q}")
         if self.relative_sign not in (+1, -1):
             raise ValueError("relative_sign must be +1 or -1")
-        if self.lam is not None and not 0.0 < self.lam < math.inf:
-            raise ValueError(f"lam must be finite and positive, got {self.lam}")
+
+    def _specs(self, lam: float | None) -> tuple[PacketSpec, PacketSpec]:
+        return PacketSpec(self.kappa01, self.q, lam), PacketSpec(self.kappa02, self.q, lam)
 
     def normalized(self, cells: int) -> "PacketPairSpec":
+        """Copy with lam fixed by coefficient normalization of the pair for this size."""
         if self.lam is not None:
             return self
-        n = np.arange(1, cells + 1, dtype=float)
-        weights = (np.sin(n * self.kappa01) + self.relative_sign * np.sin(n * self.kappa02)) * np.exp(
-            -self.q * n
-        ) / n
-        total = np.sum(weights**2)
-        return replace(self, lam=1.0 / math.sqrt(total))
+        c1, c2 = (packet_coefficients(spec, cells) for spec in self._specs(1.0))
+        return replace(self, lam=1.0 / math.sqrt(np.sum((c1 + self.relative_sign * c2) ** 2)))
 
     def single_specs(self, cells: int) -> tuple[PacketSpec, PacketSpec]:
         """The two constituent packets carrying the pair's shared scale."""
-        norm = self.normalized(cells)
-        lam_single = norm.lam / math.sqrt(2.0)
-        return (
-            PacketSpec(self.kappa01, self.q, lam=lam_single),
-            PacketSpec(self.kappa02, self.q, lam=lam_single),
-        )
+        return self._specs(self.normalized(cells).lam / math.sqrt(2.0))
 
 
 def build_initial_state(spec: PacketSpec, params: LatticeParams) -> np.ndarray:
@@ -75,16 +64,8 @@ def build_initial_state(spec: PacketSpec, params: LatticeParams) -> np.ndarray:
 
 def build_pair_state(pair: PacketPairSpec, params: LatticeParams) -> np.ndarray:
     """Two-packet state with coefficients ``(lam/sqrt2) sigma [sin(n k1) +/- sin(n k2)] e^{-qn}/n``."""
-    pair = pair.normalized(params.cells)
-    N = params.cells
-    n = np.arange(1, N + 1, dtype=float)
-    c = (
-        (pair.lam / math.sqrt(2.0))
-        * (np.sin(n * pair.kappa01) + pair.relative_sign * np.sin(n * pair.kappa02))
-        * np.exp(-pair.q * n)
-        / n
-    )
-    return superpose_eigenstates(c, params)
+    c1, c2 = (packet_coefficients(spec, params.cells) for spec in pair.single_specs(params.cells))
+    return superpose_eigenstates(c1 + pair.relative_sign * c2, params)
 
 
 def coalescing_state(cells: int) -> np.ndarray:
@@ -157,6 +138,8 @@ def measure(profile: np.ndarray) -> Measurement:
     The width is read off the SMOOTH_WINDOW-site moving average so that
     the A/B alternation does not fake narrow features.
     """
+    if np.iscomplexobj(profile):
+        raise ValueError("measure takes a probability profile |psi|^2")
     profile = np.asarray(profile, dtype=float)
     total = profile.sum()
     if total <= 0.0:

@@ -5,6 +5,8 @@ with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines.
 """
 
+from dataclasses import replace
+
 import mpmath
 import numpy as np
 
@@ -144,7 +146,7 @@ def test_c07_threshold_trichotomy(params250, tau250):
     spec = PacketSpec(np.pi / 2, 0.02)
     psi0 = build_initial_state(spec, params250)
     for gamma in (1.7, 1.8, 1.9):
-        H = build_hamiltonian(params250.at_gamma(gamma))
+        H = build_hamiltonian(replace(params250, gamma=gamma))
         traj = evolve(psi0, H, 0.22 * tau250 / 300, 300)
         labels.append(classify_growth(traj.times, traj.norms, (0.05 * tau250, 0.2 * tau250)).label)
     expected = ["Oscillatory", "Linear", "Exponential"]
@@ -273,7 +275,7 @@ def test_c15_propagator(params250, tau250):
             series += term
         worst_expm = max(worst_expm, float(np.abs(expm(A) - series).max()))
 
-    H0 = build_hamiltonian(params250.at_gamma(0.0))
+    H0 = build_hamiltonian(replace(params250, gamma=0.0))
     psi0 = build_initial_state(PacketSpec(np.pi / 2, 0.02), params250)
     psi0 /= np.linalg.norm(psi0)
     traj = evolve(psi0, H0, tau250 / 2000, 2000)

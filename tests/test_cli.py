@@ -394,6 +394,24 @@ def test_csv_columns_format_like_cells(tmp_path):
     assert text.splitlines()[1] == "1,0.10000000000000001,0/8,,0.10000000000000001,-1,0,0.10000000000000001"
 
 
+PUBLIC_API = [
+    "AnalysisError", "Boundary", "LatticeParams", "PacketPairSpec", "PacketSpec", "Trajectory",
+    "analytic_dispersion", "analytic_eigenstate", "apply_antilinear", "build_hamiltonian", "build_initial_state",
+    "build_pair_state", "classify_growth", "coalescing_state", "dilog", "dirac_norm_closed_form",
+    "direct_coalescing_overlap", "esm_spacing", "evolve", "evolved_state_closed_form", "expm", "full_spectrum",
+    "fwhm_interval", "interference_report", "lerch_phi", "measure", "overlap_formula", "packet_coefficients",
+    "reflection_symmetry", "revival_period", "shape_distance", "symmetry_residuals", "translation_window",
+    "verify_equal_spacing",
+]
+
+
+def test_public_api_is_pinned():
+    # what the experiments, the tests and the benchmark call by the package name; report types and
+    # helpers stay importable from their modules
+    assert sorted(nhssh.__all__) == PUBLIC_API
+    assert all(hasattr(nhssh, name) for name in PUBLIC_API)
+
+
 def test_benchmark_traced_names_exist(tmp_path, monkeypatch):
     # the benchmark traces nhssh functions by name: each must still be a public function of its module
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))

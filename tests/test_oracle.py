@@ -10,16 +10,15 @@ from nhssh import (
     analytic_eigenstate,
     apply_antilinear,
     build_initial_state,
-    coefficient_lambda,
     dirac_norm_closed_form,
     direct_coalescing_overlap,
     evolve,
     evolved_state_closed_form,
     overlap_formula,
     packet_coefficients,
-    triangle_wave_norm,
 )
-from nhssh.oracle import _sawtooth, superpose_eigenstates
+from nhssh.oracle import _sawtooth, coefficient_lambda, superpose_eigenstates
+from reference import triangle_wave_norm
 
 
 def test_eigenstates_dirac_normalized(params250):
@@ -51,12 +50,6 @@ def test_ct_eigenstate_identity(params250):
         minus = analytic_eigenstate(n, -1, params250)
         assert np.abs(apply_antilinear("CT", plus) - (-1j) * minus).max() < 1e-12
         assert np.abs(apply_antilinear("CT", minus) - (-1j) * plus).max() < 1e-12
-
-
-def test_approximate_eigenstate_structure(params250):
-    # frozen mixing angle: B amplitudes are -i times A amplitudes
-    psi = analytic_eigenstate(3, +1, params250, approx=True)
-    assert np.abs(psi[1::2] - (-1j) * psi[0::2]).max() < 1e-14
 
 
 def test_branches_nearly_coalesce(params250):
@@ -112,19 +105,6 @@ def test_closed_form_matches_built_state_at_t0(params250):
     numeric = np.abs(build_initial_state(spec, params250)) ** 2
     predicted = np.abs(evolved_state_closed_form(0.0, spec, params250)) ** 2
     assert np.abs(predicted - numeric).sum() / numeric.sum() < 0.10
-
-
-def test_branch_shift_is_needed_at_t0(params250):
-    # dropping the sublattice time offset kills the compact form at t = 0:
-    # the branches then cancel exactly and the profile collapses
-    spec = PacketSpec(np.pi / 2, 0.02)
-    numeric = np.abs(build_initial_state(spec, params250)) ** 2
-    with_shift = np.abs(evolved_state_closed_form(0.0, spec, params250)) ** 2
-    without = np.abs(evolved_state_closed_form(0.0, spec, params250, branch_shift=False)) ** 2
-    err_with = np.abs(with_shift - numeric).sum() / numeric.sum()
-    err_without = np.abs(without - numeric).sum() / numeric.sum()
-    assert err_with < 0.10
-    assert err_without > 0.9
 
 
 @pytest.mark.parametrize("q", [0.0, 1e-9, 1e-3, 0.02, 0.05, 1.0])

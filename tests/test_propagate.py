@@ -1,5 +1,6 @@
 import functools
 import tracemalloc
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -351,9 +352,9 @@ def test_shared_decomposition_gain_sweep():
     psi0 = build_initial_state(PacketSpec(np.pi / 2, 0.02), tuned)
     dt = 0.25 * revival_period(tuned) / 200
     for gamma0 in (1.8, 0.0):
-        modes = decompose(build_hamiltonian(tuned.at_gamma(gamma0)))
+        modes = decompose(build_hamiltonian(replace(tuned, gamma=gamma0)))
         for gamma in (0.0, 1.7, 1.8, 1.9):
-            own = evolve(psi0, build_hamiltonian(tuned.at_gamma(gamma)), dt, 200, record_states=True)
+            own = evolve(psi0, build_hamiltonian(replace(tuned, gamma=gamma)), dt, 200, record_states=True)
             shared = evolve(psi0, modes.at_gamma(gamma), dt, 200, record_states=True)
             assert np.abs(shared.norms / own.norms - 1.0).max() < 1e-12
             err = np.linalg.norm(shared.states - own.states, axis=1) / np.linalg.norm(own.states, axis=1)

@@ -1,9 +1,11 @@
+from dataclasses import replace
+
+import mpmath
 import numpy as np
 import pytest
 
 from nhssh import (
     Boundary,
-    ComplexBandError,
     LatticeParams,
     analytic_dispersion,
     build_hamiltonian,
@@ -62,10 +64,17 @@ def test_band_top_value():
     assert 0.0 < phi < np.pi / 2
 
 
-def test_dispersion_complex_band_error():
-    params = LatticeParams(250, 0.9, 1.8)
-    with pytest.raises(ComplexBandError):
-        analytic_dispersion(1, params, gamma=1.9)
+@pytest.mark.parametrize("delta", [0.9, 1 - 1e-9, 1 - 1e-12])
+def test_lowest_levels_against_40_digit_band(delta):
+    # eps_k^2 = band^2 - gamma_c^2 at 2N = 2000, in 40-digit arithmetic from the float delta; band^2 - gamma_c^2
+    # in floats cancels here: eps_1 comes out 1.5e-10 off at delta = 0.9, 4e-3 at 1 - 1e-9 and 0 at 1 - 1e-12
+    params = LatticeParams(1000, delta, 2 * delta)
+    eps, _ = analytic_dispersion(np.arange(1, 4), params)
+    with mpmath.workdps(40):
+        d = mpmath.mpf(delta)
+        bands = [(1 + d) - (1 - d) * mpmath.cos(n * mpmath.pi / 1001) for n in (1, 2, 3)]
+        reference = np.array([float(mpmath.sqrt(band**2 - (2 * d) ** 2)) for band in bands])
+    assert np.abs(eps / reference - 1).max() <= 1e-15
 
 
 def test_dispersion_index_range():
@@ -167,7 +176,7 @@ def test_failure_report_when_levels_complex():
     # far above threshold the near-zero levels are complex; the report
     # flags it instead of raising
     params = LatticeParams(60, 0.9, 1.8)
-    H = build_hamiltonian(params.at_gamma(2.6))
+    H = build_hamiltonian(replace(params, gamma=2.6))
     report = verify_equal_spacing(full_spectrum(H), 5, params)
     assert not report.ok
     assert "near-zero" in report.message or "pairs" in report.message
@@ -244,8 +253,5 @@ def test_dispersion_over_an_array_of_levels():
     assert np.allclose(eps, one_by_one[:, 0], rtol=1e-15, atol=0.0)
     assert np.allclose(phi, one_by_one[:, 1], rtol=1e-15, atol=0.0)
     assert isinstance(analytic_dispersion(3, params)[0], float)
-    # the band falls below gamma = 1.9 at the low levels: the first offending one is named
-    with pytest.raises(ComplexBandError, match="at n=3;"):
-        analytic_dispersion(np.array([40, 3, 1]), params, gamma=1.9)
     with pytest.raises(ValueError, match="got 41"):
         analytic_dispersion(np.array([1, 41, 0]), params)

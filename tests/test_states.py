@@ -14,8 +14,8 @@ from nhssh import (
     fwhm_interval,
     measure,
     shape_distance,
-    smoothed_profile,
 )
+from nhssh.states import smoothed_profile
 
 
 def test_coalescing_state_small():
@@ -119,6 +119,13 @@ def test_measure_coalescing_state():
 def test_measure_rejects_zero_state():
     with pytest.raises(ValueError):
         measure(np.zeros(10))
+
+
+def test_measure_rejects_amplitudes(params250):
+    # a complex array is an amplitude vector, not a profile: casting it would keep its real part alone
+    psi = build_initial_state(PacketSpec(np.pi / 2, 0.02), params250)
+    with pytest.raises(ValueError, match=r"probability profile \|psi\|\^2"):
+        measure(psi)
 
 
 def test_fwhm_interval_plateau():
