@@ -63,6 +63,8 @@ class ExperimentConfig:
         if not 0.0 < self.tmax_over_tau < math.inf:
             raise ValueError(f"tmax_over_tau must be finite and positive, got {self.tmax_over_tau}")
         self.lattice()
+        if self.boundary is Boundary.PERIODIC and self.experiment in ("fig3", "fig4", "fig7", "oracle-compare"):
+            raise ValueError(f"{self.experiment} grades packets built for the open chain; it takes boundary=open only")
         for kappa_over_pi in (self.kappa0_over_pi, self.kappa02_over_pi):
             oracle.PacketSpec(kappa_over_pi * np.pi, self.q)
         if self.experiment == "fig5":

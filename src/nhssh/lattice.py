@@ -16,6 +16,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,9 +92,13 @@ class Chain:
         """Every mode's weight w, ascending, and unless not ``vectors`` U: orthonormal columns, a row per gain site.
 
         Open chain: ``u_j = sin(k(N - j))`` and ``w = sin^2(q/2)``, where
-        ``k = pi - q`` solves ``a sin((N+1)k) + b sin(Nk) = 0``.  Ring: B is
-        circulant, with modes cos and sin of 2 pi m j/N (a pair for every m
-        but 0 and N/2) and ``w = cos^2(pi m/N)``.
+        ``k = pi - q`` solves ``a sin((N+1)k) + b sin(Nk) = 0``.  The rows
+        come in blocks of ``L = isqrt(N)``: with ``N - j = M - t``, M a
+        block's first row and t < L, ``sin(k(M - t)) = sin(kM)cos(kt) -
+        cos(kM)sin(kt)``, so about 4N^1.5 sines and cosines and one product
+        form U.  Ring: B is circulant, with modes cos and sin of 2 pi m j/N (a
+        pair for every m but 0 and N/2) and ``w = cos^2(pi m/N)``, gathered
+        from one table of the N distinct angles.
         """
         n, j = self.cells, np.arange(self.cells)
         if self.ring:
@@ -103,21 +108,18 @@ class Chain:
             if not vectors:
                 return w, None
             sine = np.r_[False, m[1:] == m[:-1]]  # the second mode of a pair
-            U = np.cos(np.outer(j, m) % n * (2 * np.pi / n) - 0.5 * np.pi * sine)
+            angles = np.arange(n) * (2 * np.pi / n)  # U takes N values of each kind: gather them
+            U = np.cos([angles, angles - 0.5 * np.pi]).take(np.outer(j, m) % n + n * sine)
         else:
             q, r = _open_roots(self.strong, self.weak, n)
             w = np.sin(0.5 * (q + r)) ** 2
             if not vectors:
                 return w, None
-            # sin(k(N - j)) = (-1)^(N - j + 1) sin(m(q + r)) with m = N - j, and to first order in the
-            # small m*r, sin(m(q + r)) = sin(mq) + m*r*cos(mq), where 2 sin(q) cos(mq) = sin((m+1)q) - sin((m-1)q)
-            m = np.arange(n + 1, -1, -1)[:, None]
-            table = np.sin(m * q)  # exact arguments
-            U = table[:-2] - table[2:]
-            U *= m[1:-1] * (0.5 * r / np.sin(q))
-            U += table[1:-1]
-            U[(n - j) % 2 == 0] *= -1.0
-        U /= np.linalg.norm(U, axis=0)
+            size = math.isqrt(n)  # rows N - j = M - t, with M = N, N - L, ... and 0 <= t < L
+            first, step = (_sin_cos(m[:, None], q, r) for m in (np.arange(n, 0, -size), -np.arange(size)))
+            # sin(k(M - t)) = sin(kM)cos(-kt) + cos(kM)sin(-kt); the last block runs past row N - 1
+            U = np.einsum("bkn,tkn->btn", first, step[:, ::-1]).reshape(-1, n)[:n]
+        U /= np.sqrt(np.einsum("ij,ij->j", U, U))  # np.linalg.norm's sums, without its N x N of squares
         return w, U
 
     def loss_amplitudes(self, u: np.ndarray) -> np.ndarray:
@@ -135,21 +137,33 @@ def _open_roots(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     For a >= b >= 0, f has the sign (-1)^j at j*pi/N and j*pi/(N+1), and is
     positive just above its spurious root 0: root j lies between them.
     Bisecting in q keeps the lowest roots to their own relative precision.
-    q keeps the bits whose products with 0, ..., N+1 are exact, and one
-    Newton step gives the rest, r, to well below q's last bit.
+    q keeps the bits whose products with 0, ..., N+1 are exact, so bisection
+    stops once every bracket is below a quarter of q's last bit, and one
+    Newton step gives the rest, r, to well below that bit.
     """
     j = np.arange(1, n + 1)
     lo, hi = (j - 1) * np.pi / n, j * np.pi / (n + 1)
     sign = np.where(j % 2, 1.0, -1.0)  # f's sign at lo
-    for _ in range(64):
+    bits = 50 - (n + 1).bit_length()  # q < 4, so (N+1) * q * 2^bits < 2^52
+    while (hi - lo).max() >= np.ldexp(1.0, -bits - 2):
         mid = 0.5 * (lo + hi)
         left = sign * (a * np.sin((n + 1) * mid) - b * np.sin(n * mid)) > 0.0
         lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
-    bits = 50 - (n + 1).bit_length()  # q < 4, so (N+1) * q * 2^bits < 2^52
     q = np.ldexp(np.round(np.ldexp(0.5 * (lo + hi), bits)), -bits)
     f = a * np.sin((n + 1) * q) - b * np.sin(n * q)
     slope = a * (n + 1) * np.cos((n + 1) * q) - b * n * np.cos(n * q)
     return q, -f / slope
+
+
+def _sin_cos(m: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """sin(km) and cos(km) at ``k = pi - (q + r)``, a row per integer m, stacked on axis 1.
+
+    They are ``(-1)^m`` times ``-sin(m(q + r))`` and ``cos(m(q + r))``,
+    each from the exact m*q and to first order in the small m*r.
+    """
+    s, c = np.sin(m * q), np.cos(m * q)
+    mr = m * r
+    return np.stack((-(s + mr * c), c - mr * s), axis=1) * (1.0 - 2.0 * (m % 2))[:, None]
 
 
 def build_chain(params: LatticeParams) -> Chain:

@@ -9,7 +9,8 @@ so no error builds up from step to step.  It takes the closed-form modes
 of the N x N gain-site block ``B B^T`` of T^2 of a
 :class:`~nhssh.lattice.Chain` (:meth:`~nhssh.lattice.Chain.modes`): each
 singular value lam of B is one pair +/-lam of T, one 2x2 block on the
-gain and loss amplitudes.
+gain and loss amplitudes.  On the open chain the loss-site vectors are
+the gain-site ones reversed (parity), a sign per mode, so no product forms them.
 
 A :class:`Trajectory`, which only :func:`evolve` builds, lives in that
 mode basis, sampled in blocks of BLOCK samples that share one table of c
@@ -67,7 +68,8 @@ class Modes:
     ``w`` holds the modes' weights (:meth:`~nhssh.lattice.Chain.modes`) and
     ``lam`` the singular values of B, both ascending, and ``bases`` the
     gain-site vectors U (eigenvectors of B B^T) and the loss-site vectors
-    B^T U / lam, each with orthonormal columns, one row per gain (even) or
+    B^T U / lam (on the open chain ``(-1)^(N+m+1)`` times U's column m
+    upside down), each with orthonormal columns, one row per gain (even) or
     loss (odd) site.  None of them depends on gamma, so :meth:`at_gamma`
     retunes the chain to any other gain, 0 included, at no cost.
     """
@@ -243,8 +245,11 @@ def decompose(H: Chain | np.ndarray) -> Modes:
     if lam2[0] <= lam2.size * np.finfo(float).eps * lam2[-1]:
         raise ValueError("T is singular: a zero mode has no -lam partner to pair its gain and loss sites")
     lam = np.sqrt(lam2)
-    V = chain.loss_amplitudes(U)
-    V /= lam
+    if chain.ring:
+        V = chain.loss_amplitudes(U)
+        V /= lam
+    else:  # parity takes gain site j to loss site N-1-j, and open mode m (from 0) to (-1)^(N+m+1) times itself
+        V = U[::-1] * (-1.0) ** (lam.size + 1 + np.arange(lam.size))
     return Modes(chain, w, lam, (U, V))
 
 

@@ -1,13 +1,19 @@
-"""Explicit forms that only the tests use: P and C as dense matrices, and the q = 0 norm.
+"""Explicit forms that only the tests use: P and C as dense matrices, the q = 0 norm and three mode solvers.
 
 ``triangle_wave_norm`` is the explicit q = 0 reduction that
-``dirac_norm_closed_form`` is checked against.
+``dirac_norm_closed_form`` is checked against.  ``open_roots_64`` and
+``ring_vectors_by_cosine`` are the direct forms that ``Chain.modes``
+must reproduce bit for bit: a full 64-step bisection of the open chain's
+roots, and one cosine per entry of the ring's vectors.
+``open_root_mpmath`` finds one open-chain root at mpmath's working
+precision, for the 40-digit references.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 
 from nhssh import LatticeParams, PacketSpec, revival_period
@@ -38,3 +44,36 @@ def triangle_wave_norm(t, spec: PacketSpec, params: LatticeParams):
     phase = np.mod(t, tau / 2.0)
     out = (2.0 * spec.lam**2 * np.pi**2 / tau) * np.minimum(phase, tau / 2.0 - phase)
     return float(out) if np.ndim(t) == 0 else out
+
+
+def open_roots_64(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The open chain's roots as ``q + r``, with the bisection run for all of 64 steps before rounding q."""
+    j = np.arange(1, n + 1)
+    lo, hi = (j - 1) * np.pi / n, j * np.pi / (n + 1)
+    sign = np.where(j % 2, 1.0, -1.0)  # f's sign at lo
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        left = sign * (a * np.sin((n + 1) * mid) - b * np.sin(n * mid)) > 0.0
+        lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
+    bits = 50 - (n + 1).bit_length()  # q < 4, so (N+1) * q * 2^bits < 2^52
+    q = np.ldexp(np.round(np.ldexp(0.5 * (lo + hi), bits)), -bits)
+    f = a * np.sin((n + 1) * q) - b * np.sin(n * q)
+    slope = a * (n + 1) * np.cos((n + 1) * q) - b * n * np.cos(n * q)
+    return q, -f / slope
+
+
+def ring_vectors_by_cosine(cells: int) -> np.ndarray:
+    """The ring's U with one cosine per entry: cos and sin of 2 pi m j/N, in ``Chain.modes``' column order."""
+    n, j = cells, np.arange(cells)
+    top = np.arange(n // 2, -1, -1)
+    m = np.repeat(top, np.where((top == 0) | (2 * top == n), 1, 2))
+    sine = np.r_[False, m[1:] == m[:-1]]  # the second mode of a pair
+    U = np.cos(np.outer(j, m) % n * (2 * np.pi / n) - 0.5 * np.pi * sine)
+    return U / np.linalg.norm(U, axis=0)
+
+
+def open_root_mpmath(a, b, n: int, j: int):
+    """Root j (from 1) in (0, pi) of ``a sin((N+1)q) - b sin(Nq)``, by findroot inside [(j-1)pi/N, j pi/(N+1)]."""
+    tiny = mpmath.mpf(10) ** -35  # keeps the first bracket off the spurious root q = 0
+    return mpmath.findroot(lambda q: a * mpmath.sin((n + 1) * q) - b * mpmath.sin(n * q),
+                           ((j - 1) * mpmath.pi / n + tiny, j * mpmath.pi / (n + 1)), solver="anderson")

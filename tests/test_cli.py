@@ -188,6 +188,27 @@ def test_main_spectrum_periodic_zero_pair(tmp_path):
     assert code == EXIT_OK
 
 
+@pytest.mark.parametrize("experiment", ["fig3", "fig4", "fig7", "oracle-compare"])
+def test_open_chain_experiments_reject_the_ring(tmp_path, capsys, experiment):
+    # their packets and oracles belong to the tuned open chain: on the ring at 2N = 500 fig3 and
+    # oracle-compare failed their profile oracle, fig7 its interference checks, and fig4 found no
+    # second norm peak, so the config is refused before any output directory exists
+    out = tmp_path / experiment
+    assert main([experiment, "--boundary", "periodic", "--out", str(out), "--check"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "boundary=open only" in err
+    cfg = tmp_path / "ring.cfg"
+    cfg.write_text(f"experiment={experiment}\nboundary=periodic\n")
+    assert main(["--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment", ["fig2", "fig5", "fig6", "spectrum"])
+def test_other_experiments_accept_the_ring(experiment):
+    config = build_config({"experiment": experiment, "boundary": Boundary.PERIODIC})
+    assert config.lattice().boundary is Boundary.PERIODIC
+
+
 def test_main_config_file_and_flag_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("experiment=spectrum\ncells=30\nboundary=open\n")

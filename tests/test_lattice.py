@@ -16,9 +16,9 @@ from nhssh import (
     full_spectrum,
     symmetry_residuals,
 )
-from nhssh.lattice import build_chain, chiral_split
+from nhssh.lattice import _open_roots, build_chain, chiral_split
 from nhssh.propagate import decompose
-from reference import symmetry_operator
+from reference import open_root_mpmath, open_roots_64, ring_vectors_by_cosine, symmetry_operator
 
 
 def test_hermitian_limit_matrix():
@@ -216,13 +216,7 @@ def _lowest_x_mpmath(chain, count: int = 3) -> list:
         if chain.ring:
             angles = [2 * mpmath.pi * (n // 2 - (k + 1) // 2) / n for k in range(count)]
         else:
-            def f(q):
-                return a * mpmath.sin((n + 1) * q) - b * mpmath.sin(n * q)
-
-            tiny = mpmath.mpf(10) ** -35  # keeps the first bracket off the spurious root q = 0
-            roots = [mpmath.findroot(f, ((j - 1) * mpmath.pi / n + tiny, j * mpmath.pi / (n + 1)), solver="anderson")
-                     for j in range(1, count + 1)]
-            angles = [mpmath.pi - q for q in roots]
+            angles = [mpmath.pi - open_root_mpmath(a, b, n, j) for j in range(1, count + 1)]
         return [a * a + b * b + 2 * a * b * mpmath.cos(k) - g * g for k in angles]
 
 
@@ -259,6 +253,24 @@ def test_closed_form_modes_match_mpmath_and_lapack(cells, boundary):
     outside = np.where(group[:, None] == group, 0.0, reference.T @ U)
     gap = np.abs(np.subtract.outer(lam2, lam2) + np.where(group[:, None] == group, np.inf, 0.0)).min(axis=0)
     assert np.all(np.linalg.norm(outside, axis=0) <= 10 * np.finfo(float).eps * lam2[-1] / gap)
+
+
+@pytest.mark.parametrize("cells", [2, 4, 40, 250, 1000])
+def test_ring_vectors_are_the_cosine_table_bit_for_bit(cells):
+    # the ring's vectors take N distinct values of each kind, gathered from a table: the same bits
+    # as one cosine per entry
+    _, U = build_chain(LatticeParams(cells, 0.9, 1.8, Boundary.PERIODIC)).modes()
+    assert np.array_equal(U, ring_vectors_by_cosine(cells))
+
+
+def test_open_roots_match_a_64_step_bisection():
+    # bisection stops once q's grid is resolved, and the Newton remainder r carries the rest: the
+    # sum q + r is the full 64-step bisection's, bit for bit, so w, x and every spectrum are too
+    for cells in (2, 3, 5, 40, 250, 999, 1000, 2000):
+        for delta in (0.05, 0.3, 0.5, 0.8, 0.9, 0.98, 0.999999):
+            q, r = _open_roots(1.0 + delta, 1.0 - delta, cells)
+            q64, r64 = open_roots_64(1.0 + delta, 1.0 - delta, cells)
+            assert np.array_equal(q + r, q64 + r64), (cells, delta)
 
 
 def test_chiral_split_rejects_what_is_not_a_chain():

@@ -21,6 +21,7 @@ from nhssh import (
 )
 from nhssh.lattice import build_chain
 from nhssh.propagate import BLOCK, decompose
+from reference import open_root_mpmath
 
 
 def taylor_expm(A: np.ndarray, order: int = 40) -> np.ndarray:
@@ -364,8 +365,8 @@ def test_shared_decomposition_gain_sweep():
 @pytest.mark.parametrize("boundary,decompose_mib,spectrum_mib", [(Boundary.OPEN, 32, 1), (Boundary.PERIODIC, 48, 48)])
 def test_chain_solvers_stay_half_size(boundary, decompose_mib, spectrum_mib):
     # at 2N = 2000 one 2N x 2N float64 array is 32 MiB: the open chain's decomposition stays below
-    # it (U, B^T U and the sine table that forms them) and its spectrum needs no matrix at all; the
-    # ring's bounds are looser ceilings, which its cos and sin table keeps well inside
+    # it (U and its parity image V) and its spectrum needs no matrix at all; the ring's bounds are
+    # looser ceilings, which its gathered cos and sin table and B^T U keep well inside
     chain = build_chain(LatticeParams(1000, 0.9, 1.8, boundary))
     for solver, bound in ((decompose, decompose_mib), (full_spectrum, spectrum_mib)):
         tracemalloc.start()
@@ -375,3 +376,56 @@ def test_chain_solvers_stay_half_size(boundary, decompose_mib, spectrum_mib):
         finally:
             tracemalloc.stop()
         assert peak < bound * 2**20, (solver.__name__, peak / 2**20)
+
+
+def _open_vectors_mpmath(chain, column: int) -> tuple[np.ndarray, np.ndarray]:
+    """Open-chain mode ``column`` (from 0) at 40 digits: U's column and B^T U's over sigma.
+
+    Root q number column + 1 of a sin((N+1)q) - b sin(Nq), then
+    ``u_i = sin(k(N - i))`` at k = pi - q, normalised, and
+    ``v_i = (a u_i + b u_(i+1))/sigma`` with ``sigma^2 = a^2 + b^2 + 2ab cos k``.
+    """
+    n = chain.cells
+    with mpmath.workdps(40):
+        a, b = mpmath.mpf(chain.strong), mpmath.mpf(chain.weak)
+        k = mpmath.pi - open_root_mpmath(a, b, n, column + 1)
+        u = [mpmath.sin(k * (n - i)) for i in range(n)]
+        norm = mpmath.sqrt(mpmath.fsum(x * x for x in u))
+        u = [x / norm for x in u]
+        sigma = mpmath.sqrt(a * a + b * b + 2 * a * b * mpmath.cos(k))
+        v = [(a * u[i] + (b * u[i + 1] if i + 1 < n else 0)) / sigma for i in range(n)]
+        return np.array([float(x) for x in u]), np.array([float(x) for x in v])
+
+
+@pytest.mark.parametrize("cells", [250, 1000])
+def test_open_bases_match_40_digit_vectors(cells):
+    # U by angle addition in row blocks and V as U's parity image, each within 5e-16 absolute of the
+    # 40-digit mode at the lowest, middle and highest columns (at most 5.6e-17 measured)
+    chain = build_chain(LatticeParams(cells, 0.9, 1.8))
+    U, V = decompose(chain).bases
+    for column in (0, 1, 2, cells // 2 - 1, cells - 3, cells - 2, cells - 1):
+        u, v = _open_vectors_mpmath(chain, column)
+        assert np.abs(U[:, column] - u).max() <= 5e-16, column
+        assert np.abs(V[:, column] - v).max() <= 5e-16, column
+
+
+@pytest.mark.parametrize("cells", [2, 3, 40, 250, 1000])
+def test_open_loss_vectors_are_the_parity_image(cells):
+    # parity maps gain site j to loss site N-1-j: on the open chain V = B^T U/lam is U reversed, up
+    # to each mode's sign, so it needs no product (at most 2.2e-16 apart measured)
+    modes = decompose(build_chain(LatticeParams(cells, 0.9, 1.8)))
+    U, V = modes.bases
+    assert np.abs(V - modes.chain.loss_amplitudes(U) / modes.lam).max() <= 1e-15
+
+
+def test_open_decomposition_peaks_below_18_mib():
+    # at 2N = 2000 U and V are 7.6 MiB each, and no third N x N array lives beside both: U's column
+    # norms are taken before V exists, and V is U reversed, so no sine table or B^T U product is held
+    chain = build_chain(LatticeParams(1000, 0.9, 1.8))
+    tracemalloc.start()
+    try:
+        decompose(chain)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 18 * 2**20, peak / 2**20
