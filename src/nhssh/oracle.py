@@ -60,9 +60,20 @@ class PacketSpec:
 
 
 def coefficient_lambda(kappa0: float, q: float, cells: int) -> float:
-    """Scale constant from ``2 lam^2 sum_n sin^2(n kappa0) e^{-2qn}/n^2 = 1``."""
+    """Scale constant from ``2 lam^2 sum_n sin^2(n kappa0) e^{-2qn}/n^2 = 1``, over the kept terms."""
     n = np.arange(1, cells + 1, dtype=float)
-    total = 2.0 * np.sum(np.sin(n * kappa0) ** 2 * np.exp(-2.0 * q * n) / n**2)
+    terms = np.sin(n * kappa0) ** 2 * np.exp(-2.0 * q * n) / n**2
+    terms[n * q > COEFF_CUTOFF] = 0.0
+    return normalizing_scale(2.0 * np.sum(terms))
+
+
+def normalizing_scale(total: float) -> float:
+    """lam = 1/sqrt(total) for coefficients whose squares sum to total at lam = 1.
+
+    Every packet scale is set here, so here a packet with no weight is refused.
+    """
+    if not total > 0.0:
+        raise ValueError(f"packet has no weight: its terms lie past n*q > {COEFF_CUTOFF:g}, underflow or cancel")
     return 1.0 / math.sqrt(total)
 
 
@@ -74,8 +85,7 @@ def packet_coefficients(spec: PacketSpec, cells: int) -> np.ndarray:
     spec = spec.normalized(cells)
     n = np.arange(1, cells + 1, dtype=float)
     c = spec.lam * np.sin(n * spec.kappa0) * np.exp(-spec.q * n) / n
-    if spec.q > 0.0:
-        c[n * spec.q > COEFF_CUTOFF] = 0.0
+    c[n * spec.q > COEFF_CUTOFF] = 0.0
     return c
 
 
@@ -202,8 +212,13 @@ def dirac_norm_closed_form(t, spec: PacketSpec, params: LatticeParams):
     return float(out) if out.ndim == 0 else out
 
 
+def is_central(kappa0: float) -> bool:
+    """Whether the Dirac-norm formula holds at kappa0: pi/2, to 1e-9."""
+    return abs(kappa0 - np.pi / 2.0) <= 1e-9
+
+
 def _central(spec: PacketSpec, params: LatticeParams) -> PacketSpec:
-    if abs(spec.kappa0 - np.pi / 2.0) > 1e-9:
+    if not is_central(spec.kappa0):
         raise ValueError("the Dirac-norm formula is derived for kappa0 = pi/2 only")
     return spec.normalized(params.cells)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .lattice import LatticeParams
-from .oracle import PacketSpec, packet_coefficients, superpose_eigenstates
+from .oracle import PacketSpec, normalizing_scale, packet_coefficients, superpose_eigenstates
 
 SMOOTH_WINDOW = 4  # suppresses A/B sublattice alternation in profiles
 
@@ -45,7 +45,7 @@ class PacketPairSpec:
         if self.lam is not None:
             return self
         c1, c2 = (packet_coefficients(spec, cells) for spec in self._specs(1.0))
-        return replace(self, lam=1.0 / math.sqrt(np.sum((c1 + self.relative_sign * c2) ** 2)))
+        return replace(self, lam=normalizing_scale(np.sum((c1 + self.relative_sign * c2) ** 2)))
 
     def single_specs(self, cells: int) -> tuple[PacketSpec, PacketSpec]:
         """The two constituent packets carrying the pair's shared scale."""

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -321,6 +322,65 @@ def test_check_failure_exit_code(tmp_path, capsys):
     # without --check the same run is not graded
     assert main(["spectrum", "--cells", "40", "--gamma", "2.6", "--out", str(out)]) == EXIT_OK
     assert "[FAIL]" not in capsys.readouterr().out
+
+
+CHECK_LINE = re.compile(r"^\[(PASS|FAIL)\] .+ = \S+ \(bound \S+\)$")
+
+
+@pytest.mark.parametrize("experiment", list(EXPERIMENTS))
+def test_every_check_line_names_its_value_and_bound(tmp_path, capsys, experiment):
+    # at 2N = 80 some checks fail (the profile oracle is graded at large N only), but every line has one form
+    argv = [experiment, "--cells", "40", "--samples", "160", "--out", str(tmp_path / experiment), "--check"]
+    code = main(argv)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines and all(CHECK_LINE.match(line) for line in lines), lines
+    assert code == (EXIT_CHECK if any(line.startswith("[FAIL]") for line in lines) else EXIT_OK)
+
+
+def test_checks_are_graded_value_at_most_bound(tmp_path, capsys, monkeypatch):
+    # run_experiment grades every runner's (name, value, bound): a value at its bound passes, a NaN fails
+    checks = [("at the bound", 0.25, 0.25), ("no value", math.nan, 1.0)]
+    monkeypatch.setitem(EXPERIMENTS, "spectrum", (lambda config, outdir: checks, {}))
+    assert main(["spectrum", "--out", str(tmp_path / "spectrum"), "--check"]) == EXIT_CHECK
+    assert capsys.readouterr().out.splitlines() == [
+        "[PASS] at the bound = 0.25 (bound 0.25)",
+        "[FAIL] no value = nan (bound 1)",
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fig2", "--q", "100"],
+        ["fig3", "--q", "100"],
+        ["fig7", "--q", "100"],
+        ["oracle-compare", "--q", "100"],
+        ["fig3", "--kappa0-over-pi", "1e-300"],
+        ["fig7", "--q", "30"],
+    ],
+    ids=["fig2-q100", "fig3-q100", "fig7-q100", "oracle-compare-q100", "fig3-kappa0-1e-300", "fig7-q30"],
+)
+def test_packet_without_weight_is_refused_before_output(tmp_path, capsys, argv):
+    # past q = 40 no coefficient survives the e^-40 cutoff, at kappa0 = 1e-300 pi every squared term underflows,
+    # and at q = 30 fig7's minus pair keeps only n = 1, where its two packets cancel; these runs used to write
+    # inf, raise ZeroDivisionError or leave an output directory behind
+    out = tmp_path / "run"
+    assert main([*argv, "--out", str(out), "--check"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "packet has no weight" in err
+    assert not out.exists()
+
+
+def test_fig4_needs_the_central_packet_before_output(tmp_path, capsys):
+    # the norm formula fig4 grades is derived for kappa0 = pi/2: any other is refused before the evolve
+    out = tmp_path / "fig4"
+    assert main(["fig4", "--kappa0-over-pi", "1/3", "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "kappa0 = pi/2" in err
+    assert not out.exists()
+    # fig3 takes any kappa0, and leaves the closed-form norm column empty off center
+    assert main(["fig3", "--kappa0-over-pi", "1/3", *SMALL, "--out", str(out)]) == EXIT_OK
+    assert (out / "norms.csv").read_text().splitlines()[1].endswith(",")
 
 
 @pytest.mark.parametrize("experiment", list(EXPERIMENTS))

@@ -74,6 +74,14 @@ def test_coefficient_cutoff():
     assert np.abs(c[41:]).max() == 0.0  # n*q > 40 dropped
 
 
+def test_packet_without_weight_is_refused():
+    # past q = 40 the e^-40 cutoff drops every term, and at kappa0 = 1e-300 every squared term underflows:
+    # no scale exists, so none is made up; the specs themselves stay valid (a given scale needs no sum)
+    for spec in (PacketSpec(np.pi / 2, 100.0), PacketSpec(1e-300, 0.02)):
+        with pytest.raises(ValueError, match="no weight"):
+            spec.normalized(250)
+
+
 def test_coefficient_normalization_q0():
     # 2 lam^2 sum_{odd n<=N} 1/n^2 = 1; the infinite sum gives 4/pi^2
     lam = coefficient_lambda(np.pi / 2, 0.0, 250)

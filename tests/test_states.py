@@ -91,6 +91,13 @@ def test_pair_linearity(params250):
     assert np.abs(plus + minus - np.sqrt(2) * single).max() < 1e-12
 
 
+def test_cancelling_pair_is_refused():
+    # at q = 30 only n = 1 survives the cutoff, where sin(pi/6) and sin(5pi/6) are the same double
+    with pytest.raises(ValueError, match="no weight"):
+        PacketPairSpec(np.pi / 6, 5 * np.pi / 6, 30.0, -1).normalized(250)
+    assert PacketPairSpec(np.pi / 6, 5 * np.pi / 6, 30.0, +1).normalized(250).lam > 0.0
+
+
 def test_pair_single_specs_share_scale(params250):
     pair = PacketPairSpec(np.pi / 6, 5 * np.pi / 6, 0.05, +1).normalized(250)
     s1, s2 = pair.single_specs(250)
