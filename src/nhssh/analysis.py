@@ -105,8 +105,8 @@ def reflection_symmetry(traj: Trajectory, t_reflect: float, delta_t: float) -> f
     scale = traj.norms[k0]
     worst = 0.0
     for d in range(1, lags + 1):
-        mismatch = np.abs(traj.profiles[k0 + d] - traj.profiles[k0 - d]).sum() / scale
-        worst = max(worst, float(mismatch))
+        later, earlier = (traj.profile_at(traj.times[k]) for k in (k0 + d, k0 - d))
+        worst = max(worst, float(np.abs(later - earlier).sum() / scale))
     return worst
 
 
@@ -126,13 +126,18 @@ def translation_window(traj: Trajectory) -> TranslationReport:
     the upper tops out at the right wall.  Between the two events the
     packet translates; reported are the max relative norm spread and the
     fitted center velocity on that window (margins trimmed to clear the
-    bounces).
+    bounces).  Intervals and first moments come from one pass over the
+    profile blocks.
     """
-    lo, hi = fwhm_interval(traj.profiles).T
+    n = len(traj.times)
+    ends, moments = np.empty((n, 2), dtype=int), np.empty(n)
+    for start, block in traj.profile_blocks():
+        ends[start : start + len(block)] = fwhm_interval(block)
+        moments[start : start + len(block)] = block @ np.arange(1, block.shape[1] + 1)
+    lo, hi = ends.T
     i_left = int(np.argmin(lo))
     i_right = int(np.argmax(hi))
     i1, i2 = sorted((i_left, i_right))
-    n = len(traj.times)
     if i1 == i2 or i1 == 0 or i2 >= n - 1:
         raise AnalysisError("no pair of boundary reflections found inside the trajectory span")
     margin = int(round(WINDOW_MARGIN_FRAC * (i2 - i1)))
@@ -142,8 +147,7 @@ def translation_window(traj: Trajectory) -> TranslationReport:
 
     norms = traj.norms[w0 : w1 + 1]
     drift = float((norms.max() - norms.min()) / norms.mean())
-    sites = np.arange(1, traj.profiles.shape[1] + 1)
-    centers = (traj.profiles[w0 : w1 + 1] * sites).sum(axis=1) / norms
+    centers = moments[w0 : w1 + 1] / norms
     velocity = float(np.polyfit(traj.times[w0 : w1 + 1], centers, 1)[0])
     return TranslationReport(
         window=(float(traj.times[w0]), float(traj.times[w1])),

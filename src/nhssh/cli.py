@@ -305,7 +305,8 @@ def _run_fig7(config: ExperimentConfig, outdir: Path) -> list:
     plus = config.pair(+1).normalized(params.cells)
     psi1, psi2 = (states.build_initial_state(spec, params) for spec in plus.single_specs(params.cells))
     singles = [_evolve_packet(config, psi, modes) for psi in (psi1, psi2)]
-    intervals = [states.fwhm_interval(single.profiles) for single in singles]  # half-maximum intervals ignore scale
+    # half-maximum intervals ignore scale; each single's come from one pass over its profile blocks
+    intervals = [np.concatenate([states.fwhm_interval(p) for _, p in single.profile_blocks()]) for single in singles]
     outcomes = []
     for sign, name in ((+1, "plus"), (-1, "minus")):
         # each pair is single1 +/- single2, the singles at the pair's own scale lam/sqrt2: the minus

@@ -70,10 +70,15 @@ def coefficient_lambda(kappa0: float, q: float, cells: int) -> float:
 def normalizing_scale(total: float) -> float:
     """lam = 1/sqrt(total) for coefficients whose squares sum to total at lam = 1.
 
-    Every packet scale is set here, so here a packet with no weight is refused.
+    Every packet scale is set here, so here a packet with no weight is
+    refused: a sum below the smallest normal double, where the squared
+    terms have lost their digits to underflow and lam would be wrong.
     """
-    if not total > 0.0:
-        raise ValueError(f"packet has no weight: its terms lie past n*q > {COEFF_CUTOFF:g}, underflow or cancel")
+    if not total >= np.finfo(float).tiny:
+        raise ValueError(
+            f"packet has no weight: its squared terms sum to {total:.3g}, below the smallest normal double "
+            f"(they lie past n*q > {COEFF_CUTOFF:g}, underflow or cancel)"
+        )
     return 1.0 / math.sqrt(total)
 
 

@@ -20,9 +20,13 @@ columns): in a block each mode adds a quadratic form in the table's
 (c, s), so every norm of a run is one real matrix product of per-block
 coefficient rows by the table's squares, and no 2N-wide state is formed.
 Profiles and states are formed from the amplitudes and the bases only
-when read (all of them once, or one sample alone), one real matrix
-product per block and basis, written straight into their gain (even) or
-loss (odd) site columns.  :func:`expm` is the dense reference for tests.
+when read, one real matrix product per block and basis, written straight
+into their gain (even) or loss (odd) site columns: profiles one block at
+a time into one reused buffer (:meth:`Trajectory.profile_blocks`), which
+the reader reduces before the next, or one sample alone; states all at
+once.  The chiral-time symmetry keeps every packet real up to one phase,
+which halves those products (see :class:`Trajectory`).  :func:`expm` is
+the dense reference for tests.
 """
 
 from __future__ import annotations
@@ -126,12 +130,25 @@ class Modes:
 class Trajectory:
     """Time-ordered record of one state's evolution, sampled at t = n*dt; built only by :func:`evolve`.
 
-    ``norms[k]`` is the Dirac norm P(t_k), ``profiles[k]`` holds the site
-    probabilities |psi_l(t_k)|^2 (2N entries, 1-based site l maps to
-    column l-1) and ``states[k]`` the amplitudes, which are kept only when
-    requested (else None).  The run keeps the mode amplitudes; all
-    profiles are formed on first read, straight into one (samples, 2N)
-    array, states likewise, and :meth:`profile_at` forms one sample alone.
+    ``norms[k]`` is the Dirac norm P(t_k) and ``states[k]`` the amplitudes,
+    kept only when requested (else None) and formed on first read.  The run
+    keeps the mode amplitudes.  Profiles, the site probabilities
+    |psi_l(t_k)|^2 (1-based site l in column l-1), are formed when read:
+    :meth:`profile_blocks` yields BLOCK samples at a time in one buffer,
+    refilled for the next block, so a reader reduces each block before
+    taking the next; :meth:`profile_at` forms one sample alone.
+
+    Chiral-time symmetry (C the sublattice sign, ``C H* C = -H`` at every
+    real gain) keeps a state with real gain and imaginary loss amplitudes
+    so for all time, and every packet and pair is one up to a global
+    phase.  The run turns the amplitudes by ``-phi``, with
+    ``phi = arg(sum a_gain^2 - sum a_loss^2)/2``, half the phase of
+    ``<C psi*, psi>`` (the bases have orthonormal columns), and keeps the
+    state as ``chi_1 + i*chi_2`` with ``chi_1 = (Re gain, Im loss)`` and
+    ``chi_2 = (Im gain, -Re loss)``: each evolves in real arithmetic, and
+    ``|psi_l|^2 = chi_1,l^2 + chi_2,l^2``.  chi_2 is dropped when its
+    share of every sample's norm is below eps, which halves the profile
+    products; a general state keeps both.
 
     Samples come in blocks of BLOCK.  At t = t0 + tau, with t0 the first
     sample of a block and tau an offset inside it, c and s follow by angle
@@ -150,21 +167,40 @@ class Trajectory:
     def __init__(self, modes: Modes, amplitudes: tuple, dt: float, samples: int, record_states: bool):
         self.times, self.dt = np.arange(samples) * dt, float(dt)
         self._modes, self._record_states = modes, record_states
-        # real and imaginary parts apart: (basis, part, mode)
-        self._amplitudes = tuple(np.stack((u.real, u.imag), axis=1) for u in amplitudes)
+        # -i on the loss amplitudes and the CT phase on both turn a CT-real state's amplitudes real
+        signed = np.array([[1.0], [-1.0j]])
+        self._turn = signed * np.exp(-0.5j * np.angle(np.sum((signed * amplitudes[0]) ** 2)))
+        turned = [self._turn * u for u in amplitudes]
+        self._amplitudes = tuple(np.stack((u.real, u.imag), axis=1) for u in turned)  # (basis, component, mode)
         self._offsets = modes.cs(np.arange(min(BLOCK, samples)) * dt)  # (offset, mode)
         self._starts = modes.cs(np.arange(0, samples, BLOCK) * dt)  # (block, mode)
-        self.norms = self._norms()
+        norms = self._norms()
+        self.norms = norms.sum(axis=0)
+        if (norms[1] <= np.finfo(float).eps * self.norms).all():  # chi_2 is below rounding at every sample
+            self._amplitudes = tuple(u[:, :1] for u in self._amplitudes)
 
-    @cached_property
-    def profiles(self) -> np.ndarray:
-        return self._fill(np.empty((self.times.size, self._modes.n_sites)))
+    @property
+    def components(self) -> int:
+        """1 where the run keeps chi_1 alone (a CT-real state up to a phase), else 2."""
+        return self._amplitudes[0].shape[1]
 
     @cached_property
     def states(self) -> np.ndarray | None:
         if not self._record_states:
             return None
-        return self._fill(np.empty((self.times.size, self._modes.n_sites), dtype=complex))
+        out = np.empty((self.times.size, self._modes.n_sites), dtype=complex)
+        for start in range(0, self.times.size, BLOCK):
+            self._form(out[start : start + BLOCK], start)
+        return out
+
+    def profile_blocks(self):
+        """Yield ``(start, profiles)``: the profiles of samples start, ..., start + BLOCK - 1 (fewer at the end).
+
+        ``profiles`` is one (rows, 2N) buffer, refilled for each block: reduce it before taking the next.
+        """
+        buffer = np.empty((min(BLOCK, self.times.size), self._modes.n_sites))
+        for start in range(0, self.times.size, BLOCK):
+            yield start, self._form(buffer[: self.times.size - start], start)
 
     def index_at(self, t: float) -> int:
         """Index of the sample nearest t; t must lie inside the span."""
@@ -174,10 +210,10 @@ class Trajectory:
 
     def profile_at(self, t: float) -> np.ndarray:
         """The profile at the sample nearest t, formed alone."""
-        return self._fill(np.empty((1, self._modes.n_sites)), self.index_at(t))[0]
+        return self._form(np.empty((1, self._modes.n_sites)), self.index_at(t))[0]
 
     def _norms(self) -> np.ndarray:
-        """Dirac norms sum |c*a + s*b|^2 over the modes, as one GEMM for every block.
+        """Dirac norms of each component, sum |c*a + s*b|^2 over the modes, as one GEMM for every block.
 
         A mode's norm is a quadratic form in (c, s) with Cholesky factor
         [[l11, 0], [l21, l22]], so in a block it is ``u^2 + v^2`` with
@@ -185,42 +221,41 @@ class Trajectory:
         block's row of coefficients of [c^2, c*s, s^2](tau) times the table
         of those squares gives every norm.  Each row is scaled by a power of
         two (exact) so that no coefficient leaves float range before the
-        norm itself does.
+        norm itself does.  The components go one at a time, so that the
+        coefficient rows of only one are alive.  Returns (component, sample).
         """
-        a, b = self._amplitudes
-        aa, ab, bb = ((u * v).sum(axis=(0, 1)) for u, v in ((a, a), (a, b), (b, b)))
-        l11 = np.sqrt(aa)
-        l21 = np.divide(ab, l11, out=np.zeros_like(ab), where=l11 > 0)
-        l22 = np.sqrt(np.maximum(bb - l21 * l21, 0.0))
         c0, s0 = self._starts
         c1, s1 = self._offsets
+        norms = []
         with np.errstate(over="ignore", invalid="ignore"):
-            factors = np.array([c0 * l11 + s0 * l21, c0 * l21 - self._modes.x * s0 * l11, s0 * l22, c0 * l22])
-            exponent = np.frexp(np.abs(factors).max(axis=(0, 2)))[1]
-            p, r, p2, r2 = np.ldexp(factors, -exponent[:, None])
-            rows = np.hstack([p * p + p2 * p2, 2.0 * (p * r + p2 * r2), r * r + r2 * r2])
             table = np.hstack([c1 * c1, c1 * s1, s1 * s1])
-            scaled = rows @ table.T
-            return np.ldexp(scaled, 2 * exponent[:, None]).ravel()[: self.times.size]
+            for a, b in zip(*(u.swapaxes(0, 1) for u in self._amplitudes)):  # (basis, mode) each
+                aa, ab, bb = ((u * v).sum(axis=0) for u, v in ((a, a), (a, b), (b, b)))
+                l11 = np.sqrt(aa)
+                l21 = np.divide(ab, l11, out=np.zeros_like(ab), where=l11 > 0)
+                l22 = np.sqrt(np.maximum(bb - l21 * l21, 0.0))
+                factors = np.array([c0 * l11 + s0 * l21, c0 * l21 - self._modes.x * s0 * l11, s0 * l22, c0 * l22])
+                exponent = np.frexp(np.abs(factors).max(axis=(0, 2)))[1]
+                p, r, p2, r2 = np.ldexp(factors, -exponent[:, None], out=factors)
+                rows = np.hstack([p * p + p2 * p2, 2.0 * (p * r + p2 * r2), r * r + r2 * r2])
+                norms.append(np.ldexp(rows @ table.T, 2 * exponent[:, None]).ravel()[: self.times.size])
+        return np.array(norms)
 
-    def _fill(self, out: np.ndarray, first: int = 0) -> np.ndarray:
-        """out's rows from sample ``first`` on: the states if out is complex, else the profiles |psi|^2."""
-        stop = first + len(out)
-        edges = [first, *range((first // BLOCK + 1) * BLOCK, stop, BLOCK), stop]
-        states = np.iscomplexobj(out)
-        for start, end in zip(edges, edges[1:]):
-            rows = out[start - first : end - first]
-            for k, (re, im) in enumerate(self._parts(start, end)):  # gain sites are the even columns, loss the odd
-                sites = rows[:, k::2]
-                if states:
-                    sites.real, sites.imag = re, im
-                else:
-                    np.multiply(re, re, out=sites)
-                    sites += im * im
+    def _form(self, out: np.ndarray, start: int) -> np.ndarray:
+        """out's rows, samples start, start + 1, ... of one block: the states if out is complex, else the profiles."""
+        for k, (parts, turn) in enumerate(zip(self._components(start, start + len(out)), self._turn)):
+            sites = out[:, k::2]  # gain sites are the even columns, loss the odd
+            if np.iscomplexobj(out):  # psi = (chi_1 + i*chi_2) / turn on either basis
+                sites.real, sites.imag = parts[0], parts[1] if len(parts) == 2 else 0.0
+                sites /= turn
+            else:
+                np.square(parts[0], out=sites)
+                for part in parts[1:]:
+                    sites += part * part
         return out
 
-    def _parts(self, start: int, stop: int):
-        """Per basis, the real and imaginary parts of the states at samples start, ..., stop - 1 (in one block)."""
+    def _components(self, start: int, stop: int):
+        """Per basis, the components of the states at samples start, ..., stop - 1 (in one block)."""
         i, j = divmod(start, BLOCK)
         c1, s1 = (table[j : j + stop - start] for table in self._offsets)
         c0, s0 = (table[i] for table in self._starts)
@@ -228,8 +263,8 @@ class Trajectory:
         with np.errstate(over="ignore", invalid="ignore"):
             alpha, beta = c0 * a + s0 * b, c0 * b - self._modes.x * s0 * a
             for basis, al, be in zip(self._modes.bases, alpha, beta):
-                coef = (c1 * al[:, None] + s1 * be[:, None]).reshape(-1, basis.shape[1])  # rows (part, sample)
-                yield (coef @ basis.T).reshape(2, stop - start, -1)
+                coef = (c1 * al[:, None] + s1 * be[:, None]).reshape(-1, basis.shape[1])  # rows (component, sample)
+                yield (coef @ basis.T).reshape(len(al), stop - start, -1)
 
 
 def decompose(H: Chain | np.ndarray) -> Modes:

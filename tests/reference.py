@@ -6,7 +6,9 @@
 must reproduce bit for bit: a full 64-step bisection of the open chain's
 roots, and one cosine per entry of the ring's vectors.
 ``open_root_mpmath`` finds one open-chain root at mpmath's working
-precision, for the 40-digit references.
+precision, for the 40-digit references.  ``stacked_profiles`` stacks a
+trajectory's profile blocks into the (samples, 2N) array that no
+experiment forms.
 """
 
 from __future__ import annotations
@@ -77,3 +79,8 @@ def open_root_mpmath(a, b, n: int, j: int):
     tiny = mpmath.mpf(10) ** -35  # keeps the first bracket off the spurious root q = 0
     return mpmath.findroot(lambda q: a * mpmath.sin((n + 1) * q) - b * mpmath.sin(n * q),
                            ((j - 1) * mpmath.pi / n + tiny, j * mpmath.pi / (n + 1)), solver="anderson")
+
+
+def stacked_profiles(traj) -> np.ndarray:
+    """Every profile of a trajectory as one (samples, 2N) array, copied out of its reused block buffer."""
+    return np.concatenate([block.copy() for _, block in traj.profile_blocks()])

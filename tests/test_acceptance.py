@@ -39,6 +39,7 @@ from nhssh import (
     translation_window,
     verify_equal_spacing,
 )
+from reference import stacked_profiles
 
 DELTA = 0.9
 CELLS = 250
@@ -194,7 +195,7 @@ def test_c09_packet_geometry():
 
 def test_c10_revivals(traj_central, tau250):
     peak = traj_central.norms.max()
-    p0 = traj_central.profiles[0]
+    p0 = stacked_profiles(traj_central)[0]
     revival = float(np.abs(traj_central.profile_at(tau250) - p0).sum() / peak)
     mirror = float(np.abs(traj_central.profile_at(tau250 / 2) - p0[::-1]).sum() / peak)
     _report(
@@ -220,7 +221,9 @@ def test_c12_translation_window(traj_pi6):
 
 
 def test_c13_interference(pair_runs):
-    intervals = {sign: [fwhm_interval(single.profiles) for single in runs[1:]] for sign, runs in pair_runs.items()}
+    intervals = {
+        sign: [fwhm_interval(stacked_profiles(single)) for single in runs[1:]] for sign, runs in pair_runs.items()
+    }
     plus = interference_report(pair_runs[+1][0], intervals[+1])
     minus = interference_report(pair_runs[-1][0], intervals[-1])
     sums_ok = True

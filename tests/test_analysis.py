@@ -19,6 +19,7 @@ from nhssh import (
     reflection_symmetry,
     translation_window,
 )
+from reference import stacked_profiles
 
 
 def test_classify_synthetic_linear():
@@ -122,7 +123,7 @@ def test_translation_window_preserves_norm(traj_pi6, tau250):
 def test_central_packet_center_stays_put(traj_central):
     # the symmetric packet expands in place: its center never drifts even
     # though both edges reflect; there is no usable translation window
-    centers = [measure(p).center for p in traj_central.profiles[:: len(traj_central.times) // 16]]
+    centers = [measure(p).center for p in stacked_profiles(traj_central)[:: len(traj_central.times) // 16]]
     assert np.abs(np.asarray(centers) - 250.5).max() < 2.0
 
 
@@ -135,7 +136,7 @@ def test_translation_window_needs_reflections(params250, h250, tau250):
 
 
 def _intervals(singles):
-    return [fwhm_interval(single.profiles) for single in singles]
+    return [fwhm_interval(stacked_profiles(single)) for single in singles]
 
 
 def test_interference_doubling_and_annihilation(pair_runs):

@@ -4,14 +4,14 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import nhssh
-from nhssh import analysis, states
-from nhssh import build_hamiltonian, build_initial_state, build_pair_state, evolve, revival_period
+from nhssh import Trajectory, build_hamiltonian, build_initial_state, build_pair_state, evolve, revival_period
 from nhssh.cli import (
     EXIT_CHECK,
     EXIT_CONFIG,
@@ -356,19 +356,31 @@ def test_checks_are_graded_value_at_most_bound(tmp_path, capsys, monkeypatch):
         ["fig7", "--q", "100"],
         ["oracle-compare", "--q", "100"],
         ["fig3", "--kappa0-over-pi", "1e-300"],
+        ["fig3", "--kappa0-over-pi", "1e-160", "--cells", "40", "--samples", "160"],
         ["fig7", "--q", "30"],
     ],
-    ids=["fig2-q100", "fig3-q100", "fig7-q100", "oracle-compare-q100", "fig3-kappa0-1e-300", "fig7-q30"],
+    ids=["fig2-q100", "fig3-q100", "fig7-q100", "oracle-compare-q100", "fig3-kappa0-1e-300", "fig3-kappa0-1e-160",
+         "fig7-q30"],
 )
 def test_packet_without_weight_is_refused_before_output(tmp_path, capsys, argv):
     # past q = 40 no coefficient survives the e^-40 cutoff, at kappa0 = 1e-300 pi every squared term underflows,
-    # and at q = 30 fig7's minus pair keeps only n = 1, where its two packets cancel; these runs used to write
-    # inf, raise ZeroDivisionError or leave an output directory behind
+    # at 1e-160 pi their sum is subnormal (4.8e-318, so lam came out 1e159 and the run exited 4 with
+    # L1/P = 4e286), and at q = 30 fig7's minus pair keeps only n = 1, where its two packets cancel; these runs
+    # used to write inf, raise ZeroDivisionError, fail their check or leave an output directory behind
     out = tmp_path / "run"
     assert main([*argv, "--out", str(out), "--check"]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "packet has no weight" in err
     assert not out.exists()
+
+
+def test_small_kappa0_with_a_normal_weight_runs(tmp_path):
+    # at kappa0 = 1e-150 pi the squared terms sum to 3.9e-298, a normal double: the packet keeps its scale
+    out = tmp_path / "fig3"
+    argv = ["fig3", "--kappa0-over-pi", "1e-150", "--cells", "40", "--samples", "160", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    norms = np.loadtxt(out / "norms.csv", delimiter=",", skiprows=1, usecols=(0, 1))
+    assert np.isfinite(norms).all() and norms[:, 1].min() > 0.0
 
 
 def test_fig4_needs_the_central_packet_before_output(tmp_path, capsys):
@@ -439,18 +451,43 @@ def test_one_eigensolve_per_experiment(tmp_path, monkeypatch, experiment):
 
 
 def test_fig7_smooths_each_single_once(tmp_path, monkeypatch):
-    # both pairs are formed from the same two singles, so their half-maximum intervals are found once
-    calls = []
-    fwhm_interval = states.fwhm_interval
+    # both pairs are formed from the same two singles, so their half-maximum intervals are found in one
+    # pass over each single's profiles, and no pair's profile is formed
+    passes = []
+    profile_blocks = Trajectory.profile_blocks
 
-    def counted(profiles):
-        calls.append(1)
-        return fwhm_interval(profiles)
+    def counted(traj):
+        passes.append(traj)
+        return profile_blocks(traj)
 
-    monkeypatch.setattr(states, "fwhm_interval", counted)
-    monkeypatch.setattr(analysis, "fwhm_interval", counted)
+    monkeypatch.setattr(Trajectory, "profile_blocks", counted)
     assert main(["fig7", "--cells", "40", "--samples", "400", "--out", str(tmp_path / "fig7")]) == EXIT_OK
-    assert len(calls) == 2
+    assert len(passes) == 2 and passes[0] is not passes[1]
+
+
+@pytest.mark.parametrize("cells", [40, 250, 251])
+def test_every_evolved_state_takes_one_component(tmp_path, monkeypatch, cells):
+    # C H* C = -H at every real gain, and every packet and pair is CT-real up to one phase: each run keeps
+    # chi_1 alone (chi_2's largest share of a norm measured 9.6e-25, at 2N = 502), above threshold too
+    runs = []
+    monkeypatch.setattr(nhssh.cli, "evolve", lambda *args: runs.append(evolve(*args)) or runs[-1])
+    for experiment in ("fig3", "fig4", "fig5", "fig6", "fig7", "oracle-compare"):
+        assert main([experiment, "--cells", str(cells), "--out", str(tmp_path / experiment)]) == EXIT_OK
+    assert [traj.components for traj in runs] == [1] * 11  # fig5's three gains, fig7's two singles and two pairs
+
+
+@pytest.mark.parametrize("experiment", ["fig6", "fig7"])
+def test_profile_readers_peak_below_8_mib(tmp_path, experiment):
+    # at 2N = 500 and 2000 samples the profile stack alone is 7.6 MiB; fig6 and fig7 reduce one 64-sample
+    # block at a time (2.7 and 4.1 MiB measured, 18.6 and 26.7 MiB when they read the whole stack)
+    argv = [experiment, "--cells", "250", "--samples", "2000", "--out", str(tmp_path / experiment)]
+    tracemalloc.start()
+    try:
+        assert main(argv) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak / 2**20
 
 
 def _cell(value) -> str:

@@ -17,8 +17,8 @@ from nhssh import (
     overlap_formula,
     packet_coefficients,
 )
-from nhssh.oracle import _sawtooth, coefficient_lambda, superpose_eigenstates
-from reference import triangle_wave_norm
+from nhssh.oracle import _sawtooth, coefficient_lambda, normalizing_scale, superpose_eigenstates
+from reference import stacked_profiles, triangle_wave_norm
 
 
 def test_eigenstates_dirac_normalized(params250):
@@ -80,6 +80,18 @@ def test_packet_without_weight_is_refused():
     for spec in (PacketSpec(np.pi / 2, 100.0), PacketSpec(1e-300, 0.02)):
         with pytest.raises(ValueError, match="no weight"):
             spec.normalized(250)
+
+
+def test_subnormal_weight_is_refused():
+    # a sum below the smallest normal double has lost its digits to underflow: refused, not inverted
+    tiny = np.finfo(float).tiny
+    assert normalizing_scale(tiny) == 1.0 / np.sqrt(tiny)
+    for total in (tiny / 2, 5e-324, 0.0, -1.0, np.nan):
+        with pytest.raises(ValueError, match="no weight"):
+            normalizing_scale(total)
+    with pytest.raises(ValueError, match="no weight"):
+        PacketSpec(1e-160 * np.pi, 0.02).normalized(40)
+    assert PacketSpec(1e-150 * np.pi, 0.02).normalized(40).lam < np.inf
 
 
 def test_coefficient_normalization_q0():
@@ -236,7 +248,7 @@ def test_q0_profile_against_numerics(params250, h250, tau250):
     spec = PacketSpec(np.pi / 2, 0.0).normalized(250)
     psi0 = build_initial_state(spec, params250)
     traj = evolve(psi0, h250, tau250 / 8 / 50, 50)
-    numeric = traj.profiles[-1]
+    numeric = stacked_profiles(traj)[-1]
     predicted = np.abs(evolved_state_closed_form(tau250 / 8, spec, params250)) ** 2
     assert np.abs(predicted - numeric).sum() / numeric.sum() < 0.20
 

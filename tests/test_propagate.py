@@ -21,7 +21,7 @@ from nhssh import (
 )
 from nhssh.lattice import build_chain
 from nhssh.propagate import BLOCK, decompose
-from reference import open_root_mpmath
+from reference import open_root_mpmath, stacked_profiles
 
 
 def taylor_expm(A: np.ndarray, order: int = 40) -> np.ndarray:
@@ -161,7 +161,7 @@ def test_evolve_norms_match_profiles():
     H = build_hamiltonian(params)
     psi0 = coalescing_state(30)
     traj = evolve(psi0, H, 0.1, 50)
-    assert np.abs(traj.norms - traj.profiles.sum(axis=1)).max() < 1e-12 * traj.norms.max()
+    assert np.abs(traj.norms - stacked_profiles(traj).sum(axis=1)).max() < 1e-12 * traj.norms.max()
     assert np.all(np.diff(traj.times) > 0)
     assert np.allclose(np.diff(traj.times), traj.dt)
 
@@ -181,13 +181,13 @@ def test_eigenstate_profile_is_stationary(params250, h250, tau250):
     # the strong-dimerization approximation (measured 0.12 max L1 over half
     # a period at 2N = 500, delta = 0.9; a generic packet moves by O(1))
     psi = analytic_eigenstate(1, +1, params250)
-    traj = evolve(psi, h250, tau250 / 32, 16)
-    p0 = traj.profiles[0]
+    profiles = stacked_profiles(evolve(psi, h250, tau250 / 32, 16))
+    p0 = profiles[0]
     for k in range(1, 17):
-        assert np.abs(traj.profiles[k] - p0).sum() / p0.sum() < 0.15
+        assert np.abs(profiles[k] - p0).sum() / p0.sum() < 0.15
     center0 = np.sum(np.arange(1, 501) * p0) / p0.sum()
     for k in (8, 16):
-        profile = traj.profiles[k]
+        profile = profiles[k]
         center = np.sum(np.arange(1, 501) * profile) / profile.sum()
         assert abs(center - center0) < 10.0  # mode spans all 500 sites
 
@@ -197,8 +197,9 @@ def test_quasi_symmetric_profiles(traj_central):
     # where the norm is appreciable; near the revival instants the norm
     # drops to the dephasing floor and the ratio loses meaning
     peak = traj_central.norms.max()
+    profiles = stacked_profiles(traj_central)
     for k in range(0, len(traj_central.times), 24):
-        profile = traj_central.profiles[k]
+        profile = profiles[k]
         mismatch = np.abs(profile - profile[::-1]).sum() / traj_central.norms[k]
         if traj_central.norms[k] > 0.05 * peak:
             assert mismatch < 0.05
@@ -258,6 +259,38 @@ def test_parseval_norms_match_states(gamma, boundary):
     assert np.abs(traj.norms / direct - 1.0).max() <= 1e-13
 
 
+@pytest.mark.parametrize("boundary", [Boundary.OPEN, Boundary.PERIODIC])
+def test_general_state_keeps_both_components(boundary):
+    # a random complex state is CT-real up to no phase: it keeps chi_2, and its profiles, norms and
+    # states still match the dense propagator, across block edges and at the exceptional point
+    params = LatticeParams(20, 0.9, 1.8, boundary)
+    H = build_hamiltonian(params)
+    rng = np.random.default_rng(7)
+    psi0 = rng.normal(size=40) + 1j * rng.normal(size=40)
+    traj = evolve(psi0, H, 0.2, 2 * BLOCK + 5, record_states=True)
+    assert traj.components == 2
+    profiles = stacked_profiles(traj)
+    for k in (1, BLOCK - 1, BLOCK, 2 * BLOCK + 5):
+        reference = expm(-1j * H * traj.times[k]) @ psi0
+        scale = np.linalg.norm(reference)
+        assert np.linalg.norm(traj.states[k] - reference) <= 1e-12 * scale
+        assert np.abs(profiles[k] - np.abs(reference) ** 2).max() <= 1e-12 * scale**2
+        assert traj.norms[k] == pytest.approx(scale**2, rel=1e-12)
+
+
+def test_ct_real_state_keeps_one_component():
+    # C psi* = psi: real gain, imaginary loss amplitudes; any global phase is turned away, and the state comes back
+    params = LatticeParams(20, 0.9, 1.9)
+    H = build_hamiltonian(params)
+    rng = np.random.default_rng(8)
+    ct_real = rng.normal(size=40) * np.resize([1.0, 1j], 40)
+    for phase in (1.0, np.exp(0.7j), -1j):
+        traj = evolve(phase * ct_real, H, 0.2, BLOCK + 3, record_states=True)
+        assert traj.components == 1
+        reference = expm(-1j * H * traj.times[-1]) @ (phase * ct_real)
+        assert np.linalg.norm(traj.states[-1] - reference) <= 1e-12 * np.linalg.norm(reference)
+
+
 def test_profiles_on_demand_agree():
     params = LatticeParams(30, 0.9, 1.8)
     psi0 = build_initial_state(PacketSpec(np.pi / 6, 0.05), params)
@@ -266,14 +299,20 @@ def test_profiles_on_demand_agree():
     fresh = evolve(psi0, H, 0.7, steps)
     assert fresh.states is None  # not requested
     traj = evolve(psi0, H, 0.7, steps, record_states=True)
+    profiles = stacked_profiles(traj)
     for k in (0, 1, BLOCK - 1, BLOCK, 2 * BLOCK + 3, 4 * BLOCK - 1, 4 * BLOCK, steps):  # across block edges
         # one sample alone goes through a product of another shape: equal up to rounding
-        single = fresh.profile_at(traj.times[k])  # formed before any full profile
-        peak = traj.profiles[k].max()
-        assert np.abs(single - traj.profiles[k]).max() <= 1e-13 * peak
-        assert np.abs(traj.profiles[k] - np.abs(traj.states[k]) ** 2).max() <= 1e-13 * peak
-    assert traj.profiles is traj.profiles  # formed once
-    assert np.array_equal(fresh.profiles, traj.profiles)
+        single = fresh.profile_at(traj.times[k])
+        peak = profiles[k].max()
+        assert np.abs(single - profiles[k]).max() <= 1e-13 * peak
+        assert np.abs(profiles[k] - np.abs(traj.states[k]) ** 2).max() <= 1e-13 * peak
+    assert traj.states is traj.states  # formed once
+    assert np.array_equal(stacked_profiles(fresh), profiles)
+    # the blocks are BLOCK samples of one buffer, refilled in place; the last holds the rest
+    blocks = [(start, block) for start, block in fresh.profile_blocks()]
+    assert [start for start, _ in blocks] == list(range(0, steps + 1, BLOCK))
+    assert [len(block) for _, block in blocks] == [BLOCK] * 4 + [BLOCK // 2 + 1]
+    assert all(np.shares_memory(block, blocks[0][1]) for _, block in blocks)
 
 
 def _longdouble_norms(modes, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:

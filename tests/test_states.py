@@ -16,6 +16,7 @@ from nhssh import (
     shape_distance,
 )
 from nhssh.states import smoothed_profile
+from reference import stacked_profiles
 
 
 def test_coalescing_state_small():
@@ -155,7 +156,7 @@ def test_revival_and_mirror(traj_central, tau250):
     # profile scale is set by the peak norm of the lasing cycle: the norm
     # at t = 0 is nearly zero at the tuned gain and cannot normalize
     peak = traj_central.norms.max()
-    p0 = traj_central.profiles[0]
+    p0 = stacked_profiles(traj_central)[0]
     revival = np.abs(traj_central.profile_at(tau250) - p0).sum() / peak
     mirror = np.abs(traj_central.profile_at(tau250 / 2) - p0[::-1]).sum() / peak
     assert revival < 0.10
@@ -170,7 +171,7 @@ def _fwhm_one_by_one(profile):
 
 
 def test_fwhm_interval_stack_matches_loop(traj_pi6):
-    profiles = traj_pi6.profiles
+    profiles = stacked_profiles(traj_pi6)
     ends = fwhm_interval(profiles)
     assert ends.shape == (len(profiles), 2)
     assert np.array_equal(ends, [_fwhm_one_by_one(p) for p in profiles])
