@@ -30,6 +30,8 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_CHECK = 4
 
+_PROFILE_TIMES_OVER_TAU = (0.0, 0.125, 0.25)  # where fig3 and oracle-compare grade the profile oracle
+
 
 class ConfigError(ValueError):
     def __init__(self, message: str, line: int | None = None):
@@ -67,6 +69,11 @@ class ExperimentConfig:
             raise ValueError(f"{self.experiment} grades packets built for the open chain; it takes boundary=open only")
         for kappa_over_pi in (self.kappa0_over_pi, self.kappa02_over_pi):
             oracle.PacketSpec(kappa_over_pi * np.pi, self.q).normalized(self.cells)  # refuses one with no weight
+        if self.experiment in ("fig3", "oracle-compare") and self.tmax_over_tau < _PROFILE_TIMES_OVER_TAU[-1]:
+            raise ValueError(
+                f"{self.experiment} grades profiles up to t = tau/4, so it needs tmax_over_tau >= 1/4,"
+                f" got {self.tmax_over_tau}"
+            )
         if self.experiment == "fig4" and not oracle.is_central(self.packet().kappa0):
             raise ValueError(f"fig4 grades the kappa0 = pi/2 norm formula, got kappa0_over_pi={self.kappa0_over_pi}")
         if self.experiment == "fig5":
@@ -221,7 +228,7 @@ def _closed_form_profiles(config: ExperimentConfig, traj: Trajectory, outdir: Pa
     spec = config.packet().normalized(params.cells)
     outcomes = []
     compare_rows = []
-    for index, t in enumerate((0.0, tau / 8.0, tau / 4.0)):
+    for index, t in enumerate(tau * f for f in _PROFILE_TIMES_OVER_TAU):
         numeric = traj.profile_at(t)
         predicted = np.abs(oracle.evolved_state_closed_form(t, spec, params)) ** 2
         l1 = np.abs(numeric - predicted).sum() / numeric.sum()

@@ -14,19 +14,19 @@ the gain-site ones reversed (parity), a sign per mode, so no product forms them.
 
 A :class:`Trajectory`, which only :func:`evolve` builds, lives in that
 mode basis, sampled in blocks of BLOCK samples that share one table of c
-and s at the offsets inside a block.  Its Dirac norms follow from the
-mode amplitudes alone by Parseval's identity (the bases have orthonormal
-columns): in a block each mode adds a quadratic form in the table's
-(c, s), so every norm of a run is one real matrix product of per-block
-coefficient rows by the table's squares, and no 2N-wide state is formed.
-Profiles and states are formed from the amplitudes and the bases only
-when read, one real matrix product per block and basis, written straight
-into their gain (even) or loss (odd) site columns: profiles one block at
-a time into one reused buffer (:meth:`Trajectory.profile_blocks`), which
-the reader reduces before the next, or one sample alone; states all at
-once.  The chiral-time symmetry keeps every packet real up to one phase,
-which halves those products (see :class:`Trajectory`).  :func:`expm` is
-the dense reference for tests.
+and s at the offsets inside a block: by angle addition a mode's amplitude
+there is ``alpha*c + beta*s``, with alpha and beta its amplitudes carried
+to the block's first sample.  The Dirac norms follow by Parseval's
+identity (the bases have orthonormal columns) as one real matrix product
+of per-block rows ``[sum alpha^2, 2 sum alpha*beta, sum beta^2]`` by the
+table's squares; no 2N-wide state is formed.  Profiles and states are
+formed when read, one real matrix product per block and basis, written
+straight into their gain (even) or loss (odd) site columns: profiles one
+block at a time into one reused buffer (:meth:`Trajectory.profile_blocks`),
+which the reader reduces before the next, or one sample alone; states all
+at once.  The chiral-time symmetry keeps every packet real up to one
+phase, which halves those products (see :class:`Trajectory`).
+:func:`expm` is the dense reference for tests.
 """
 
 from __future__ import annotations
@@ -156,12 +156,12 @@ class Trajectory:
     ``s(t0+tau) = s(t0)c(tau) + c(t0)s(tau)`` with x the mode's
     eigenvalue of H^2.  So a mode's amplitude ``c*a + s*b`` in the block
     is ``c(tau)*alpha + s(tau)*beta`` with ``alpha = c(t0)a + s(t0)b`` and
-    ``beta = c(t0)b - x s(t0)a``: cos and sin run on one table of offsets
-    and on one sample per block, and every quantity of a block is a real
-    product with that table.  The norms' expanded form cancels inside a
-    block, more the longer the block: on fig4's run at 2N = 500 the worst
-    norm is 1.3e-13 off a long-double evaluation with 64 samples a block,
-    1.1e-12 with 128.
+    ``beta = c(t0)b - x s(t0)a``, which :meth:`_block_starts` forms for the
+    norms, profiles and states alike: cos and sin run on one table of
+    offsets and on one sample per block.  The norms' expanded form cancels
+    inside a block, more the longer the block: on fig4's run at 2N = 500
+    the worst norm is 1.37e-13 off a long-double evaluation with 64 samples
+    a block, 1.22e-12 with 128.
     """
 
     def __init__(self, modes: Modes, amplitudes: tuple, dt: float, samples: int, record_states: bool):
@@ -213,31 +213,26 @@ class Trajectory:
         return self._form(np.empty((1, self._modes.n_sites)), self.index_at(t))[0]
 
     def _norms(self) -> np.ndarray:
-        """Dirac norms of each component, sum |c*a + s*b|^2 over the modes, as one GEMM for every block.
+        """Dirac norms of each component, sum |c*a + s*b|^2 over the modes and bases, as one GEMM for every block.
 
-        A mode's norm is a quadratic form in (c, s) with Cholesky factor
-        [[l11, 0], [l21, l22]], so in a block it is ``u^2 + v^2`` with
-        ``u = p*c(tau) + r*s(tau)`` and ``v = p2*c(tau) + r2*s(tau)``.  The
-        block's row of coefficients of [c^2, c*s, s^2](tau) times the table
-        of those squares gives every norm.  Each row is scaled by a power of
-        two (exact) so that no coefficient leaves float range before the
-        norm itself does.  The components go one at a time, so that the
-        coefficient rows of only one are alive.  Returns (component, sample).
+        A block's norms are its row ``[sum alpha^2, 2 sum alpha*beta,
+        sum beta^2]`` (over the bases) times the table of
+        ``[c^2, c*s, s^2](tau)``.  Each block's alpha and beta are scaled by
+        a power of two (exact) so that no row leaves float range before the
+        norm itself does.  The components go one at a time, so that the rows
+        of only one are alive.  Returns (component, sample).
         """
-        c0, s0 = self._starts
         c1, s1 = self._offsets
         norms = []
         with np.errstate(over="ignore", invalid="ignore"):
             table = np.hstack([c1 * c1, c1 * s1, s1 * s1])
-            for a, b in zip(*(u.swapaxes(0, 1) for u in self._amplitudes)):  # (basis, mode) each
-                aa, ab, bb = ((u * v).sum(axis=0) for u, v in ((a, a), (a, b), (b, b)))
-                l11 = np.sqrt(aa)
-                l21 = np.divide(ab, l11, out=np.zeros_like(ab), where=l11 > 0)
-                l22 = np.sqrt(np.maximum(bb - l21 * l21, 0.0))
-                factors = np.array([c0 * l11 + s0 * l21, c0 * l21 - self._modes.x * s0 * l11, s0 * l22, c0 * l22])
-                exponent = np.frexp(np.abs(factors).max(axis=(0, 2)))[1]
-                p, r, p2, r2 = np.ldexp(factors, -exponent[:, None], out=factors)
-                rows = np.hstack([p * p + p2 * p2, 2.0 * (p * r + p2 * r2), r * r + r2 * r2])
+            for a, b in zip(*(u.swapaxes(0, 1)[:, :, None] for u in self._amplitudes)):  # (basis, 1, mode) each
+                alpha, beta = self._block_starts(slice(None), a, b)  # (basis, block, mode) each
+                exponent = np.frexp(np.maximum(*(np.abs(u).max(axis=(0, 2)) for u in (alpha, beta))))[1]
+                alpha, beta = (np.ldexp(u, -exponent[:, None], out=u) for u in (alpha, beta))
+                rows = np.hstack(
+                    [(alpha * alpha).sum(axis=0), 2.0 * (alpha * beta).sum(axis=0), (beta * beta).sum(axis=0)]
+                )
                 norms.append(np.ldexp(rows @ table.T, 2 * exponent[:, None]).ravel()[: self.times.size])
         return np.array(norms)
 
@@ -258,13 +253,16 @@ class Trajectory:
         """Per basis, the components of the states at samples start, ..., stop - 1 (in one block)."""
         i, j = divmod(start, BLOCK)
         c1, s1 = (table[j : j + stop - start] for table in self._offsets)
-        c0, s0 = (table[i] for table in self._starts)
-        a, b = self._amplitudes
         with np.errstate(over="ignore", invalid="ignore"):
-            alpha, beta = c0 * a + s0 * b, c0 * b - self._modes.x * s0 * a
+            alpha, beta = self._block_starts(i, *self._amplitudes)
             for basis, al, be in zip(self._modes.bases, alpha, beta):
                 coef = (c1 * al[:, None] + s1 * be[:, None]).reshape(-1, basis.shape[1])  # rows (component, sample)
                 yield (coef @ basis.T).reshape(len(al), stop - start, -1)
+
+    def _block_starts(self, blocks, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """alpha and beta at the first samples of the blocks (an index of the start tables), modes last."""
+        c0, s0 = (table[blocks] for table in self._starts)
+        return c0 * a + s0 * b, c0 * b - self._modes.x * s0 * a
 
 
 def decompose(H: Chain | np.ndarray) -> Modes:

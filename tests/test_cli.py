@@ -395,6 +395,22 @@ def test_fig4_needs_the_central_packet_before_output(tmp_path, capsys):
     assert (out / "norms.csv").read_text().splitlines()[1].endswith(",")
 
 
+@pytest.mark.parametrize("experiment", ["fig3", "oracle-compare"])
+def test_profile_oracle_span_is_refused_before_output(tmp_path, capsys, experiment):
+    # both grade profiles at t = 0, tau/8 and tau/4: a span short of tau/4 used to run the whole evolution,
+    # write its CSVs and only then exit 2 (tmax_over_tau = 0.2), or run and grade at the nearest sample
+    # (0.2499, inside half a step of tau/4)
+    for tmax_over_tau in ("0.2", "0.2499"):
+        out = tmp_path / f"{experiment}-{tmax_over_tau}"
+        assert main([experiment, *SMALL, "--tmax-over-tau", tmax_over_tau, "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "tmax_over_tau >= 1/4" in err
+        assert not out.exists()
+    out = tmp_path / f"{experiment}-quarter"
+    assert main([experiment, *SMALL, "--tmax-over-tau", "0.25", "--out", str(out)]) == EXIT_OK
+    assert (out / "profile_t2.csv").exists()
+
+
 @pytest.mark.parametrize("experiment", list(EXPERIMENTS))
 def test_every_experiment_runs_silently(tmp_path, capsys, experiment):
     out = tmp_path / experiment

@@ -156,11 +156,19 @@ def test_evolve_composition_consistency():
     assert dist < 1e-9
 
 
-def test_evolve_norms_match_profiles():
+@pytest.mark.parametrize("steps,components", [(50, 1), (3 * BLOCK + 5, 2)], ids=["one-block", "four-blocks-complex"])
+def test_evolve_norms_match_profiles(steps, components):
+    # norms and profiles read one block recurrence: within one block of a CT-real state, and across block
+    # edges for a random complex state, which keeps both CT components
     params = LatticeParams(30, 0.9, 1.8)
     H = build_hamiltonian(params)
-    psi0 = coalescing_state(30)
-    traj = evolve(psi0, H, 0.1, 50)
+    if components == 1:
+        psi0 = coalescing_state(30)
+    else:
+        rng = np.random.default_rng(17)
+        psi0 = rng.normal(size=60) + 1j * rng.normal(size=60)
+    traj = evolve(psi0, H, 0.1, steps)
+    assert traj.components == components
     assert np.abs(traj.norms - stacked_profiles(traj).sum(axis=1)).max() < 1e-12 * traj.norms.max()
     assert np.all(np.diff(traj.times) > 0)
     assert np.allclose(np.diff(traj.times), traj.dt)
@@ -351,9 +359,9 @@ _LONG_DOUBLE = pytest.mark.skipif(np.finfo(np.longdouble).precision < 18, reason
 def test_norms_match_long_double(delta, q, tmax_over_tau, gain_offset, relative_to):
     # each block's norms are an expanded quadratic form in the offset table, which cancels more the
     # longer the block; the figures' runs at 2 000 samples stay within 2e-13 of a long-double
-    # evaluation of the same modes (1.3e-13 measured with 64-sample blocks, 1.06e-12 with 128).
-    # fig4 at delta = 0.8 and 0.98 is 5.1e-13 and 1.9e-13 off where its norm dips, and within
-    # 2.7e-15 of its peak norm, which bounds it here (ROADMAP item 6)
+    # evaluation of the same modes (1.37e-13 measured with 64-sample blocks, 1.22e-12 with 128).
+    # fig4 at delta = 0.8 and 0.98 is 3.7e-13 and 1.9e-13 off where its norm dips, and within
+    # 2.6e-15 of its peak norm, which bounds it here (ROADMAP item 6)
     params = LatticeParams(250, delta, 2 * delta)
     modes = decompose(build_chain(params)).at_gamma(params.gamma_c + gain_offset)
     psi0 = build_initial_state(PacketSpec(np.pi / 2, q), params)
@@ -468,3 +476,21 @@ def test_open_decomposition_peaks_below_18_mib():
     finally:
         tracemalloc.stop()
     assert peak < 18 * 2**20, peak / 2**20
+
+
+def test_evolve_transient_peaks_below_7_mib():
+    # at 2N = 2000 with 2 000 samples (32 blocks), on a given decomposition: the c and s tables at the 64
+    # offsets and 32 block starts (1.5 MiB), the [c^2, c*s, s^2] table (1.5 MiB), and per component its
+    # alpha and beta (1 MiB) and GEMM rows (0.7 MiB); 6.6 MiB measured, where the previous component's
+    # alpha, beta and rows are still alive as the next one's are formed
+    params = LatticeParams(1000, 0.9, 1.8)
+    modes = decompose(build_chain(params))
+    psi0 = build_initial_state(PacketSpec(np.pi / 2, 0.02), params)
+    dt = 0.3 * revival_period(params) / 1999
+    tracemalloc.start()
+    try:
+        evolve(psi0, modes, dt, 1999)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7 * 2**20, peak / 2**20
