@@ -10,7 +10,8 @@ of the N x N gain-site block ``B B^T`` of T^2 of a
 :class:`~nhssh.lattice.Chain` (:meth:`~nhssh.lattice.Chain.modes`): each
 singular value lam of B is one pair +/-lam of T, one 2x2 block on the
 gain and loss amplitudes.  On the open chain the loss-site vectors are
-the gain-site ones reversed (parity), a sign per mode, so no product forms them.
+the gain-site ones reversed (parity), a sign per mode, so they are never
+stored: :class:`Modes` applies U to the loss sites in reverse order.
 
 A :class:`Trajectory`, which only :func:`evolve` builds, lives in that
 mode basis, sampled in blocks of BLOCK samples that share one table of c
@@ -20,11 +21,11 @@ to the block's first sample.  The Dirac norms follow by Parseval's
 identity (the bases have orthonormal columns) as one real matrix product
 of per-block rows ``[sum alpha^2, 2 sum alpha*beta, sum beta^2]`` by the
 table's squares; no 2N-wide state is formed.  Profiles and states are
-formed when read, one real matrix product per block and basis, written
-straight into their gain (even) or loss (odd) site columns: profiles one
-block at a time into one reused buffer (:meth:`Trajectory.profile_blocks`),
-which the reader reduces before the next, or one sample alone; states all
-at once.  The chiral-time symmetry keeps every packet real up to one
+formed when read, one real matrix product per block and sublattice,
+written straight into their gain (even) or loss (odd) site columns:
+profiles one block at a time into one reused buffer
+(:meth:`Trajectory.profile_blocks`), which the reader reduces before the
+next, or one sample alone; states all at once.  The chiral-time symmetry keeps every packet real up to one
 phase, which halves those products (see :class:`Trajectory`).
 :func:`expm` is the dense reference for tests.
 """
@@ -70,18 +71,22 @@ class Modes:
     """Eigenpairs of the real hopping T of one :class:`~nhssh.lattice.Chain`, at the chain's gain.
 
     ``w`` holds the modes' weights (:meth:`~nhssh.lattice.Chain.modes`) and
-    ``lam`` the singular values of B, both ascending, and ``bases`` the
-    gain-site vectors U (eigenvectors of B B^T) and the loss-site vectors
-    B^T U / lam (on the open chain ``(-1)^(N+m+1)`` times U's column m
-    upside down), each with orthonormal columns, one row per gain (even) or
-    loss (odd) site.  None of them depends on gamma, so :meth:`at_gamma`
-    retunes the chain to any other gain, 0 included, at no cost.
+    ``lam`` the singular values of B, both ascending, ``U`` the gain-site
+    vectors (eigenvectors of B B^T) and ``V`` the loss-site vectors
+    B^T U / lam, each with orthonormal columns, one row per gain (even) or
+    loss (odd) site.  The open chain stores no V: there it is
+    ``(-1)^(N+m+1)`` times U's column m upside down, so U is applied to
+    the loss sites in reverse order and the sign to the coefficients, both
+    ways (:meth:`amplitudes`, :meth:`_sites`).  None of them depends on
+    gamma, so :meth:`at_gamma` retunes the chain to any other gain, 0
+    included, at no cost.
     """
 
     chain: Chain
     w: np.ndarray
     lam: np.ndarray
-    bases: tuple
+    U: np.ndarray
+    V: np.ndarray | None
 
     @property
     def n_sites(self) -> int:
@@ -107,11 +112,29 @@ class Modes:
         if not np.isfinite(psi0).all():
             raise ValueError("state0 has non-finite entries")
         parts = np.stack((psi0.real, psi0.imag))  # (part, site)
-        re, im = np.stack([parts[:, k::2] @ basis for k, basis in enumerate(self.bases)], axis=1)
+        re, im = np.stack([(parts[:, columns] @ basis) * sign for basis, sign, columns in self._bases()], axis=1)
         a = re + 1j * im
         # H acts on a mode's gain and loss amplitudes as [[i*gamma, lam], [lam, -i*gamma]]
         sign = np.array([[1.0], [-1.0]])
         return a, sign * self.chain.gamma * a - 1j * self.lam * a[::-1]
+
+    def _sites(self, coefs):
+        """Yield ``(columns, amplitudes)`` per sublattice, gain then loss: its rows of mode coefficients on its sites.
+
+        ``columns`` picks the sublattice's sites out of the 2N in the order of the amplitudes' columns.
+        """
+        for (basis, sign, columns), coef in zip(self._bases(), coefs):
+            yield columns, (coef * sign) @ basis.T
+
+    def _bases(self) -> tuple:
+        """``(basis, sign, columns)`` per sublattice: its vectors, a sign per mode, its sites in the rows' order."""
+        ones = np.ones(self.w.size)
+        gain = (self.U, ones, slice(0, None, 2))
+        if self.V is not None:
+            return gain, (self.V, ones, slice(1, None, 2))
+        # parity takes gain site j to loss site N-1-j, column 2N-1-2j, and open mode m (from 0) to (-1)^(N+m+1)
+        # times itself
+        return gain, (self.U, (-1.0) ** (self.w.size + 1 + np.arange(self.w.size)), slice(None, None, -2))
 
     def cs(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """c and s at the times t (rows) of every mode (columns)."""
@@ -226,21 +249,22 @@ class Trajectory:
         norms = []
         with np.errstate(over="ignore", invalid="ignore"):
             table = np.hstack([c1 * c1, c1 * s1, s1 * s1])
-            for a, b in zip(*(u.swapaxes(0, 1)[:, :, None] for u in self._amplitudes)):  # (basis, 1, mode) each
-                alpha, beta = self._block_starts(slice(None), a, b)  # (basis, block, mode) each
+            for a, b in zip(*(u.swapaxes(0, 1)[:, :, None] for u in self._amplitudes)):  # (sublattice, 1, mode) each
+                alpha, beta = self._block_starts(slice(None), a, b)  # (sublattice, block, mode) each
                 exponent = np.frexp(np.maximum(*(np.abs(u).max(axis=(0, 2)) for u in (alpha, beta))))[1]
                 alpha, beta = (np.ldexp(u, -exponent[:, None], out=u) for u in (alpha, beta))
                 rows = np.hstack(
                     [(alpha * alpha).sum(axis=0), 2.0 * (alpha * beta).sum(axis=0), (beta * beta).sum(axis=0)]
                 )
                 norms.append(np.ldexp(rows @ table.T, 2 * exponent[:, None]).ravel()[: self.times.size])
+                del alpha, beta, rows  # before the next component's are formed
         return np.array(norms)
 
     def _form(self, out: np.ndarray, start: int) -> np.ndarray:
         """out's rows, samples start, start + 1, ... of one block: the states if out is complex, else the profiles."""
-        for k, (parts, turn) in enumerate(zip(self._components(start, start + len(out)), self._turn)):
-            sites = out[:, k::2]  # gain sites are the even columns, loss the odd
-            if np.iscomplexobj(out):  # psi = (chi_1 + i*chi_2) / turn on either basis
+        for (columns, parts), turn in zip(self._components(start, start + len(out)), self._turn):
+            sites = out[:, columns]  # the even columns (gain) or the odd (loss), reversed on the open chain
+            if np.iscomplexobj(out):  # psi = (chi_1 + i*chi_2) / turn on either sublattice
                 sites.real, sites.imag = parts[0], parts[1] if len(parts) == 2 else 0.0
                 sites /= turn
             else:
@@ -250,14 +274,14 @@ class Trajectory:
         return out
 
     def _components(self, start: int, stop: int):
-        """Per basis, the components of the states at samples start, ..., stop - 1 (in one block)."""
+        """Per sublattice, its site columns and the components of the states there at samples start to stop - 1."""
         i, j = divmod(start, BLOCK)
         c1, s1 = (table[j : j + stop - start] for table in self._offsets)
         with np.errstate(over="ignore", invalid="ignore"):
-            alpha, beta = self._block_starts(i, *self._amplitudes)
-            for basis, al, be in zip(self._modes.bases, alpha, beta):
-                coef = (c1 * al[:, None] + s1 * be[:, None]).reshape(-1, basis.shape[1])  # rows (component, sample)
-                yield (coef @ basis.T).reshape(len(al), stop - start, -1)
+            alpha, beta = self._block_starts(i, *self._amplitudes)  # (sublattice, component, mode) each
+            coefs = ((c1 * al[:, None] + s1 * be[:, None]).reshape(-1, c1.shape[1]) for al, be in zip(alpha, beta))
+            for columns, parts in self._modes._sites(coefs):  # rows (component, sample)
+                yield columns, parts.reshape(self.components, stop - start, -1)
 
     def _block_starts(self, blocks, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """alpha and beta at the first samples of the blocks (an index of the start tables), modes last."""
@@ -278,12 +302,11 @@ def decompose(H: Chain | np.ndarray) -> Modes:
     if lam2[0] <= lam2.size * np.finfo(float).eps * lam2[-1]:
         raise ValueError("T is singular: a zero mode has no -lam partner to pair its gain and loss sites")
     lam = np.sqrt(lam2)
+    V = None  # the open chain's loss vectors are U's parity image, which Modes applies
     if chain.ring:
         V = chain.loss_amplitudes(U)
         V /= lam
-    else:  # parity takes gain site j to loss site N-1-j, and open mode m (from 0) to (-1)^(N+m+1) times itself
-        V = U[::-1] * (-1.0) ** (lam.size + 1 + np.arange(lam.size))
-    return Modes(chain, w, lam, (U, V))
+    return Modes(chain, w, lam, U, V)
 
 
 def evolve(

@@ -8,7 +8,9 @@ roots, and one cosine per entry of the ring's vectors.
 ``open_root_mpmath`` finds one open-chain root at mpmath's working
 precision, for the 40-digit references.  ``stacked_profiles`` stacks a
 trajectory's profile blocks into the (samples, 2N) array that no
-experiment forms.
+experiment forms.  ``two_basis_modes`` stores the loss-site vectors
+B^T U / lam of a chain as a dense product, which the open chain's modes
+only apply as U's parity image.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import numpy as np
 
 from nhssh import LatticeParams, PacketSpec, revival_period
 from nhssh.oracle import _central
+from nhssh.propagate import Modes, decompose
 
 
 def symmetry_operator(kind: str, cells: int) -> np.ndarray:
@@ -84,3 +87,13 @@ def open_root_mpmath(a, b, n: int, j: int):
 def stacked_profiles(traj) -> np.ndarray:
     """Every profile of a trajectory as one (samples, 2N) array, copied out of its reused block buffer."""
     return np.concatenate([block.copy() for _, block in traj.profile_blocks()])
+
+
+def two_basis_modes(chain) -> Modes:
+    """The chain's modes with V = B^T U / lam stored, from B as a dense N x N matrix."""
+    modes = decompose(chain)
+    n = chain.cells
+    B = np.diag(np.full(n, chain.strong)) + np.diag(np.full(n - 1, chain.weak), -1)
+    if chain.ring:
+        B[0, -1] = chain.weak
+    return replace(modes, V=B.T @ modes.U / modes.lam)

@@ -506,6 +506,19 @@ def test_profile_readers_peak_below_8_mib(tmp_path, experiment):
     assert peak < 8 * 2**20, peak / 2**20
 
 
+def test_large_lattice_run_peaks_below_16_mib(tmp_path):
+    # oracle-compare at 2N = 2000 holds one N x N basis, U (7.6 MiB), and evolve's transient beside it:
+    # 13.6 MiB measured, 22.3 MiB while the decomposition also stored the loss vectors V
+    argv = ["oracle-compare", "--cells", "1000", "--samples", "2000", "--out", str(tmp_path / "out")]
+    tracemalloc.start()
+    try:
+        assert main(argv) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak / 2**20
+
+
 def _cell(value) -> str:
     # the cell-by-cell reference: ints in full, strings as they are, every float as a double to 17 digits
     if isinstance(value, (int, np.integer)):

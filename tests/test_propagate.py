@@ -21,7 +21,7 @@ from nhssh import (
 )
 from nhssh.lattice import build_chain
 from nhssh.propagate import BLOCK, decompose
-from reference import open_root_mpmath, stacked_profiles
+from reference import open_root_mpmath, stacked_profiles, two_basis_modes
 
 
 def taylor_expm(A: np.ndarray, order: int = 40) -> np.ndarray:
@@ -412,8 +412,8 @@ def test_shared_decomposition_gain_sweep():
 @pytest.mark.parametrize("boundary,decompose_mib,spectrum_mib", [(Boundary.OPEN, 32, 1), (Boundary.PERIODIC, 48, 48)])
 def test_chain_solvers_stay_half_size(boundary, decompose_mib, spectrum_mib):
     # at 2N = 2000 one 2N x 2N float64 array is 32 MiB: the open chain's decomposition stays below
-    # it (U and its parity image V) and its spectrum needs no matrix at all; the ring's bounds are
-    # looser ceilings, which its gathered cos and sin table and B^T U keep well inside
+    # it (U alone, its parity image applied where it is used) and its spectrum needs no matrix at all;
+    # the ring's bounds are looser ceilings, which its gathered cos and sin table and B^T U keep well inside
     chain = build_chain(LatticeParams(1000, 0.9, 1.8, boundary))
     for solver, bound in ((decompose, decompose_mib), (full_spectrum, spectrum_mib)):
         tracemalloc.start()
@@ -423,6 +423,15 @@ def test_chain_solvers_stay_half_size(boundary, decompose_mib, spectrum_mib):
         finally:
             tracemalloc.stop()
         assert peak < bound * 2**20, (solver.__name__, peak / 2**20)
+
+
+def _loss_basis(modes) -> np.ndarray:
+    """The loss-site vectors as the modes apply them: the identity's coefficients carried to the sites."""
+    identity = np.eye(modes.w.size)
+    out = np.empty((modes.w.size, modes.n_sites))
+    for columns, amplitudes in modes._sites((identity, identity)):
+        out[:, columns] = amplitudes
+    return out[:, 1::2].T  # a row per loss site, a column per mode
 
 
 def _open_vectors_mpmath(chain, column: int) -> tuple[np.ndarray, np.ndarray]:
@@ -449,7 +458,8 @@ def test_open_bases_match_40_digit_vectors(cells):
     # U by angle addition in row blocks and V as U's parity image, each within 5e-16 absolute of the
     # 40-digit mode at the lowest, middle and highest columns (at most 5.6e-17 measured)
     chain = build_chain(LatticeParams(cells, 0.9, 1.8))
-    U, V = decompose(chain).bases
+    modes = decompose(chain)
+    U, V = modes.U, _loss_basis(modes)
     for column in (0, 1, 2, cells // 2 - 1, cells - 3, cells - 2, cells - 1):
         u, v = _open_vectors_mpmath(chain, column)
         assert np.abs(U[:, column] - u).max() <= 5e-16, column
@@ -459,15 +469,42 @@ def test_open_bases_match_40_digit_vectors(cells):
 @pytest.mark.parametrize("cells", [2, 3, 40, 250, 1000])
 def test_open_loss_vectors_are_the_parity_image(cells):
     # parity maps gain site j to loss site N-1-j: on the open chain V = B^T U/lam is U reversed, up
-    # to each mode's sign, so it needs no product (at most 2.2e-16 apart measured)
+    # to each mode's sign, so it is never stored (at most 2.2e-16 apart measured)
     modes = decompose(build_chain(LatticeParams(cells, 0.9, 1.8)))
-    U, V = modes.bases
-    assert np.abs(V - modes.chain.loss_amplitudes(U) / modes.lam).max() <= 1e-15
+    assert modes.V is None
+    assert np.abs(_loss_basis(modes) - modes.chain.loss_amplitudes(modes.U) / modes.lam).max() <= 1e-15
 
 
-def test_open_decomposition_peaks_below_18_mib():
-    # at 2N = 2000 U and V are 7.6 MiB each, and no third N x N array lives beside both: U's column
-    # norms are taken before V exists, and V is U reversed, so no sine table or B^T U product is held
+@pytest.mark.parametrize("state", ["packet", "complex"])
+@pytest.mark.parametrize("cells", [2, 20, 250])
+def test_parity_image_evolves_as_the_stored_loss_basis(cells, state):
+    # the open chain applies U to the loss sites in reverse order; a stored dense V = B^T U/lam must give
+    # the same norms, profile blocks, single profiles and states, for a CT-real packet (one component,
+    # real products) and a random complex state (two components, complex states), across block edges
+    # (at most 2.7e-15 apart measured)
+    params = LatticeParams(cells, 0.9, 1.8)
+    chain = build_chain(params)
+    if state == "packet":
+        psi0 = build_initial_state(PacketSpec(np.pi / 6, 0.05), params)
+    else:
+        rng = np.random.default_rng(cells)
+        psi0 = rng.normal(size=2 * cells) + 1j * rng.normal(size=2 * cells)
+    steps = 2 * BLOCK + 5
+    dt = 0.5 * revival_period(params) / steps
+    one, two = (evolve(psi0, m, dt, steps, record_states=True) for m in (decompose(chain), two_basis_modes(chain)))
+    assert one.components == two.components == (1 if state == "packet" else 2)
+    assert np.abs(one.norms / two.norms - 1.0).max() <= 1e-14
+    for (start, block), (_, reference) in zip(one.profile_blocks(), two.profile_blocks(), strict=True):
+        assert (np.abs(block - reference) <= 1e-14 * reference.max(axis=1, keepdims=True)).all(), start
+    for k in (0, BLOCK - 1, BLOCK, steps):
+        reference = two.profile_at(two.times[k])
+        assert np.abs(one.profile_at(one.times[k]) - reference).max() <= 1e-14 * reference.max(), k
+    assert (np.abs(one.states - two.states) <= 1e-14 * np.abs(two.states).max(axis=1, keepdims=True)).all()
+
+
+def test_open_decomposition_peaks_below_10_mib():
+    # at 2N = 2000 U is 7.6 MiB and the only N x N array held: its column norms are taken without
+    # squaring it, and V, U's parity image, is never stored, so no B^T U product or reversed copy exists
     chain = build_chain(LatticeParams(1000, 0.9, 1.8))
     tracemalloc.start()
     try:
@@ -475,14 +512,14 @@ def test_open_decomposition_peaks_below_18_mib():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 18 * 2**20, peak / 2**20
+    assert peak < 10 * 2**20, peak / 2**20
 
 
-def test_evolve_transient_peaks_below_7_mib():
+def test_evolve_transient_peaks_below_6_mib():
     # at 2N = 2000 with 2 000 samples (32 blocks), on a given decomposition: the c and s tables at the 64
     # offsets and 32 block starts (1.5 MiB), the [c^2, c*s, s^2] table (1.5 MiB), and per component its
-    # alpha and beta (1 MiB) and GEMM rows (0.7 MiB); 6.6 MiB measured, where the previous component's
-    # alpha, beta and rows are still alive as the next one's are formed
+    # alpha and beta (1 MiB) and GEMM rows (0.7 MiB); 5.6 MiB measured, as each component's alpha, beta
+    # and rows are freed before the next one's are formed (6.6 MiB while they stayed alive)
     params = LatticeParams(1000, 0.9, 1.8)
     modes = decompose(build_chain(params))
     psi0 = build_initial_state(PacketSpec(np.pi / 2, 0.02), params)
@@ -493,4 +530,4 @@ def test_evolve_transient_peaks_below_7_mib():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 7 * 2**20, peak / 2**20
+    assert peak < 6 * 2**20, peak / 2**20
