@@ -17,6 +17,7 @@ from .states import fwhm_interval
 
 # a local maximum followed by a >= 20% drop marks oscillation
 OSCILLATION_DROP = 0.20
+_MIN_WINDOW_SAMPLES = 50  # the fewest samples a growth window may hold
 # trimmed from each side of the inter-reflection window (bounce clearance)
 WINDOW_MARGIN_FRAC = 0.08
 # packets count as separated only when their FWHM intervals clear this gap;
@@ -55,8 +56,8 @@ def classify_growth(times: np.ndarray, norms: np.ndarray, window: tuple) -> Grow
     norms = np.asarray(norms, dtype=float)
     lo, hi = window
     sel = (times >= lo) & (times <= hi)
-    if sel.sum() < 50:
-        raise AnalysisError(f"window [{lo}, {hi}] holds {sel.sum()} samples; need >= 50")
+    if sel.sum() < _MIN_WINDOW_SAMPLES:
+        raise AnalysisError(f"window [{lo}, {hi}] holds {sel.sum()} samples; need >= {_MIN_WINDOW_SAMPLES}")
     t = times[sel]
     p = norms[sel]
     spread = p.max() - p.min()

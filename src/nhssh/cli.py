@@ -31,6 +31,7 @@ EXIT_NUMERICAL = 3
 EXIT_CHECK = 4
 
 _PROFILE_TIMES_OVER_TAU = (0.0, 0.125, 0.25)  # where fig3 and oracle-compare grade the profile oracle
+_GROWTH_WINDOW_OVER_TAU = (0.05, 0.2)  # where fig5 classifies the norm's growth
 
 
 class ConfigError(ValueError):
@@ -78,6 +79,7 @@ class ExperimentConfig:
             raise ValueError(f"fig4 grades the kappa0 = pi/2 norm formula, got kappa0_over_pi={self.kappa0_over_pi}")
         if self.experiment == "fig5":
             self.gain_sweep()
+            self._growth_window()
         if self.experiment == "fig7":
             for sign in (+1, -1):
                 self.pair(sign).normalized(self.cells)
@@ -91,6 +93,21 @@ class ExperimentConfig:
         if gamma_c - 0.1 <= 0.0:
             raise ValueError(f"fig5 sweeps gamma from 2*delta - 0.1, which needs delta > 0.05, got {self.delta}")
         return [gamma_c + d for d in (-0.1, 0.0, 0.1)]
+
+    def _sample_step(self) -> float:
+        """dt: the run's samples are at t = n*dt, n < samples, up to tmax_over_tau revival periods."""
+        return self.tmax_over_tau * spectra.revival_period(self.lattice()) / (self.samples - 1)
+
+    def _growth_window(self) -> tuple[float, float]:
+        """fig5's growth window, which must hold enough of the run's samples n*dt to fit."""
+        lo, hi = (f * spectra.revival_period(self.lattice()) for f in _GROWTH_WINDOW_OVER_TAU)
+        dt, need = self._sample_step(), analysis._MIN_WINDOW_SAMPLES
+        with np.errstate(over="ignore", divide="ignore"):  # n just below to just above the window; lo/dt may overflow
+            n = np.arange(*(int(min(x, self.samples)) for x in (max(lo / dt - 1, 0), hi / dt + 2)))
+        held = np.count_nonzero((n * dt >= lo) & (n * dt <= hi))
+        if held < need:
+            raise ValueError(f"fig5's growth window, t in [{lo:.4g}, {hi:.4g}], holds {held} samples; need >= {need}")
+        return lo, hi
 
     def packet(self) -> oracle.PacketSpec:
         return oracle.PacketSpec(self.kappa0_over_pi * np.pi, self.q)
@@ -195,9 +212,7 @@ def _evolve_packet(config: ExperimentConfig, state=None, H=None) -> Trajectory:
     params = config.lattice()
     if state is None:
         state = states.build_initial_state(config.packet(), params)
-    tmax = config.tmax_over_tau * spectra.revival_period(params)
-    dt = tmax / (config.samples - 1)
-    return evolve(state, build_chain(params) if H is None else H, dt, config.samples - 1)
+    return evolve(state, build_chain(params) if H is None else H, config._sample_step(), config.samples - 1)
 
 
 def _run_fig2(config: ExperimentConfig, outdir: Path) -> list:
@@ -279,14 +294,13 @@ def _local_maxima(t: np.ndarray, p: np.ndarray) -> list:
 
 
 def _run_fig5(config: ExperimentConfig, outdir: Path) -> list:
-    params = config.lattice()
-    tau = spectra.revival_period(params)
+    window = config._growth_window()
     # one decomposition for the sweep: B B^T does not depend on the gain, which moves only each mode's growth rate
-    modes = decompose(build_chain(params))
+    modes = decompose(build_chain(config.lattice()))
     rows = []
     for i, g in enumerate(config.gain_sweep(), start=1):
         traj = _evolve_packet(config, H=modes.at_gamma(g))
-        report = analysis.classify_growth(traj.times, traj.norms, (0.05 * tau, 0.2 * tau))
+        report = analysis.classify_growth(traj.times, traj.norms, window)
         rows.append((g, report.label, report.r_squared, report.fit_params["linear"]["slope"]))
         _write_norms(outdir / f"norms_gamma{i}.csv", traj)
     _write_csv(outdir / "classification.csv", ["gamma", "label", "r_squared", "slope"], zip(*rows))

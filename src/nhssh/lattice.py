@@ -58,10 +58,6 @@ class LatticeParams:
         """Exceptional-point gain of the corresponding ring, 2*delta."""
         return 2.0 * self.delta
 
-    @property
-    def n_sites(self) -> int:
-        return 2 * self.cells
-
 
 @dataclass(frozen=True)
 class Chain:
@@ -91,25 +87,36 @@ class Chain:
     def modes(self, vectors: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
         """Every mode's weight w, ascending, and unless not ``vectors`` U: orthonormal columns, a row per gain site.
 
+        Parity, gain site j to loss site N-1-j, takes column m (from 0) to
+        ``(-1)^(N+m+1)`` times itself: the loss vectors B^T U / lam are U upside down.
         Open chain: ``u_j = sin(k(N - j))`` and ``w = sin^2(q/2)``, where
         ``k = pi - q`` solves ``a sin((N+1)k) + b sin(Nk) = 0``.  The rows
         come in blocks of ``L = isqrt(N)``: with ``N - j = M - t``, M a
         block's first row and t < L, ``sin(k(M - t)) = sin(kM)cos(kt) -
         cos(kM)sin(kt)``, so about 4N^1.5 sines and cosines and one product
-        form U.  Ring: B is circulant, with modes cos and sin of 2 pi m j/N (a
-        pair for every m but 0 and N/2) and ``w = cos^2(pi m/N)``, gathered
-        from one table of the N distinct angles.
+        form U.  Ring: B is circulant, with ``w = cos^2(theta/2)`` at ``theta =
+        2 pi m/N`` (a pair for every m but 0 and N/2): ``u_j = cos(theta j + phi)``,
+        ``phi = (theta - arg(a + b e^(i theta)))/2`` less pi/2 for parity's -1, theta j taken in [-pi, pi).
         """
-        n, j = self.cells, np.arange(self.cells)
+        n = self.cells
         if self.ring:
             top = np.arange(n // 2, -1, -1)
-            m = np.repeat(top, np.where((top == 0) | (2 * top == n), 1, 2))
+            members = np.where((top == 0) | (2 * top == n), 1, 2)
+            m = np.repeat(top, members)
             w = np.sin(np.pi * (n - 2 * m) / (2 * n)) ** 2  # from the exact N - 2m: 0 at m = N/2
             if not vectors:
                 return w, None
-            sine = np.r_[False, m[1:] == m[:-1]]  # the second mode of a pair
-            angles = np.arange(n) * (2 * np.pi / n)  # U takes N values of each kind: gather them
-            U = np.cos([angles, angles - 0.5 * np.pi]).take(np.outer(j, m) % n + n * sine)
+            theta = m * (2 * np.pi / n)
+            beta = np.arctan2(self.weak * np.sin(theta), self.strong + self.weak * np.cos(theta))
+            phi = 0.5 * (theta - beta) - 0.5 * np.pi * ((n + np.arange(n)) % 2 == 0)  # where the sign is -1
+            U = np.outer(np.arange(n, dtype=float), m)  # j*m < 2^53: exact, as are its shift and remainder
+            U += n // 2
+            np.fmod(U, n, out=U)
+            U -= n // 2  # j*m mod N, in [-N/2, N/2): the smaller the angle, the less it rounds
+            U *= 2 * np.pi / n
+            U += phi
+            np.cos(U, out=U)
+            U *= np.sqrt(np.repeat(members, members) / n)  # sum_j cos^2(theta j + phi): N/2 in a pair, N alone
         else:
             q, r = _open_roots(self.strong, self.weak, n)
             w = np.sin(0.5 * (q + r)) ** 2
@@ -119,16 +126,8 @@ class Chain:
             first, step = (_sin_cos(m[:, None], q, r) for m in (np.arange(n, 0, -size), -np.arange(size)))
             # sin(k(M - t)) = sin(kM)cos(-kt) + cos(kM)sin(-kt); the last block runs past row N - 1
             U = np.einsum("bkn,tkn->btn", first, step[:, ::-1]).reshape(-1, n)[:n]
-        U /= np.sqrt(np.einsum("ij,ij->j", U, U))  # np.linalg.norm's sums, without its N x N of squares
+            U /= np.sqrt(np.einsum("ij,ij->j", U, U))  # np.linalg.norm's sums, without its N x N of squares
         return w, U
-
-    def loss_amplitudes(self, u: np.ndarray) -> np.ndarray:
-        """B^T u: what T carries from gain amplitudes u (one column each) to the loss sites."""
-        v = self.strong * u
-        v[:-1] += self.weak * u[1:]
-        if self.ring:
-            v[-1] += self.weak * u[0]
-        return v
 
 
 def _open_roots(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -179,7 +178,7 @@ def build_hamiltonian(params: LatticeParams) -> np.ndarray:
     ``+i*gamma`` on A sites and ``-i*gamma`` on B sites.  The matrix is
     complex symmetric (H == H.T) for every parameter choice.
     """
-    n = params.n_sites
+    n = 2 * params.cells
     H = np.diag(np.resize([1j, -1j], n) * params.gamma)
     bond = np.arange(n - 1)  # bond l joins sites l and l+1, strong inside a cell
     H[bond, bond + 1] = H[bond + 1, bond] = np.resize([1.0 + params.delta, 1.0 - params.delta], n - 1)

@@ -9,9 +9,9 @@ so no error builds up from step to step.  It takes the closed-form modes
 of the N x N gain-site block ``B B^T`` of T^2 of a
 :class:`~nhssh.lattice.Chain` (:meth:`~nhssh.lattice.Chain.modes`): each
 singular value lam of B is one pair +/-lam of T, one 2x2 block on the
-gain and loss amplitudes.  On the open chain the loss-site vectors are
-the gain-site ones reversed (parity), a sign per mode, so they are never
-stored: :class:`Modes` applies U to the loss sites in reverse order.
+gain and loss amplitudes.  The loss-site vectors are the gain-site ones
+reversed (parity), a sign per mode, so they are never stored:
+:class:`Modes` applies U to the loss sites in reverse order.
 
 A :class:`Trajectory`, which only :func:`evolve` builds, lives in that
 mode basis, sampled in blocks of BLOCK samples that share one table of c
@@ -71,22 +71,19 @@ class Modes:
     """Eigenpairs of the real hopping T of one :class:`~nhssh.lattice.Chain`, at the chain's gain.
 
     ``w`` holds the modes' weights (:meth:`~nhssh.lattice.Chain.modes`) and
-    ``lam`` the singular values of B, both ascending, ``U`` the gain-site
-    vectors (eigenvectors of B B^T) and ``V`` the loss-site vectors
-    B^T U / lam, each with orthonormal columns, one row per gain (even) or
-    loss (odd) site.  The open chain stores no V: there it is
-    ``(-1)^(N+m+1)`` times U's column m upside down, so U is applied to
-    the loss sites in reverse order and the sign to the coefficients, both
-    ways (:meth:`amplitudes`, :meth:`_sites`).  None of them depends on
-    gamma, so :meth:`at_gamma` retunes the chain to any other gain, 0
-    included, at no cost.
+    ``lam`` the singular values of B, both ascending, and ``U`` the gain-site
+    vectors (eigenvectors of B B^T, orthonormal columns, a row per even site).
+    The loss-site vectors B^T U / lam are ``(-1)^(N+m+1)`` times U's column m
+    upside down, so U is applied to the loss (odd) sites in reverse order and
+    the sign to the coefficients, both ways (:meth:`amplitudes`,
+    :meth:`_sites`).  None of them depends on gamma, so :meth:`at_gamma`
+    retunes the chain to any other gain, 0 included, at no cost.
     """
 
     chain: Chain
     w: np.ndarray
     lam: np.ndarray
     U: np.ndarray
-    V: np.ndarray | None
 
     @property
     def n_sites(self) -> int:
@@ -111,30 +108,22 @@ class Modes:
             raise ValueError(f"state length {psi0.shape} does not match H dimension {self.n_sites}")
         if not np.isfinite(psi0).all():
             raise ValueError("state0 has non-finite entries")
-        parts = np.stack((psi0.real, psi0.imag))  # (part, site)
-        re, im = np.stack([(parts[:, columns] @ basis) * sign for basis, sign, columns in self._bases()], axis=1)
+        parts = np.stack((psi0.real, psi0.imag))  # (part, site); loss site N-1-j is column 2N-1-2j
+        re, im = np.stack([parts[:, 0::2] @ self.U, (parts[:, ::-2] @ self.U) * self._parity], axis=1)
         a = re + 1j * im
         # H acts on a mode's gain and loss amplitudes as [[i*gamma, lam], [lam, -i*gamma]]
         sign = np.array([[1.0], [-1.0]])
         return a, sign * self.chain.gamma * a - 1j * self.lam * a[::-1]
 
+    @property
+    def _parity(self) -> np.ndarray:
+        """(-1)^(N+m+1) for mode m (from 0): parity (gain site j to loss site N-1-j) takes the mode to that times it."""
+        return (-1.0) ** (self.w.size + 1 + np.arange(self.w.size))
+
     def _sites(self, coefs):
-        """Yield ``(columns, amplitudes)`` per sublattice, gain then loss: its rows of mode coefficients on its sites.
-
-        ``columns`` picks the sublattice's sites out of the 2N in the order of the amplitudes' columns.
-        """
-        for (basis, sign, columns), coef in zip(self._bases(), coefs):
-            yield columns, (coef * sign) @ basis.T
-
-    def _bases(self) -> tuple:
-        """``(basis, sign, columns)`` per sublattice: its vectors, a sign per mode, its sites in the rows' order."""
-        ones = np.ones(self.w.size)
-        gain = (self.U, ones, slice(0, None, 2))
-        if self.V is not None:
-            return gain, (self.V, ones, slice(1, None, 2))
-        # parity takes gain site j to loss site N-1-j, column 2N-1-2j, and open mode m (from 0) to (-1)^(N+m+1)
-        # times itself
-        return gain, (self.U, (-1.0) ** (self.w.size + 1 + np.arange(self.w.size)), slice(None, None, -2))
+        """Yield ``(columns, amplitudes)``, gain then loss (reversed): each sublattice's coefficient rows there."""
+        for columns, sign, coef in zip((slice(0, None, 2), slice(None, None, -2)), (1.0, self._parity), coefs):
+            yield columns, (coef * sign) @ self.U.T
 
     def cs(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """c and s at the times t (rows) of every mode (columns)."""
@@ -263,7 +252,7 @@ class Trajectory:
     def _form(self, out: np.ndarray, start: int) -> np.ndarray:
         """out's rows, samples start, start + 1, ... of one block: the states if out is complex, else the profiles."""
         for (columns, parts), turn in zip(self._components(start, start + len(out)), self._turn):
-            sites = out[:, columns]  # the even columns (gain) or the odd (loss), reversed on the open chain
+            sites = out[:, columns]  # the even columns (gain) or the odd (loss), reversed
             if np.iscomplexobj(out):  # psi = (chi_1 + i*chi_2) / turn on either sublattice
                 sites.real, sites.imag = parts[0], parts[1] if len(parts) == 2 else 0.0
                 sites /= turn
@@ -301,12 +290,7 @@ def decompose(H: Chain | np.ndarray) -> Modes:
     lam2 = replace(chain, gamma=0.0).x(w)
     if lam2[0] <= lam2.size * np.finfo(float).eps * lam2[-1]:
         raise ValueError("T is singular: a zero mode has no -lam partner to pair its gain and loss sites")
-    lam = np.sqrt(lam2)
-    V = None  # the open chain's loss vectors are U's parity image, which Modes applies
-    if chain.ring:
-        V = chain.loss_amplitudes(U)
-        V /= lam
-    return Modes(chain, w, lam, U, V)
+    return Modes(chain, w, np.sqrt(lam2), U)
 
 
 def evolve(

@@ -1,21 +1,20 @@
 """Explicit forms that only the tests use: P and C as dense matrices, the q = 0 norm and three mode solvers.
 
 ``triangle_wave_norm`` is the explicit q = 0 reduction that
-``dirac_norm_closed_form`` is checked against.  ``open_roots_64`` and
-``ring_vectors_by_cosine`` are the direct forms that ``Chain.modes``
-must reproduce bit for bit: a full 64-step bisection of the open chain's
-roots, and one cosine per entry of the ring's vectors.
-``open_root_mpmath`` finds one open-chain root at mpmath's working
-precision, for the 40-digit references.  ``stacked_profiles`` stacks a
-trajectory's profile blocks into the (samples, 2N) array that no
-experiment forms.  ``two_basis_modes`` stores the loss-site vectors
-B^T U / lam of a chain as a dense product, which the open chain's modes
-only apply as U's parity image.
+``dirac_norm_closed_form`` is checked against.  ``open_roots_64`` is the
+direct form that ``Chain.modes`` must reproduce bit for bit: a full
+64-step bisection of the open chain's roots.  ``open_root_mpmath`` finds
+one open-chain root at mpmath's working precision, for the 40-digit
+references.  ``stacked_profiles`` stacks a trajectory's profile blocks
+into the (samples, 2N) array that no experiment forms.
+``loss_amplitudes`` is B^T u by the chain's bonds, and
+``two_basis_modes`` stores the loss-site vectors B^T U / lam of a chain
+as a dense product: the modes only apply them as U's parity image.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import mpmath
 import numpy as np
@@ -67,16 +66,6 @@ def open_roots_64(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return q, -f / slope
 
 
-def ring_vectors_by_cosine(cells: int) -> np.ndarray:
-    """The ring's U with one cosine per entry: cos and sin of 2 pi m j/N, in ``Chain.modes``' column order."""
-    n, j = cells, np.arange(cells)
-    top = np.arange(n // 2, -1, -1)
-    m = np.repeat(top, np.where((top == 0) | (2 * top == n), 1, 2))
-    sine = np.r_[False, m[1:] == m[:-1]]  # the second mode of a pair
-    U = np.cos(np.outer(j, m) % n * (2 * np.pi / n) - 0.5 * np.pi * sine)
-    return U / np.linalg.norm(U, axis=0)
-
-
 def open_root_mpmath(a, b, n: int, j: int):
     """Root j (from 1) in (0, pi) of ``a sin((N+1)q) - b sin(Nq)``, by findroot inside [(j-1)pi/N, j pi/(N+1)]."""
     tiny = mpmath.mpf(10) ** -35  # keeps the first bracket off the spurious root q = 0
@@ -89,11 +78,39 @@ def stacked_profiles(traj) -> np.ndarray:
     return np.concatenate([block.copy() for _, block in traj.profile_blocks()])
 
 
-def two_basis_modes(chain) -> Modes:
+def loss_amplitudes(chain, u: np.ndarray) -> np.ndarray:
+    """B^T u: what T carries from gain amplitudes u (one column each) to the loss sites."""
+    v = chain.strong * u
+    v[:-1] += chain.weak * u[1:]
+    if chain.ring:
+        v[-1] += chain.weak * u[0]
+    return v
+
+
+@dataclass(frozen=True)
+class TwoBasisModes(Modes):
+    """Modes that store the loss-site vectors V and apply them to the loss sites in order, not as U's parity image."""
+
+    V: np.ndarray
+
+    def amplitudes(self, state0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        psi0 = np.asarray(state0, dtype=complex)
+        gain, loss = psi0[0::2] @ self.U, psi0[1::2] @ self.V
+        # -iH on a mode's gain and loss amplitudes: [[gamma, -i*lam], [-i*lam, -gamma]]
+        g, lam = self.chain.gamma, self.lam
+        return np.stack((gain, loss)), np.stack((g * gain - 1j * lam * loss, -1j * lam * gain - g * loss))
+
+    def _sites(self, coefs):
+        gain, loss = coefs
+        yield slice(0, None, 2), gain @ self.U.T
+        yield slice(1, None, 2), loss @ self.V.T
+
+
+def two_basis_modes(chain) -> TwoBasisModes:
     """The chain's modes with V = B^T U / lam stored, from B as a dense N x N matrix."""
     modes = decompose(chain)
     n = chain.cells
     B = np.diag(np.full(n, chain.strong)) + np.diag(np.full(n - 1, chain.weak), -1)
     if chain.ring:
         B[0, -1] = chain.weak
-    return replace(modes, V=B.T @ modes.U / modes.lam)
+    return TwoBasisModes(modes.chain, modes.w, modes.lam, modes.U, B.T @ modes.U / modes.lam)

@@ -283,6 +283,18 @@ def test_main_fig5_needs_a_gain_below_threshold(tmp_path, capsys, delta):
     assert not out.exists()
 
 
+def test_main_fig5_needs_samples_in_its_growth_window(tmp_path, capsys):
+    # fig5 fits growth on t in [0.05, 0.2] tau: with tmax = tau/4, 60 samples put 36 there, a config
+    # error found before any output; 90 put 54 there, enough to run
+    out = tmp_path / "fig5"
+    assert main(["fig5", "--cells", "20", "--samples", "60", "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "holds 36 samples; need >= 50" in err
+    assert not out.exists()
+    assert main(["fig5", "--cells", "20", "--samples", "90", "--out", str(out)]) == EXIT_OK
+    assert (out / "classification.csv").exists()
+
+
 def test_main_overflow_exit_code(tmp_path, capsys):
     # above threshold the norm leaves float range within a few periods; the
     # run must fail instead of writing inf/NaN and exiting 0

@@ -18,7 +18,7 @@ from nhssh import (
 )
 from nhssh.lattice import _open_roots, build_chain, chiral_split
 from nhssh.propagate import decompose
-from reference import open_root_mpmath, open_roots_64, ring_vectors_by_cosine, symmetry_operator
+from reference import loss_amplitudes, open_root_mpmath, open_roots_64, symmetry_operator
 
 
 def test_hermitian_limit_matrix():
@@ -186,7 +186,7 @@ def test_chiral_split_reads_the_chain(cells, boundary):
     B[0, -1] += chain.weak * chain.ring
     assert chain.ring == (boundary is Boundary.PERIODIC)
     assert np.array_equal(B, H.real[0::2, 1::2])
-    assert np.array_equal(chain.loss_amplitudes(np.eye(cells)), B.T)
+    assert np.array_equal(loss_amplitudes(chain, np.eye(cells)), B.T)
     assert chiral_split(H.conj()) == replace(chain, gamma=-1.2)  # loss first: the gain on the odd sites
     assert chiral_split(build_hamiltonian(replace(params, gamma=0.0))) == replace(chain, gamma=0.0)  # no gain
 
@@ -199,10 +199,6 @@ def test_dense_hamiltonian_solves_as_its_chain(gamma, boundary):
     dense, chain = decompose(build_hamiltonian(params)), decompose(build_chain(params))
     assert dense.chain == chain.chain == build_chain(params)
     assert np.array_equal(dense.lam, chain.lam) and np.array_equal(dense.U, chain.U)
-    if boundary is Boundary.OPEN:  # the loss vectors are U's parity image, never stored
-        assert dense.V is None and chain.V is None
-    else:
-        assert np.array_equal(dense.V, chain.V)
     assert np.array_equal(full_spectrum(build_hamiltonian(params)), full_spectrum(build_chain(params)))
 
 
@@ -256,14 +252,6 @@ def test_closed_form_modes_match_mpmath_and_lapack(cells, boundary):
     outside = np.where(group[:, None] == group, 0.0, reference.T @ U)
     gap = np.abs(np.subtract.outer(lam2, lam2) + np.where(group[:, None] == group, np.inf, 0.0)).min(axis=0)
     assert np.all(np.linalg.norm(outside, axis=0) <= 10 * np.finfo(float).eps * lam2[-1] / gap)
-
-
-@pytest.mark.parametrize("cells", [2, 4, 40, 250, 1000])
-def test_ring_vectors_are_the_cosine_table_bit_for_bit(cells):
-    # the ring's vectors take N distinct values of each kind, gathered from a table: the same bits
-    # as one cosine per entry
-    _, U = build_chain(LatticeParams(cells, 0.9, 1.8, Boundary.PERIODIC)).modes()
-    assert np.array_equal(U, ring_vectors_by_cosine(cells))
 
 
 def test_open_roots_match_a_64_step_bisection():

@@ -21,7 +21,7 @@ from nhssh import (
 )
 from nhssh.lattice import build_chain
 from nhssh.propagate import BLOCK, decompose
-from reference import open_root_mpmath, stacked_profiles, two_basis_modes
+from reference import loss_amplitudes, open_root_mpmath, stacked_profiles, two_basis_modes
 
 
 def taylor_expm(A: np.ndarray, order: int = 40) -> np.ndarray:
@@ -413,7 +413,7 @@ def test_shared_decomposition_gain_sweep():
 def test_chain_solvers_stay_half_size(boundary, decompose_mib, spectrum_mib):
     # at 2N = 2000 one 2N x 2N float64 array is 32 MiB: the open chain's decomposition stays below
     # it (U alone, its parity image applied where it is used) and its spectrum needs no matrix at all;
-    # the ring's bounds are looser ceilings, which its gathered cos and sin table and B^T U keep well inside
+    # the ring's decomposition is U alone too, and its bounds are looser ceilings
     chain = build_chain(LatticeParams(1000, 0.9, 1.8, boundary))
     for solver, bound in ((decompose, decompose_mib), (full_spectrum, spectrum_mib)):
         tracemalloc.start()
@@ -434,55 +434,76 @@ def _loss_basis(modes) -> np.ndarray:
     return out[:, 1::2].T  # a row per loss site, a column per mode
 
 
-def _open_vectors_mpmath(chain, column: int) -> tuple[np.ndarray, np.ndarray]:
-    """Open-chain mode ``column`` (from 0) at 40 digits: U's column and B^T U's over sigma.
+def _vectors_mpmath(chain, column: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mode ``column`` (from 0) at 40 digits: U's column and B^T U's over sigma.
 
-    Root q number column + 1 of a sin((N+1)q) - b sin(Nq), then
-    ``u_i = sin(k(N - i))`` at k = pi - q, normalised, and
-    ``v_i = (a u_i + b u_(i+1))/sigma`` with ``sigma^2 = a^2 + b^2 + 2ab cos k``.
+    Open chain: root q number column + 1 of a sin((N+1)q) - b sin(Nq), then
+    ``u_i = sin(k(N - i))`` at k = pi - q.  Ring of even N: angle
+    ``theta = 2 pi m/N`` with m = N/2, N/2 - 1, N/2 - 1, ..., then
+    ``u_i = cos(theta i + phi)``, ``phi = (theta - arg(a + b e^(i theta)))/2``,
+    less pi/2 where (-1)^(N+column+1) is -1.  Each normalised, and
+    ``v_i = (a u_i + b u_(i+1))/sigma`` (u_N = u_0 on the ring, else 0) with
+    ``sigma^2 = a^2 + b^2 + 2ab cos k``, k = pi - q or theta.
     """
     n = chain.cells
     with mpmath.workdps(40):
         a, b = mpmath.mpf(chain.strong), mpmath.mpf(chain.weak)
-        k = mpmath.pi - open_root_mpmath(a, b, n, column + 1)
-        u = [mpmath.sin(k * (n - i)) for i in range(n)]
+        if chain.ring:
+            k = 2 * mpmath.pi * (n // 2 - (column + 1) // 2) / n
+            beta = mpmath.atan2(b * mpmath.sin(k), a + b * mpmath.cos(k))
+            phi = (k - beta) / 2 - mpmath.pi / 2 * ((n + column) % 2 == 0)
+            u = [mpmath.cos(k * i + phi) for i in range(n)]
+        else:
+            k = mpmath.pi - open_root_mpmath(a, b, n, column + 1)
+            u = [mpmath.sin(k * (n - i)) for i in range(n)]
         norm = mpmath.sqrt(mpmath.fsum(x * x for x in u))
-        u = [x / norm for x in u]
+        u = [x / norm for x in u] + [u[0] / norm if chain.ring else 0]
         sigma = mpmath.sqrt(a * a + b * b + 2 * a * b * mpmath.cos(k))
-        v = [(a * u[i] + (b * u[i + 1] if i + 1 < n else 0)) / sigma for i in range(n)]
-        return np.array([float(x) for x in u]), np.array([float(x) for x in v])
+        v = [(a * u[i] + b * u[i + 1]) / sigma for i in range(n)]
+        return np.array([float(x) for x in u[:n]]), np.array([float(x) for x in v])
 
 
 @pytest.mark.parametrize("cells", [250, 1000])
-def test_open_bases_match_40_digit_vectors(cells):
-    # U by angle addition in row blocks and V as U's parity image, each within 5e-16 absolute of the
-    # 40-digit mode at the lowest, middle and highest columns (at most 5.6e-17 measured)
-    chain = build_chain(LatticeParams(cells, 0.9, 1.8))
+@pytest.mark.parametrize("boundary", [Boundary.OPEN, Boundary.PERIODIC], ids=["open", "ring"])
+def test_bases_match_40_digit_vectors(boundary, cells):
+    # U by angle addition in row blocks (open) or shifted cosines (ring), and the loss vectors as U's
+    # parity image, each within 5e-16 absolute of the 40-digit mode at the lowest, middle and highest
+    # columns (at most 5.6e-17 measured open, 5.6e-17 ring)
+    chain = build_chain(LatticeParams(cells, 0.9, 1.8, boundary))
     modes = decompose(chain)
     U, V = modes.U, _loss_basis(modes)
     for column in (0, 1, 2, cells // 2 - 1, cells - 3, cells - 2, cells - 1):
-        u, v = _open_vectors_mpmath(chain, column)
+        u, v = _vectors_mpmath(chain, column)
         assert np.abs(U[:, column] - u).max() <= 5e-16, column
         assert np.abs(V[:, column] - v).max() <= 5e-16, column
 
 
-@pytest.mark.parametrize("cells", [2, 3, 40, 250, 1000])
-def test_open_loss_vectors_are_the_parity_image(cells):
-    # parity maps gain site j to loss site N-1-j: on the open chain V = B^T U/lam is U reversed, up
-    # to each mode's sign, so it is never stored (at most 2.2e-16 apart measured)
-    modes = decompose(build_chain(LatticeParams(cells, 0.9, 1.8)))
-    assert modes.V is None
-    assert np.abs(_loss_basis(modes) - modes.chain.loss_amplitudes(modes.U) / modes.lam).max() <= 1e-15
+@pytest.mark.parametrize("cells", [2, 3, 5, 40, 41, 250, 251, 1000])
+@pytest.mark.parametrize("boundary", [Boundary.OPEN, Boundary.PERIODIC], ids=["open", "ring"])
+def test_loss_vectors_are_the_parity_image(boundary, cells):
+    # parity maps gain site j to loss site N-1-j: on either boundary V = B^T U/lam is U reversed, up to
+    # each mode's sign, so it is never stored; a ring of odd N, which LatticeParams refuses, is built as
+    # its Chain (at most 2.2e-16 apart measured open, 3.9e-16 ring)
+    if boundary is Boundary.PERIODIC and cells % 2:
+        chain = replace(build_chain(LatticeParams(cells, 0.9, 1.8)), ring=True)
+    else:
+        chain = build_chain(LatticeParams(cells, 0.9, 1.8, boundary))
+    modes = decompose(chain)
+    assert np.abs(_loss_basis(modes) - loss_amplitudes(chain, modes.U) / modes.lam).max() <= 1e-15
 
 
 @pytest.mark.parametrize("state", ["packet", "complex"])
-@pytest.mark.parametrize("cells", [2, 20, 250])
-def test_parity_image_evolves_as_the_stored_loss_basis(cells, state):
-    # the open chain applies U to the loss sites in reverse order; a stored dense V = B^T U/lam must give
-    # the same norms, profile blocks, single profiles and states, for a CT-real packet (one component,
-    # real products) and a random complex state (two components, complex states), across block edges
-    # (at most 2.7e-15 apart measured)
-    params = LatticeParams(cells, 0.9, 1.8)
+@pytest.mark.parametrize(
+    "cells,boundary",
+    [(cells, boundary) for boundary in (Boundary.OPEN, Boundary.PERIODIC) for cells in (2, 20, 250)],
+    ids=["2", "20", "250", "ring-2", "ring-20", "ring-250"],
+)
+def test_parity_image_evolves_as_the_stored_loss_basis(cells, boundary, state):
+    # the modes apply U to the loss sites in reverse order; a stored dense V = B^T U/lam must give the
+    # same norms, profile blocks, single profiles and states, for a CT-real packet (one component, real
+    # products) and a random complex state (two components, complex states), across block edges, on
+    # either boundary (at most 3.4e-15 apart measured open, 4.1e-15 ring)
+    params = LatticeParams(cells, 0.9, 1.8, boundary)
     chain = build_chain(params)
     if state == "packet":
         psi0 = build_initial_state(PacketSpec(np.pi / 6, 0.05), params)
@@ -502,10 +523,12 @@ def test_parity_image_evolves_as_the_stored_loss_basis(cells, state):
     assert (np.abs(one.states - two.states) <= 1e-14 * np.abs(two.states).max(axis=1, keepdims=True)).all()
 
 
-def test_open_decomposition_peaks_below_10_mib():
-    # at 2N = 2000 U is 7.6 MiB and the only N x N array held: its column norms are taken without
-    # squaring it, and V, U's parity image, is never stored, so no B^T U product or reversed copy exists
-    chain = build_chain(LatticeParams(1000, 0.9, 1.8))
+@pytest.mark.parametrize("boundary", [Boundary.OPEN, Boundary.PERIODIC], ids=["open", "ring"])
+def test_decomposition_peaks_below_10_mib(boundary):
+    # at 2N = 2000 U is 7.6 MiB and the only N x N array held: the ring's is formed in place, the open
+    # chain's column norms are taken without squaring it, and V, U's parity image, is never stored, so
+    # no B^T U product or reversed copy exists (8.9 MiB open and 7.8 MiB ring measured)
+    chain = build_chain(LatticeParams(1000, 0.9, 1.8, boundary))
     tracemalloc.start()
     try:
         decompose(chain)
