@@ -21,11 +21,12 @@ to the block's first sample.  The Dirac norms follow by Parseval's
 identity (the bases have orthonormal columns) as one real matrix product
 of per-block rows ``[sum alpha^2, 2 sum alpha*beta, sum beta^2]`` by the
 table's squares; no 2N-wide state is formed.  Profiles and states are
-formed when read, one real matrix product per block and sublattice,
-written straight into their gain (even) or loss (odd) site columns:
-profiles one block at a time into one reused buffer
-(:meth:`Trajectory.profile_blocks`), which the reader reduces before the
-next, or one sample alone; states all at once.  The chiral-time symmetry keeps every packet real up to one
+formed when read, one real matrix product per block for both sublattices
+and every component, into workspace allocated once per read, and written
+straight into their gain (even) or loss (odd) site columns: profiles one
+block at a time into one reused buffer (:meth:`Trajectory.profile_blocks`),
+which the reader reduces before the next, or one sample alone; states all
+at once.  The chiral-time symmetry keeps every packet real up to one
 phase, which halves those products (see :class:`Trajectory`).
 :func:`expm` is the dense reference for tests.
 """
@@ -74,10 +75,12 @@ class Modes:
     ``lam`` the singular values of B, both ascending, and ``U`` the gain-site
     vectors (eigenvectors of B B^T, orthonormal columns, a row per even site).
     The loss-site vectors B^T U / lam are ``(-1)^(N+m+1)`` times U's column m
-    upside down, so U is applied to the loss (odd) sites in reverse order and
-    the sign to the coefficients, both ways (:meth:`amplitudes`,
-    :meth:`_sites`).  None of them depends on gamma, so :meth:`at_gamma`
-    retunes the chain to any other gain, 0 included, at no cost.
+    upside down, so a loss amplitude is kept on U upside down, without the
+    sign: U is applied to the loss (odd) sites in reverse order both ways
+    (:meth:`amplitudes`, :meth:`_sites`), and the sign rides on the mode's
+    coupling lam of its gain and loss amplitudes.  None of them depends on
+    gamma, so :meth:`at_gamma` retunes the chain to any other gain, 0
+    included, at no cost.
     """
 
     chain: Chain
@@ -101,7 +104,8 @@ class Modes:
     def amplitudes(self, state0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Mode amplitudes (a, b) of state0 and of -iH state0, a row each for the gain and loss sites.
 
-        The state at time t has the amplitudes ``c*a + s*b``.
+        The state at time t has the amplitudes ``c*a + s*b``.  A loss amplitude
+        is on U upside down: the mode's own, times its :attr:`_parity`.
         """
         psi0 = np.ascontiguousarray(state0, dtype=complex)
         if psi0.shape != (self.n_sites,):
@@ -109,21 +113,25 @@ class Modes:
         if not np.isfinite(psi0).all():
             raise ValueError("state0 has non-finite entries")
         parts = np.stack((psi0.real, psi0.imag))  # (part, site); loss site N-1-j is column 2N-1-2j
-        re, im = np.stack([parts[:, 0::2] @ self.U, (parts[:, ::-2] @ self.U) * self._parity], axis=1)
+        re, im = np.stack([parts[:, 0::2] @ self.U, parts[:, ::-2] @ self.U], axis=1)
         a = re + 1j * im
-        # H acts on a mode's gain and loss amplitudes as [[i*gamma, lam], [lam, -i*gamma]]
+        # H acts on a mode's gain and loss amplitudes as [[i*gamma, lam], [lam, -i*gamma]]; on U upside down
+        # the loss amplitude is the mode's times its parity sign, and so is lam
         sign = np.array([[1.0], [-1.0]])
-        return a, sign * self.chain.gamma * a - 1j * self.lam * a[::-1]
+        return a, sign * self.chain.gamma * a - 1j * (self.lam * self._parity) * a[::-1]
 
     @property
     def _parity(self) -> np.ndarray:
         """(-1)^(N+m+1) for mode m (from 0): parity (gain site j to loss site N-1-j) takes the mode to that times it."""
         return (-1.0) ** (self.w.size + 1 + np.arange(self.w.size))
 
-    def _sites(self, coefs):
-        """Yield ``(columns, amplitudes)``, gain then loss (reversed): each sublattice's coefficient rows there."""
-        for columns, sign, coef in zip((slice(0, None, 2), slice(None, None, -2)), (1.0, self._parity), coefs):
-            yield columns, (coef * sign) @ self.U.T
+    def _sites(self, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The site amplitudes of coefficient rows (one per row and mode), gain rows then loss rows, into out.
+
+        One GEMM by U.T for both sublattices; the loss rows are on U upside
+        down (:meth:`amplitudes`), so their sites come out in reverse order.
+        """
+        return np.matmul(rows, self.U.T, out=out)
 
     def cs(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """c and s at the times t (rows) of every mode (columns)."""
@@ -170,10 +178,15 @@ class Trajectory:
     is ``c(tau)*alpha + s(tau)*beta`` with ``alpha = c(t0)a + s(t0)b`` and
     ``beta = c(t0)b - x s(t0)a``, which :meth:`_block_starts` forms for the
     norms, profiles and states alike: cos and sin run on one table of
-    offsets and on one sample per block.  The norms' expanded form cancels
-    inside a block, more the longer the block: on fig4's run at 2N = 500
-    the worst norm is 1.37e-13 off a long-double evaluation with 64 samples
-    a block, 1.22e-12 with 128.
+    offsets and on one sample per block.  The loss amplitudes are on U
+    upside down (:meth:`Modes.amplitudes`), so every block's alpha and beta
+    carry each mode's parity sign.  A block's coefficient rows, for both
+    sublattices and every component, go through one GEMM in room that a
+    read allocates once (:meth:`_workspace`), and the squares or the states
+    go straight to the output.  The norms' expanded form cancels inside a
+    block, more the longer the block: on fig4's run at 2N = 500 the worst
+    norm is 1.37e-13 off a long-double evaluation with 64 samples a block,
+    1.22e-12 with 128.
     """
 
     def __init__(self, modes: Modes, amplitudes: tuple, dt: float, samples: int, record_states: bool):
@@ -201,8 +214,9 @@ class Trajectory:
         if not self._record_states:
             return None
         out = np.empty((self.times.size, self._modes.n_sites), dtype=complex)
+        work = self._workspace(out[:BLOCK])
         for start in range(0, self.times.size, BLOCK):
-            self._form(out[start : start + BLOCK], start)
+            self._form(out[start : start + BLOCK], start, work)
         return out
 
     def profile_blocks(self):
@@ -211,8 +225,9 @@ class Trajectory:
         ``profiles`` is one (rows, 2N) buffer, refilled for each block: reduce it before taking the next.
         """
         buffer = np.empty((min(BLOCK, self.times.size), self._modes.n_sites))
+        work = self._workspace(buffer)
         for start in range(0, self.times.size, BLOCK):
-            yield start, self._form(buffer[: self.times.size - start], start)
+            yield start, self._form(buffer[: self.times.size - start], start, work)
 
     def index_at(self, t: float) -> int:
         """Index of the sample nearest t; t must lie inside the span."""
@@ -222,7 +237,8 @@ class Trajectory:
 
     def profile_at(self, t: float) -> np.ndarray:
         """The profile at the sample nearest t, formed alone."""
-        return self._form(np.empty((1, self._modes.n_sites)), self.index_at(t))[0]
+        out = np.empty((1, self._modes.n_sites))
+        return self._form(out, self.index_at(t), self._workspace(out))[0]
 
     def _norms(self) -> np.ndarray:
         """Dirac norms of each component, sum |c*a + s*b|^2 over the modes and bases, as one GEMM for every block.
@@ -249,28 +265,37 @@ class Trajectory:
                 del alpha, beta, rows  # before the next component's are formed
         return np.array(norms)
 
-    def _form(self, out: np.ndarray, start: int) -> np.ndarray:
-        """out's rows, samples start, start + 1, ... of one block: the states if out is complex, else the profiles."""
-        for (columns, parts), turn in zip(self._components(start, start + len(out)), self._turn):
-            sites = out[:, columns]  # the even columns (gain) or the odd (loss), reversed
-            if np.iscomplexobj(out):  # psi = (chi_1 + i*chi_2) / turn on either sublattice
-                sites.real, sites.imag = parts[0], parts[1] if len(parts) == 2 else 0.0
-                sites /= turn
-            else:
-                np.square(parts[0], out=sites)
-                for part in parts[1:]:
-                    sites += part * part
-        return out
+    def _workspace(self, out: np.ndarray) -> np.ndarray:
+        """Flat room for the site amplitudes of blocks of up to len(out) rows, and their coefficients if out lacks it.
 
-    def _components(self, start: int, stop: int):
-        """Per sublattice, its site columns and the components of the states there at samples start to stop - 1."""
+        Where out holds the coefficient rows (one component's profiles, or
+        states), they go there: the GEMM reads them before out is written.
+        """
+        size = 2 * self.components * len(out) * self._modes.w.size
+        return np.empty(size if out.view(float).size >= size else 2 * size)
+
+    def _form(self, out: np.ndarray, start: int, work: np.ndarray) -> np.ndarray:
+        """out's rows, samples start, start + 1, ... of one block: the states if out is complex, else the profiles."""
         i, j = divmod(start, BLOCK)
-        c1, s1 = (table[j : j + stop - start] for table in self._offsets)
+        c1, s1 = (table[j : j + len(out)] for table in self._offsets)  # (sample, mode)
+        shape = (2, self.components) + c1.shape  # (sublattice, component, sample, mode)
+        size, room = np.prod(shape), out.reshape(-1).view(float)  # out's own memory: its rows are contiguous
+        sites, coefs = (u[:size].reshape(shape) for u in (work, room if room.size >= size else work[size:]))
         with np.errstate(over="ignore", invalid="ignore"):
             alpha, beta = self._block_starts(i, *self._amplitudes)  # (sublattice, component, mode) each
-            coefs = ((c1 * al[:, None] + s1 * be[:, None]).reshape(-1, c1.shape[1]) for al, be in zip(alpha, beta))
-            for columns, parts in self._modes._sites(coefs):  # rows (component, sample)
-                yield columns, parts.reshape(self.components, stop - start, -1)
+            np.multiply(c1, alpha[:, :, None], out=coefs)
+            coefs += np.multiply(s1, beta[:, :, None], out=sites)
+            self._modes._sites(coefs.reshape(-1, c1.shape[1]), sites.reshape(-1, c1.shape[1]))
+            for columns, parts, turn in zip((slice(0, None, 2), slice(None, None, -2)), sites, self._turn):
+                view = out[:, columns]  # the even columns (gain) or the odd (loss), reversed
+                if np.iscomplexobj(out):  # psi = (chi_1 + i*chi_2) / turn on either sublattice
+                    view.real, view.imag = parts[0], parts[1] if len(parts) == 2 else 0.0
+                    view /= turn
+                else:  # |psi|^2 = chi_1^2 + chi_2^2
+                    np.square(parts[0], out=view)
+                    for part in parts[1:]:
+                        view += np.square(part, out=part)
+        return out
 
     def _block_starts(self, blocks, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """alpha and beta at the first samples of the blocks (an index of the start tables), modes last."""

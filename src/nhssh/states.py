@@ -89,12 +89,17 @@ def direct_coalescing_overlap(spec: PacketSpec, params: LatticeParams) -> comple
 
 
 def smoothed_profile(profile: np.ndarray) -> np.ndarray:
-    """SMOOTH_WINDOW-site moving average over the last axis (sites), centered as np.convolve's "same"."""
+    """SMOOTH_WINDOW-site moving average over the last axis (sites), centered as np.convolve's "same".
+
+    Site i sums p[i-2] + p[i-1] + p[i] + p[i+1], left to right as np.convolve
+    does, leaving out the sites past either end, and then scales by 1/4.
+    """
     p = np.asarray(profile, dtype=float)
-    n = p.shape[-1]
-    sm = np.zeros_like(p)
-    for shift in range(-(SMOOTH_WINDOW // 2), (SMOOTH_WINDOW + 1) // 2):  # sm[i] += p[i + shift], in np.convolve's order
-        sm[..., max(0, -shift) : n - max(0, shift)] += p[..., max(0, shift) : n + min(0, shift)]
+    sm = np.empty_like(p)
+    sm[..., :2] = p[..., :1]  # the sums of sites 0 and 1 both start at p[0]
+    np.add(p[..., :-2], p[..., 1:-1], out=sm[..., 2:])
+    sm[..., 1:] += p[..., 1:]
+    sm[..., :-1] += p[..., 1:]
     sm *= 1.0 / SMOOTH_WINDOW
     return sm
 

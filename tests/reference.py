@@ -6,7 +6,9 @@ direct form that ``Chain.modes`` must reproduce bit for bit: a full
 64-step bisection of the open chain's roots.  ``open_root_mpmath`` finds
 one open-chain root at mpmath's working precision, for the 40-digit
 references.  ``stacked_profiles`` stacks a trajectory's profile blocks
-into the (samples, 2N) array that no experiment forms.
+into the (samples, 2N) array that no experiment forms, and
+``profiles_by_sublattice`` forms the same array as the block kernel's
+predecessor did, two products per block with the sign on the rows.
 ``loss_amplitudes`` is B^T u by the chain's bonds, and
 ``two_basis_modes`` stores the loss-site vectors B^T U / lam of a chain
 as a dense product: the modes only apply them as U's parity image.
@@ -21,7 +23,7 @@ import numpy as np
 
 from nhssh import LatticeParams, PacketSpec, revival_period
 from nhssh.oracle import _central
-from nhssh.propagate import Modes, decompose
+from nhssh.propagate import BLOCK, Modes, decompose
 
 
 def symmetry_operator(kind: str, cells: int) -> np.ndarray:
@@ -78,6 +80,32 @@ def stacked_profiles(traj) -> np.ndarray:
     return np.concatenate([block.copy() for _, block in traj.profile_blocks()])
 
 
+def profiles_by_sublattice(traj) -> np.ndarray:
+    """Every profile of a trajectory, formed one block and one sublattice at a time with the sign on the rows.
+
+    Each block's coefficient rows ``c(tau)*alpha + s(tau)*beta`` for one
+    sublattice and every component, the loss rows times each mode's parity
+    sign, go through their own product by U.T, and the squares, summed over
+    the components, fill that sublattice's columns (the loss sites reversed).
+    The trajectory's loss amplitudes are on U upside down, which carries the
+    sign; it is taken off them first, so that it enters on the rows.
+    """
+    modes = traj._modes
+    amplitudes = [u.copy() for u in traj._amplitudes]  # (basis, component, mode)
+    for u in amplitudes:
+        u[1] *= modes._parity
+    out = np.empty((traj.times.size, modes.n_sites))
+    for start in range(0, traj.times.size, BLOCK):
+        rows = min(BLOCK, traj.times.size - start)
+        c1, s1 = (table[:rows] for table in traj._offsets)
+        alpha, beta = traj._block_starts(start // BLOCK, *amplitudes)
+        for columns, sign, al, be in zip((slice(0, None, 2), slice(None, None, -2)), (1.0, modes._parity), alpha, beta):
+            coef = (c1 * al[:, None] + s1 * be[:, None]).reshape(-1, c1.shape[1])
+            parts = ((coef * sign) @ modes.U.T).reshape(len(al), rows, -1)  # (component, sample, site)
+            out[start : start + rows, columns] = (parts * parts).sum(axis=0)
+    return out
+
+
 def loss_amplitudes(chain, u: np.ndarray) -> np.ndarray:
     """B^T u: what T carries from gain amplitudes u (one column each) to the loss sites."""
     v = chain.strong * u
@@ -89,7 +117,7 @@ def loss_amplitudes(chain, u: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TwoBasisModes(Modes):
-    """Modes that store the loss-site vectors V and apply them to the loss sites in order, not as U's parity image."""
+    """Modes that store the loss-site vectors V and apply V itself to the loss sites, not U's parity image."""
 
     V: np.ndarray
 
@@ -100,10 +128,12 @@ class TwoBasisModes(Modes):
         g, lam = self.chain.gamma, self.lam
         return np.stack((gain, loss)), np.stack((g * gain - 1j * lam * loss, -1j * lam * gain - g * loss))
 
-    def _sites(self, coefs):
-        gain, loss = coefs
-        yield slice(0, None, 2), gain @ self.U.T
-        yield slice(1, None, 2), loss @ self.V.T
+    def _sites(self, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+        # the loss rows are on V: its rows reversed, as the caller writes the loss sites
+        half = len(rows) // 2
+        np.matmul(rows[:half], self.U.T, out=out[:half])
+        np.matmul(rows[half:], self.V[::-1].T, out=out[half:])
+        return out
 
 
 def two_basis_modes(chain) -> TwoBasisModes:

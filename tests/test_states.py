@@ -163,9 +163,15 @@ def test_revival_and_mirror(traj_central, tau250):
     assert mirror < 0.10
 
 
+def _convolved(profile):
+    # np.convolve's "same" 4-site average; below 4 sites "same" keeps the window's length, so the centered
+    # slice of "full" stands in for it (the two agree from 4 sites on)
+    return np.convolve(profile, np.ones(4) / 4, mode="full")[1 : 1 + len(profile)]
+
+
 def _fwhm_one_by_one(profile):
     # the per-profile reference: np.convolve's 4-site moving average, then the half-maximum sites
-    sm = np.convolve(profile, np.ones(4) / 4, mode="same")
+    sm = _convolved(profile)
     idx = np.nonzero(sm >= 0.5 * sm.max())[0]
     return int(idx[0]) + 1, int(idx[-1]) + 1
 
@@ -177,3 +183,29 @@ def test_fwhm_interval_stack_matches_loop(traj_pi6):
     assert np.array_equal(ends, [_fwhm_one_by_one(p) for p in profiles])
     assert np.array_equal(fwhm_interval(profiles[5]), _fwhm_one_by_one(profiles[5]))  # one profile: shape (2,)
     assert np.array_equal(smoothed_profile(profiles), [np.convolve(p, np.ones(4) / 4, mode="same") for p in profiles])
+
+
+
+_PROFILES = {
+    # 2 to 4 sites, where windows run past both ends; below 4 sites np.convolve swaps its arguments and sums
+    # right to left, so those profiles are integers, whose sums are exact in any order
+    "2-sites": np.array([3.0, 7.0]),
+    "3-sites": np.array([5.0, 1.0, 9.0]),
+    "4-sites": np.random.default_rng(4).random(4),
+    "leading-axes": np.random.default_rng(5).random((3, 2, 40)) ** 8,
+    # a 4-site plateau smooths to 1/4, 1/2, 3/4, 1, 3/4, 1/2, 1/4: exactly half the maximum at sites 5 and 9
+    "half-maximum-tie": np.repeat([0.0, 1.0, 0.0], 4),
+    "near-1e-300": np.ldexp(np.random.default_rng(6).random(50), -1000),  # the 1/4 scaling has to stay exact
+}
+
+
+@pytest.mark.parametrize("case", list(_PROFILES))
+def test_smoothing_and_fwhm_match_convolve(case):
+    profile = _PROFILES[case]
+    rows = profile.reshape(-1, profile.shape[-1])
+    assert np.array_equal(smoothed_profile(profile), np.reshape([_convolved(p) for p in rows], profile.shape))
+    ends = np.reshape([_fwhm_one_by_one(p) for p in rows], profile.shape[:-1] + (2,))
+    assert np.array_equal(fwhm_interval(profile), ends)
+    if case == "half-maximum-tie":
+        assert np.array_equal(smoothed_profile(profile)[3:10], [0.25, 0.5, 0.75, 1.0, 0.75, 0.5, 0.25])
+        assert np.array_equal(ends, [5, 9])
