@@ -4,7 +4,9 @@ Each experiment id reproduces one published-figure-style data set from
 the packet dynamics (initial profiles, evolved profiles, norm curves,
 threshold classification, spectra, oracle comparisons).  Outputs are
 plain CSV with '.' decimals, bit-identical across repeated runs; plot
-rendering is left to external tools.
+rendering is left to external tools.  ``build_config`` resolves a run
+once, and a config it cannot resolve is refused (exit 2) before any
+output; ``run_experiment(config, check)`` runs it and, with check, grades it.
 
 Exit codes: 0 success, 2 config error, 3 numerical failure, 4 check
 failure (with --check).
@@ -17,12 +19,13 @@ import math
 import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import cache, cached_property
 from pathlib import Path
 
 import numpy as np
 
 from . import analysis, oracle, spectra, states
-from .lattice import Boundary, LatticeParams, build_chain
+from .lattice import Boundary, Chain, LatticeParams, build_chain
 from .propagate import Trajectory, decompose, evolve
 
 EXIT_OK = 0
@@ -41,9 +44,9 @@ class ConfigError(ValueError):
         self.line = line
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """One resolved run; physics ranges are checked by the domain classes."""
+    """One run; its derived quantities are cached properties, each worked out once. Building it refuses bad input."""
 
     experiment: str
     cells: int = 250
@@ -56,64 +59,76 @@ class ExperimentConfig:
     tmax_over_tau: float = 0.5
     samples: int = 2000
     out: str = "out"
-    check: bool = False
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
-            raise ValueError(f"unknown experiment {self.experiment!r}; expected one of {', '.join(EXPERIMENTS)}")
         if self.samples < 2:
             raise ValueError("samples must be >= 2")
         if not 0.0 < self.tmax_over_tau < math.inf:
             raise ValueError(f"tmax_over_tau must be finite and positive, got {self.tmax_over_tau}")
-        self.lattice()
-        if self.boundary is Boundary.PERIODIC and self.experiment in ("fig3", "fig4", "fig7", "oracle-compare"):
+        if self.params.boundary is Boundary.PERIODIC and self.experiment in ("fig3", "fig4", "fig7", "oracle-compare"):
             raise ValueError(f"{self.experiment} grades packets built for the open chain; it takes boundary=open only")
-        for kappa_over_pi in (self.kappa0_over_pi, self.kappa02_over_pi):
-            oracle.PacketSpec(kappa_over_pi * np.pi, self.q).normalized(self.cells)  # refuses one with no weight
+        self.packet  # refuses one with no weight, as is kappa02's for every experiment: each value is checked alone too
+        oracle.PacketSpec(self.kappa02_over_pi * np.pi, self.q).normalized(self.cells)
         if self.experiment in ("fig3", "oracle-compare") and self.tmax_over_tau < _PROFILE_TIMES_OVER_TAU[-1]:
             raise ValueError(
                 f"{self.experiment} grades profiles up to t = tau/4, so it needs tmax_over_tau >= 1/4,"
                 f" got {self.tmax_over_tau}"
             )
-        if self.experiment == "fig4" and not oracle.is_central(self.packet().kappa0):
+        if self.experiment == "fig4" and not oracle.is_central(self.packet.kappa0):
             raise ValueError(f"fig4 grades the kappa0 = pi/2 norm formula, got kappa0_over_pi={self.kappa0_over_pi}")
         if self.experiment == "fig5":
-            self.gain_sweep()
-            self._growth_window()
+            self.gains, self.window
         if self.experiment == "fig7":
-            for sign in (+1, -1):
-                self.pair(sign).normalized(self.cells)
+            self.pairs
+        if self.experiment not in ("fig2", "spectrum"):
+            self.dt  # every other experiment evolves
 
-    def lattice(self) -> LatticeParams:
+    @cached_property
+    def params(self) -> LatticeParams:
         return LatticeParams(self.cells, self.delta, self.gamma, self.boundary)
 
-    def gain_sweep(self) -> list[float]:
+    @cached_property
+    def chain(self) -> Chain:
+        return build_chain(self.params)
+
+    @cached_property
+    def tau(self) -> float:
+        return spectra.revival_period(self.params)
+
+    @cached_property
+    def dt(self) -> float:
+        """The run's samples are at t = n*dt, n < samples, up to tmax_over_tau revival periods."""
+        return self.tmax_over_tau * self.tau / (self.samples - 1)
+
+    @cached_property
+    def packet(self) -> oracle.PacketSpec:
+        return oracle.PacketSpec(self.kappa0_over_pi * np.pi, self.q).normalized(self.cells)
+
+    @cached_property
+    def pairs(self) -> tuple[states.PacketPairSpec, states.PacketPairSpec]:
+        """fig7's pairs at kappa0 and kappa02, plus then minus."""
+        k1, k2 = self.kappa0_over_pi * np.pi, self.kappa02_over_pi * np.pi
+        return tuple(states.PacketPairSpec(k1, k2, self.q, sign).normalized(self.cells) for sign in (+1, -1))
+
+    @cached_property
+    def gains(self) -> tuple[float, float, float]:
         """fig5's gains gamma_c - 0.1, gamma_c, gamma_c + 0.1: the lowest must still be a gain."""
-        gamma_c = self.lattice().gamma_c
+        gamma_c = self.params.gamma_c
         if gamma_c - 0.1 <= 0.0:
             raise ValueError(f"fig5 sweeps gamma from 2*delta - 0.1, which needs delta > 0.05, got {self.delta}")
-        return [gamma_c + d for d in (-0.1, 0.0, 0.1)]
+        return tuple(gamma_c + d for d in (-0.1, 0.0, 0.1))
 
-    def _sample_step(self) -> float:
-        """dt: the run's samples are at t = n*dt, n < samples, up to tmax_over_tau revival periods."""
-        return self.tmax_over_tau * spectra.revival_period(self.lattice()) / (self.samples - 1)
-
-    def _growth_window(self) -> tuple[float, float]:
+    @cached_property
+    def window(self) -> tuple[float, float]:
         """fig5's growth window, which must hold enough of the run's samples n*dt to fit."""
-        lo, hi = (f * spectra.revival_period(self.lattice()) for f in _GROWTH_WINDOW_OVER_TAU)
-        dt, need = self._sample_step(), analysis._MIN_WINDOW_SAMPLES
+        lo, hi = (f * self.tau for f in _GROWTH_WINDOW_OVER_TAU)
+        dt, need = self.dt, analysis._MIN_WINDOW_SAMPLES
         with np.errstate(over="ignore", divide="ignore"):  # n just below to just above the window; lo/dt may overflow
             n = np.arange(*(int(min(x, self.samples)) for x in (max(lo / dt - 1, 0), hi / dt + 2)))
         held = np.count_nonzero((n * dt >= lo) & (n * dt <= hi))
         if held < need:
             raise ValueError(f"fig5's growth window, t in [{lo:.4g}, {hi:.4g}], holds {held} samples; need >= {need}")
         return lo, hi
-
-    def packet(self) -> oracle.PacketSpec:
-        return oracle.PacketSpec(self.kappa0_over_pi * np.pi, self.q)
-
-    def pair(self, sign: int) -> states.PacketPairSpec:
-        return states.PacketPairSpec(self.kappa0_over_pi * np.pi, self.kappa02_over_pi * np.pi, self.q, sign)
 
 
 def _parse_fraction(text: str) -> float:
@@ -130,17 +145,19 @@ _TYPE_PARSERS = {"str": str, "int": int, "float": float, "Boundary": Boundary.pa
 _KEYS = {
     f.name: _parse_fraction if f.name.startswith("kappa") else _TYPE_PARSERS[f.type]
     for f in fields(ExperimentConfig)
-    if f.name != "check"
 }
 
 
 def _parse(key: str, text: str, line: int | None = None):
-    """One value from its text, checked on its own against the global defaults."""
+    """One value from its text, checked on its own: an experiment by name, any other key against the global defaults."""
     if key not in _KEYS:
         raise ConfigError(f"unknown key {key!r}", line)
     try:
         value = _KEYS[key](text)
-        ExperimentConfig(**{"experiment": next(iter(EXPERIMENTS)), key: value})
+        if key != "experiment":
+            ExperimentConfig(**{"experiment": next(iter(EXPERIMENTS)), key: value})
+        elif value not in EXPERIMENTS:
+            raise ValueError(f"unknown experiment {value!r}; expected one of {', '.join(EXPERIMENTS)}")
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"{key}={text!r}: {exc}", line) from exc
     return value
@@ -161,14 +178,14 @@ def parse_config(text: str) -> dict:
 
 
 def build_config(explicit: dict) -> ExperimentConfig:
-    """Resolve defaults: global, then per-experiment, then gamma = 2*delta.
+    """Resolve a run once: defaults global, then per-experiment, then gamma = 2*delta; then what the runner reads.
 
     Values that are valid alone but not together (an odd cell count on a
-    ring) raise ``ValueError``.
+    ring, a growth window too short for its samples) raise ``ValueError``.
     """
     if "experiment" not in explicit:
         raise ConfigError("no experiment selected (pass one on the command line or set experiment=)")
-    _parse("experiment", explicit["experiment"])
+    _parse("experiment", explicit["experiment"])  # a dict's name is checked as a file's is
     merged = {**EXPERIMENTS[explicit["experiment"]][1], **explicit}
     if "gamma" not in merged and "delta" in merged:
         merged["gamma"] = 2.0 * merged["delta"]  # stay tuned to the EP by default
@@ -207,16 +224,13 @@ def _write_profile(path: Path, profile: np.ndarray, closed_form: np.ndarray | No
 # tuples; under --check, run_experiment passes each one whose value <= bound.
 
 
-def _evolve_packet(config: ExperimentConfig, state=None, H=None) -> Trajectory:
-    """The packet (or state) over tmax_over_tau revival periods, on H (a decomposition) or config's chain."""
-    params = config.lattice()
-    if state is None:
-        state = states.build_initial_state(config.packet(), params)
-    return evolve(state, build_chain(params) if H is None else H, config._sample_step(), config.samples - 1)
+def _evolve_packet(config: ExperimentConfig, H) -> Trajectory:
+    """The config's packet over tmax_over_tau revival periods, on H: its chain or a decomposition."""
+    return evolve(states.build_initial_state(config.packet, config.params), H, config.dt, config.samples - 1)
 
 
 def _run_fig2(config: ExperimentConfig, outdir: Path) -> list:
-    params = config.lattice()
+    params = config.params
     rows = []
     outcomes = []
     profiles = {}
@@ -238,14 +252,11 @@ def _run_fig2(config: ExperimentConfig, outdir: Path) -> list:
 
 
 def _closed_form_profiles(config: ExperimentConfig, traj: Trajectory, outdir: Path) -> list:
-    params = config.lattice()
-    tau = spectra.revival_period(params)
-    spec = config.packet().normalized(params.cells)
     outcomes = []
     compare_rows = []
-    for index, t in enumerate(tau * f for f in _PROFILE_TIMES_OVER_TAU):
+    for index, t in enumerate(config.tau * f for f in _PROFILE_TIMES_OVER_TAU):
         numeric = traj.profile_at(t)
-        predicted = np.abs(oracle.evolved_state_closed_form(t, spec, params)) ** 2
+        predicted = np.abs(oracle.evolved_state_closed_form(t, config.packet, config.params)) ** 2
         l1 = np.abs(numeric - predicted).sum() / numeric.sum()
         compare_rows.append((t, l1))
         _write_profile(outdir / f"profile_t{index}.csv", numeric, predicted)
@@ -255,24 +266,19 @@ def _closed_form_profiles(config: ExperimentConfig, traj: Trajectory, outdir: Pa
 
 
 def _run_fig3(config: ExperimentConfig, outdir: Path) -> list:
-    params = config.lattice()
-    traj = _evolve_packet(config)
-    spec = config.packet().normalized(params.cells)
+    traj = _evolve_packet(config, config.chain)
     closed = None
-    if oracle.is_central(spec.kappa0):
-        closed = oracle.dirac_norm_closed_form(traj.times, spec, params)
+    if oracle.is_central(config.packet.kappa0):
+        closed = oracle.dirac_norm_closed_form(traj.times, config.packet, config.params)
     _write_norms(outdir / "norms.csv", traj, closed)
     return _closed_form_profiles(config, traj, outdir)
 
 
 def _run_fig4(config: ExperimentConfig, outdir: Path) -> list:
-    params = config.lattice()
-    spec = config.packet().normalized(params.cells)
-    traj = _evolve_packet(config)
-    closed = oracle.dirac_norm_closed_form(traj.times, spec, params)
+    traj = _evolve_packet(config, config.chain)
+    closed = oracle.dirac_norm_closed_form(traj.times, config.packet, config.params)
     _write_norms(outdir / "norms.csv", traj, closed)
 
-    tau = spectra.revival_period(params)
     # report the waveform period two ways rather than asserting a wording:
     # the closed-form norm repeats every tau/2, packets revive every tau
     peaks = _local_maxima(traj.times, traj.norms)
@@ -282,9 +288,9 @@ def _run_fig4(config: ExperimentConfig, outdir: Path) -> list:
     _write_csv(
         outdir / "period_report.csv",
         ["formula_period", "measured_period", "revival_period"],
-        zip(*[(tau / 2.0, measured, tau)]),
+        zip(*[(config.tau / 2.0, measured, config.tau)]),
     )
-    half = traj.times <= tau / 2.0 + 1e-9
+    half = traj.times <= config.tau / 2.0 + 1e-9
     rms = float(np.sqrt(np.mean((traj.norms[half] - closed[half]) ** 2)) / traj.norms[half].max())
     return [("closed-form norm RMS", rms, 0.15)]
 
@@ -294,13 +300,12 @@ def _local_maxima(t: np.ndarray, p: np.ndarray) -> list:
 
 
 def _run_fig5(config: ExperimentConfig, outdir: Path) -> list:
-    window = config._growth_window()
     # one decomposition for the sweep: B B^T does not depend on the gain, which moves only each mode's growth rate
-    modes = decompose(build_chain(config.lattice()))
+    modes = decompose(config.chain)
     rows = []
-    for i, g in enumerate(config.gain_sweep(), start=1):
-        traj = _evolve_packet(config, H=modes.at_gamma(g))
-        report = analysis.classify_growth(traj.times, traj.norms, window)
+    for i, g in enumerate(config.gains, start=1):
+        traj = _evolve_packet(config, modes.at_gamma(g))
+        report = analysis.classify_growth(traj.times, traj.norms, config.window)
         rows.append((g, report.label, report.r_squared, report.fit_params["linear"]["slope"]))
         _write_norms(outdir / f"norms_gamma{i}.csv", traj)
     _write_csv(outdir / "classification.csv", ["gamma", "label", "r_squared", "slope"], zip(*rows))
@@ -309,7 +314,7 @@ def _run_fig5(config: ExperimentConfig, outdir: Path) -> list:
 
 
 def _run_fig6(config: ExperimentConfig, outdir: Path) -> list:
-    traj = _evolve_packet(config)
+    traj = _evolve_packet(config, config.chain)
     _write_norms(outdir / "norms.csv", traj)
     report = analysis.translation_window(traj)
     _write_csv(
@@ -321,19 +326,18 @@ def _run_fig6(config: ExperimentConfig, outdir: Path) -> list:
 
 
 def _run_fig7(config: ExperimentConfig, outdir: Path) -> list:
-    params = config.lattice()
-    modes = decompose(build_chain(params))  # one decomposition for all four runs
-    plus = config.pair(+1).normalized(params.cells)
-    psi1, psi2 = (states.build_initial_state(spec, params) for spec in plus.single_specs(params.cells))
-    singles = [_evolve_packet(config, psi, modes) for psi in (psi1, psi2)]
+    modes = decompose(config.chain)  # one decomposition for all four runs
+    plus = config.pairs[0]
+    psi1, psi2 = (states.build_initial_state(spec, config.params) for spec in plus.single_specs(config.cells))
+    singles = [evolve(psi, modes, config.dt, config.samples - 1) for psi in (psi1, psi2)]
     # half-maximum intervals ignore scale; each single's come from one pass over its profile blocks
     intervals = [np.concatenate([states.fwhm_interval(p) for _, p in single.profile_blocks()]) for single in singles]
     outcomes = []
-    for sign, name in ((+1, "plus"), (-1, "minus")):
+    for pair, name in zip(config.pairs, ("plus", "minus")):
         # each pair is single1 +/- single2, the singles at the pair's own scale lam/sqrt2: the minus
         # pair's singles are the plus pair's times lam_minus/lam_plus, so two single runs serve both
-        scale = config.pair(sign).normalized(params.cells).lam / plus.lam
-        pair_traj = _evolve_packet(config, scale * (psi1 + sign * psi2), modes)
+        scale = pair.lam / plus.lam
+        pair_traj = evolve(scale * (psi1 + pair.relative_sign * psi2), modes, config.dt, config.samples - 1)
         total = scale**2 * (singles[0].norms + singles[1].norms)
         report = analysis.interference_report(pair_traj, intervals)
         _write_csv(
@@ -344,7 +348,7 @@ def _run_fig7(config: ExperimentConfig, outdir: Path) -> list:
             ["window_start", "window_end", "ratio_max", "ratio_min", "p_before"],
             zip(*[report.overlap_window + (report.ratio_max, report.ratio_min, report.p_before)]),
         )
-        if sign > 0:
+        if pair.relative_sign > 0:
             outcomes.append(("constructive pair doubles", abs(report.ratio_max - 2.0), 0.4))
         else:
             outcomes.append(("destructive pair annihilates", report.ratio_min, 0.25))
@@ -355,12 +359,11 @@ def _run_fig7(config: ExperimentConfig, outdir: Path) -> list:
 
 
 def _run_spectrum(config: ExperimentConfig, outdir: Path) -> list:
-    params = config.lattice()
-    ev = spectra.full_spectrum(build_chain(params))
+    ev = spectra.full_spectrum(config.chain)
     _write_csv(outdir / "eigenvalues.csv", ["re", "im"], [ev.real, ev.imag])
-    if params.boundary is Boundary.PERIODIC:
+    if config.boundary is Boundary.PERIODIC:
         return [("coalescing zero pair", float(np.sort(np.abs(ev))[1]), 1e-6)]
-    report = spectra.verify_equal_spacing(ev, 5, params)
+    report = spectra.verify_equal_spacing(ev, 5, config.params)
     if report.ok:
         _write_csv(
             outdir / "spacings.csv",
@@ -371,7 +374,7 @@ def _run_spectrum(config: ExperimentConfig, outdir: Path) -> list:
 
 
 def _run_oracle_compare(config: ExperimentConfig, outdir: Path) -> list:
-    return _closed_form_profiles(config, _evolve_packet(config), outdir)
+    return _closed_form_profiles(config, _evolve_packet(config, config.chain), outdir)
 
 
 # experiment id -> (runner, canonical figure parameters for keys left unset)
@@ -387,11 +390,11 @@ EXPERIMENTS = {
 }
 
 
-def run_experiment(config: ExperimentConfig) -> int:
+def run_experiment(config: ExperimentConfig, check: bool = False) -> int:
     outdir = Path(config.out)
     outdir.mkdir(parents=True, exist_ok=True)
     outcomes = EXPERIMENTS[config.experiment][0](config, outdir)
-    if not config.check:
+    if not check:
         return EXIT_OK
     code = EXIT_OK
     for name, value, bound in outcomes:
@@ -404,6 +407,7 @@ def run_experiment(config: ExperimentConfig) -> int:
 # ------------------------------------------------------------------ main
 
 
+@cache  # one parser per process: each one is cyclic garbage, held on the heap until a collection
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nhssh",
@@ -426,20 +430,15 @@ def main(argv: list[str] | None = None) -> int:
             if getattr(args, key) is not None:
                 explicit[key] = _parse(key, getattr(args, key))
         config = build_config(explicit)
-        config.check = args.check
     except (ValueError, OSError) as exc:
         # ConfigError, a value that clashes with another, an unreadable file
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
     try:
-        return run_experiment(config)
-    except (
-        analysis.AnalysisError,
-        np.linalg.LinAlgError,  # a growth fit's least squares
-        OverflowError,
-        FloatingPointError,
-    ) as exc:
+        return run_experiment(config, args.check)
+    except (analysis.AnalysisError, np.linalg.LinAlgError, OverflowError, FloatingPointError) as exc:
+        # LinAlgError: a growth fit's least squares
         print(f"numerical failure [{type(exc).__name__}]: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except MemoryError:
@@ -449,8 +448,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: cannot write outputs: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ValueError as exc:
-        # domain-level rejections (two packets at one position, off-center
-        # packet fed to the central-packet norm formula, ...)
+        # a domain-level rejection that only the run meets (a chain whose hopping is singular)
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

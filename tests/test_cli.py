@@ -1,7 +1,10 @@
+import dataclasses
+import functools
 import json
 import math
 import os
 import re
+from collections import Counter
 import subprocess
 import sys
 import tracemalloc
@@ -24,6 +27,7 @@ from nhssh.cli import (
     main,
     _write_csv,
     parse_config,
+    run_experiment,
 )
 from nhssh.lattice import Boundary, Chain
 
@@ -207,7 +211,7 @@ def test_open_chain_experiments_reject_the_ring(tmp_path, capsys, experiment):
 @pytest.mark.parametrize("experiment", ["fig2", "fig5", "fig6", "spectrum"])
 def test_other_experiments_accept_the_ring(experiment):
     config = build_config({"experiment": experiment, "boundary": Boundary.PERIODIC})
-    assert config.lattice().boundary is Boundary.PERIODIC
+    assert config.params.boundary is Boundary.PERIODIC and config.chain.ring
 
 
 def test_main_config_file_and_flag_override(tmp_path):
@@ -435,10 +439,63 @@ def test_every_experiment_runs_silently(tmp_path, capsys, experiment):
         assert not cells & {"nan", "inf", "-inf"}, path.name
 
 
-def test_config_dataclass_lattice_helpers():
-    config = ExperimentConfig(experiment="fig3", cells=30, delta=0.8, gamma=1.6)
-    assert config.lattice().gamma == 1.6
-    assert config.packet().kappa0 == pytest.approx(np.pi / 2)
+def test_config_resolves_its_derived_fields():
+    config = ExperimentConfig(experiment="fig3", cells=30, delta=0.8, gamma=1.6, tmax_over_tau=0.3, samples=101)
+    assert config.params.gamma == 1.6 and config.chain.gamma == 1.6
+    omega = np.sqrt(2.0 * 0.8 * (1.0 - 0.8)) * np.pi / 31
+    assert config.tau == 2.0 * np.pi / omega
+    assert config.dt * 100 == pytest.approx(0.3 * config.tau, rel=1e-15)
+    assert config.packet.kappa0 == 0.5 * np.pi
+    assert config.packet.lam == nhssh.oracle.coefficient_lambda(0.5 * np.pi, 0.02, 30)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.cells = 40
+
+    fig7 = build_config({"experiment": "fig7", "cells": 60})
+    n = np.arange(1, 61)
+    c1, c2 = (np.sin(n * k) * np.exp(-0.05 * n) / n for k in (np.pi / 6, 5 * np.pi / 6))
+    for pair, sign in zip(fig7.pairs, (+1, -1)):
+        assert pair.relative_sign == sign
+        assert pair.lam == pytest.approx(1.0 / np.sqrt(np.sum((c1 + sign * c2) ** 2)), rel=1e-13)
+
+    fig5 = build_config({"experiment": "fig5", "delta": 0.8})
+    assert fig5.gains == pytest.approx((1.5, 1.6, 1.7), rel=1e-15)
+    assert fig5.window == (0.05 * fig5.tau, 0.2 * fig5.tau)
+
+
+def _counting(calls: Counter, name: str, func):
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return func(*args, **kwargs)
+
+    return counted
+
+
+@pytest.mark.parametrize("experiment", list(EXPERIMENTS))
+def test_runners_read_the_resolved_config(tmp_path, monkeypatch, experiment):
+    # build_config resolves tau, dt and every packet and pair a run reads, so its runner derives none of them
+    # again; fig2 alone builds packets of its own, at m pi/8 for m = 1..7
+    config = build_config({"experiment": experiment, "cells": 40, "samples": 160, "out": str(tmp_path / "out")})
+    calls = Counter()
+    for module, name in (
+        (nhssh.spectra, "revival_period"),
+        (nhssh.oracle, "coefficient_lambda"),
+        (nhssh.states, "normalizing_scale"),  # a pair's scale
+    ):
+        monkeypatch.setattr(module, name, _counting(calls, name, getattr(module, name)))
+    assert run_experiment(config) == EXIT_OK
+    assert calls == ({"coefficient_lambda": 7} if experiment == "fig2" else {})
+
+
+def test_fig5_resolves_its_growth_window_once(tmp_path, monkeypatch):
+    # one main parses each flag alone and builds one fig5 config: tau and the window are each worked out once
+    calls = Counter()
+    window = ExperimentConfig.window
+    counted = functools.cached_property(_counting(calls, "window", window.func))
+    counted.__set_name__(ExperimentConfig, "window")
+    monkeypatch.setattr(ExperimentConfig, "window", counted)
+    monkeypatch.setattr(nhssh.spectra, "revival_period", _counting(calls, "tau", nhssh.spectra.revival_period))
+    assert main(["fig5", "--cells", "40", "--samples", "400", "--out", str(tmp_path / "fig5")]) == EXIT_OK
+    assert calls == {"window": 1, "tau": 1}
 
 
 def _read_columns(path):
@@ -452,12 +509,11 @@ def test_fig7_pairs_from_singles_match_pair_evolution(tmp_path):
     out = tmp_path / "fig7"
     assert main(["fig7", "--cells", "60", "--samples", "600", "--out", str(out)]) == EXIT_OK
     config = build_config({"experiment": "fig7", "cells": 60, "samples": 600})
-    params = config.lattice()
+    params = config.params
     H = build_hamiltonian(params)
     dt = config.tmax_over_tau * revival_period(params) / (config.samples - 1)
-    for sign, name in ((+1, "plus"), (-1, "minus")):
+    for pair, name in zip(config.pairs, ("plus", "minus")):
         written = _read_columns(out / f"norms_{name}.csv")
-        pair = config.pair(sign).normalized(params.cells)
         reference = evolve(build_pair_state(pair, params), H, dt, config.samples - 1).norms
         assert np.abs(written["P_pair"] - reference).max() <= 1e-12 * reference.max()
         singles = sum(
