@@ -6,7 +6,8 @@ threshold classification, spectra, oracle comparisons).  Outputs are
 plain CSV with '.' decimals, bit-identical across repeated runs; plot
 rendering is left to external tools.  ``build_config`` resolves a run
 once, and a config it cannot resolve is refused (exit 2) before any
-output; ``run_experiment(config, check)`` runs it and, with check, grades it.
+output; ``run_experiment(config, check)`` runs it, writes its CSVs once
+it has finished (a run that fails writes nothing) and, with check, grades it.
 
 Exit codes: 0 success, 2 config error, 3 numerical failure, 4 check
 failure (with --check).
@@ -158,7 +159,7 @@ def _parse(key: str, text: str, line: int | None = None):
             ExperimentConfig(**{"experiment": next(iter(EXPERIMENTS)), key: value})
         elif value not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {value!r}; expected one of {', '.join(EXPERIMENTS)}")
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, MemoryError) as exc:  # MemoryError: a --cells too large to resolve
         raise ConfigError(f"{key}={text!r}: {exc}", line) from exc
     return value
 
@@ -205,23 +206,23 @@ def _write_csv(path: Path, header: list[str], columns) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _write_norms(path: Path, traj: Trajectory, closed_form=None) -> None:
+def _norms_table(traj: Trajectory, closed_form=None) -> tuple:
     closed = closed_form if closed_form is not None else [""] * len(traj.times)
-    _write_csv(path, ["t", "P_numeric", "P_closed_form"], [traj.times, traj.norms, closed])
+    return ["t", "P_numeric", "P_closed_form"], [traj.times, traj.norms, closed]
 
 
-def _write_profile(path: Path, profile: np.ndarray, closed_form: np.ndarray | None = None) -> None:
+def _profile_table(profile: np.ndarray, closed_form: np.ndarray | None = None) -> tuple:
     sites = np.arange(1, profile.size + 1)
     if closed_form is None:
-        _write_csv(path, ["site", "probability"], [sites, profile])
-    else:
-        _write_csv(path, ["site", "probability", "probability_closed_form"], [sites, profile, closed_form])
+        return ["site", "probability"], [sites, profile]
+    return ["site", "probability", "probability_closed_form"], [sites, profile, closed_form]
 
 
 # ------------------------------------------------------------ experiments
 #
-# Each runner writes its CSVs and returns its checks as (name, value, bound)
-# tuples; under --check, run_experiment passes each one whose value <= bound.
+# Each runner fills ``files`` with its CSVs, file name -> (header, columns), and
+# returns its checks as (name, value, bound) tuples; run_experiment writes the
+# files once the runner returns and, under --check, passes each value <= bound.
 
 
 def _evolve_packet(config: ExperimentConfig, H) -> Trajectory:
@@ -229,7 +230,7 @@ def _evolve_packet(config: ExperimentConfig, H) -> Trajectory:
     return evolve(states.build_initial_state(config.packet, config.params), H, config.dt, config.samples - 1)
 
 
-def _run_fig2(config: ExperimentConfig, outdir: Path) -> list:
+def _run_fig2(config: ExperimentConfig, files: dict) -> list:
     params = config.params
     rows = []
     outcomes = []
@@ -241,9 +242,9 @@ def _run_fig2(config: ExperimentConfig, outdir: Path) -> list:
         meas = states.measure(profile)
         expected = 2 * params.cells * (m / 8.0)
         rows.append((f"{m}/8", meas.center, meas.width, expected))
-        _write_profile(outdir / f"profile_t{m}.csv", profile)
+        files[f"profile_t{m}.csv"] = _profile_table(profile)
         outcomes.append((f"center kappa0={m}pi/8", abs(meas.center - expected), 5.0))
-    _write_csv(outdir / "centers.csv", ["kappa0_over_pi", "center", "width", "expected_center"], zip(*rows))
+    files["centers.csv"] = ["kappa0_over_pi", "center", "width", "expected_center"], zip(*rows)
     base = profiles[4]
     for m in range(1, 8):
         shift = int(round(2 * params.cells * (m - 4) / 8.0))
@@ -251,7 +252,7 @@ def _run_fig2(config: ExperimentConfig, outdir: Path) -> list:
     return outcomes
 
 
-def _closed_form_profiles(config: ExperimentConfig, traj: Trajectory, outdir: Path) -> list:
+def _closed_form_profiles(config: ExperimentConfig, traj: Trajectory, files: dict) -> list:
     outcomes = []
     compare_rows = []
     for index, t in enumerate(config.tau * f for f in _PROFILE_TIMES_OVER_TAU):
@@ -259,25 +260,25 @@ def _closed_form_profiles(config: ExperimentConfig, traj: Trajectory, outdir: Pa
         predicted = np.abs(oracle.evolved_state_closed_form(t, config.packet, config.params)) ** 2
         l1 = np.abs(numeric - predicted).sum() / numeric.sum()
         compare_rows.append((t, l1))
-        _write_profile(outdir / f"profile_t{index}.csv", numeric, predicted)
+        files[f"profile_t{index}.csv"] = _profile_table(numeric, predicted)
         outcomes.append((f"profile oracle t={t:.1f}", l1, 0.10))
-    _write_csv(outdir / "compare.csv", ["t", "l1_over_norm"], zip(*compare_rows))
+    files["compare.csv"] = ["t", "l1_over_norm"], zip(*compare_rows)
     return outcomes
 
 
-def _run_fig3(config: ExperimentConfig, outdir: Path) -> list:
+def _run_fig3(config: ExperimentConfig, files: dict) -> list:
     traj = _evolve_packet(config, config.chain)
     closed = None
     if oracle.is_central(config.packet.kappa0):
         closed = oracle.dirac_norm_closed_form(traj.times, config.packet, config.params)
-    _write_norms(outdir / "norms.csv", traj, closed)
-    return _closed_form_profiles(config, traj, outdir)
+    files["norms.csv"] = _norms_table(traj, closed)
+    return _closed_form_profiles(config, traj, files)
 
 
-def _run_fig4(config: ExperimentConfig, outdir: Path) -> list:
+def _run_fig4(config: ExperimentConfig, files: dict) -> list:
     traj = _evolve_packet(config, config.chain)
     closed = oracle.dirac_norm_closed_form(traj.times, config.packet, config.params)
-    _write_norms(outdir / "norms.csv", traj, closed)
+    files["norms.csv"] = _norms_table(traj, closed)
 
     # report the waveform period two ways rather than asserting a wording:
     # the closed-form norm repeats every tau/2, packets revive every tau
@@ -285,8 +286,7 @@ def _run_fig4(config: ExperimentConfig, outdir: Path) -> list:
     if len(peaks) < 2:
         raise analysis.AnalysisError(f"fewer than two norm peaks in t = [0, {traj.times[-1]:.6g}]: no period")
     measured = float(peaks[1] - peaks[0])
-    _write_csv(
-        outdir / "period_report.csv",
+    files["period_report.csv"] = (
         ["formula_period", "measured_period", "revival_period"],
         zip(*[(config.tau / 2.0, measured, config.tau)]),
     )
@@ -299,7 +299,7 @@ def _local_maxima(t: np.ndarray, p: np.ndarray) -> list:
     return [t[i] for i in range(1, len(p) - 1) if p[i] >= p[i - 1] and p[i] >= p[i + 1] and p[i] > 0.5 * p.max()]
 
 
-def _run_fig5(config: ExperimentConfig, outdir: Path) -> list:
+def _run_fig5(config: ExperimentConfig, files: dict) -> list:
     # one decomposition for the sweep: B B^T does not depend on the gain, which moves only each mode's growth rate
     modes = decompose(config.chain)
     rows = []
@@ -307,25 +307,24 @@ def _run_fig5(config: ExperimentConfig, outdir: Path) -> list:
         traj = _evolve_packet(config, modes.at_gamma(g))
         report = analysis.classify_growth(traj.times, traj.norms, config.window)
         rows.append((g, report.label, report.r_squared, report.fit_params["linear"]["slope"]))
-        _write_norms(outdir / f"norms_gamma{i}.csv", traj)
-    _write_csv(outdir / "classification.csv", ["gamma", "label", "r_squared", "slope"], zip(*rows))
+        files[f"norms_gamma{i}.csv"] = _norms_table(traj)
+    files["classification.csv"] = ["gamma", "label", "r_squared", "slope"], zip(*rows)
     wrong = sum(row[1] != label for row, label in zip(rows, ("Oscillatory", "Linear", "Exponential")))
     return [("threshold trichotomy", wrong, 0)]
 
 
-def _run_fig6(config: ExperimentConfig, outdir: Path) -> list:
+def _run_fig6(config: ExperimentConfig, files: dict) -> list:
     traj = _evolve_packet(config, config.chain)
-    _write_norms(outdir / "norms.csv", traj)
+    files["norms.csv"] = _norms_table(traj)
     report = analysis.translation_window(traj)
-    _write_csv(
-        outdir / "translation.csv",
+    files["translation.csv"] = (
         ["window_start", "window_end", "norm_drift", "center_velocity", "first_reflection", "second_reflection"],
         zip(*[report.window + (report.norm_drift, report.center_velocity) + report.reflection_times]),
     )
     return [("probability-preserving translation", report.norm_drift, 0.05)]
 
 
-def _run_fig7(config: ExperimentConfig, outdir: Path) -> list:
+def _run_fig7(config: ExperimentConfig, files: dict) -> list:
     modes = decompose(config.chain)  # one decomposition for all four runs
     plus = config.pairs[0]
     psi1, psi2 = (states.build_initial_state(spec, config.params) for spec in plus.single_specs(config.cells))
@@ -340,11 +339,8 @@ def _run_fig7(config: ExperimentConfig, outdir: Path) -> list:
         pair_traj = evolve(scale * (psi1 + pair.relative_sign * psi2), modes, config.dt, config.samples - 1)
         total = scale**2 * (singles[0].norms + singles[1].norms)
         report = analysis.interference_report(pair_traj, intervals)
-        _write_csv(
-            outdir / f"norms_{name}.csv", ["t", "P_pair", "P_sum_singles"], [pair_traj.times, pair_traj.norms, total]
-        )
-        _write_csv(
-            outdir / f"interference_{name}.csv",
+        files[f"norms_{name}.csv"] = ["t", "P_pair", "P_sum_singles"], [pair_traj.times, pair_traj.norms, total]
+        files[f"interference_{name}.csv"] = (
             ["window_start", "window_end", "ratio_max", "ratio_min", "p_before"],
             zip(*[report.overlap_window + (report.ratio_max, report.ratio_min, report.p_before)]),
         )
@@ -358,23 +354,22 @@ def _run_fig7(config: ExperimentConfig, outdir: Path) -> list:
     return outcomes
 
 
-def _run_spectrum(config: ExperimentConfig, outdir: Path) -> list:
+def _run_spectrum(config: ExperimentConfig, files: dict) -> list:
     ev = spectra.full_spectrum(config.chain)
-    _write_csv(outdir / "eigenvalues.csv", ["re", "im"], [ev.real, ev.imag])
+    files["eigenvalues.csv"] = ["re", "im"], [ev.real, ev.imag]
     if config.boundary is Boundary.PERIODIC:
         return [("coalescing zero pair", float(np.sort(np.abs(ev))[1]), 1e-6)]
     report = spectra.verify_equal_spacing(ev, 5, config.params)
     if report.ok:
-        _write_csv(
-            outdir / "spacings.csv",
+        files["spacings.csv"] = (
             ["n", "level", "deviation"],
             [range(1, 6), report.levels[:5], report.spacing_deviations[:5]],
         )
     return [("equal spacing", max(report.spacing_deviations) if report.ok else math.inf, 0.10)]
 
 
-def _run_oracle_compare(config: ExperimentConfig, outdir: Path) -> list:
-    return _closed_form_profiles(config, _evolve_packet(config, config.chain), outdir)
+def _run_oracle_compare(config: ExperimentConfig, files: dict) -> list:
+    return _closed_form_profiles(config, _evolve_packet(config, config.chain), files)
 
 
 # experiment id -> (runner, canonical figure parameters for keys left unset)
@@ -391,9 +386,12 @@ EXPERIMENTS = {
 
 
 def run_experiment(config: ExperimentConfig, check: bool = False) -> int:
-    outdir = Path(config.out)
+    files = {}
+    outcomes = EXPERIMENTS[config.experiment][0](config, files)
+    outdir = Path(config.out)  # made only once the run has finished: a run that fails writes nothing
     outdir.mkdir(parents=True, exist_ok=True)
-    outcomes = EXPERIMENTS[config.experiment][0](config, outdir)
+    for name, (header, columns) in files.items():
+        _write_csv(outdir / name, header, columns)
     if not check:
         return EXIT_OK
     code = EXIT_OK

@@ -255,6 +255,7 @@ def test_main_numerical_failure_exit_code(tmp_path):
     out = tmp_path / "short"
     code = main(["fig6", "--cells", "60", "--samples", "80", "--tmax-over-tau", "0.02", "--out", str(out)])
     assert code == EXIT_NUMERICAL
+    assert not out.exists()
 
 
 def test_main_fig4_too_short_for_a_period_exit_code(tmp_path, capsys):
@@ -266,6 +267,7 @@ def test_main_fig4_too_short_for_a_period_exit_code(tmp_path, capsys):
     assert re.search(r"\[AnalysisError\]: fewer than two norm peaks in t = \[0, 57\.98\d*\]", err)
     assert len(err.strip().splitlines()) == 1
     assert not (out / "period_report.csv").exists()
+    assert not out.exists()
 
 
 def test_main_fig7_equal_positions_rejected_before_output(tmp_path, capsys):
@@ -307,6 +309,7 @@ def test_main_overflow_exit_code(tmp_path, capsys):
     assert code == EXIT_NUMERICAL
     # the first non-finite sample, about 6 periods in, is named
     assert re.search(r"\[OverflowError\]: .* at t = 59\d\.\d", capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_main_memory_error_exit_code(tmp_path, capsys, monkeypatch):
@@ -314,10 +317,51 @@ def test_main_memory_error_exit_code(tmp_path, capsys, monkeypatch):
         raise MemoryError
 
     monkeypatch.setattr("nhssh.spectra.full_spectrum", out_of_memory)
-    code = main(["spectrum", "--cells", "40", "--out", str(tmp_path / "oom")])
+    out = tmp_path / "oom"
+    code = main(["spectrum", "--cells", "40", "--out", str(out)])
     assert code == EXIT_NUMERICAL
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "MemoryError" in err and "--cells" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment", list(EXPERIMENTS))
+def test_cells_too_large_to_resolve_is_a_config_error(tmp_path, capsys, experiment):
+    # normalizing the packet at N = 1e17 asks numpy for 711 PiB, beyond any address space, so it is refused at
+    # once and nothing is allocated; this used to escape as a MemoryError traceback with exit 1
+    out = tmp_path / experiment
+    assert main([experiment, "--cells", str(10**17), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cells='100000000000000000': Unable to allocate") and err.count("\n") == 1
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(f"experiment={experiment}\ncells={10**17}\n")
+    assert main(["--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: line 2: cells='100000000000000000': Unable to allocate")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, code, reason",
+    [
+        (["fig7", "--samples", "2"], EXIT_NUMERICAL, "packets never meet inside the trajectory span"),
+        (["fig6", "--delta", "1e-9", "--boundary", "periodic", "--cells", "4"], EXIT_CONFIG, "T is singular"),
+    ],
+    ids=["fig7-two-samples", "fig6-singular-ring"],
+)
+def test_failed_run_writes_nothing(tmp_path, capsys, argv, code, reason):
+    # runners fill a table that run_experiment writes only once the run has finished: a run that fails
+    # leaves no directory, and an --out that holds an earlier run's files keeps every byte of them
+    out = tmp_path / "failed"
+    assert main([*argv, "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and reason in err
+    assert not out.exists()
+    kept = tmp_path / "kept"
+    assert main([argv[0], "--cells", "40", "--samples", "160", "--out", str(kept)]) == EXIT_OK
+    before = {path.name: path.read_bytes() for path in kept.iterdir()}
+    assert main([*argv, "--out", str(kept)]) == code
+    assert {path.name: path.read_bytes() for path in kept.iterdir()} == before
 
 
 def test_main_fig2_small(tmp_path):
@@ -356,7 +400,7 @@ def test_every_check_line_names_its_value_and_bound(tmp_path, capsys, experiment
 def test_checks_are_graded_value_at_most_bound(tmp_path, capsys, monkeypatch):
     # run_experiment grades every runner's (name, value, bound): a value at its bound passes, a NaN fails
     checks = [("at the bound", 0.25, 0.25), ("no value", math.nan, 1.0)]
-    monkeypatch.setitem(EXPERIMENTS, "spectrum", (lambda config, outdir: checks, {}))
+    monkeypatch.setitem(EXPERIMENTS, "spectrum", (lambda config, files: checks, {}))
     assert main(["spectrum", "--out", str(tmp_path / "spectrum"), "--check"]) == EXIT_CHECK
     assert capsys.readouterr().out.splitlines() == [
         "[PASS] at the bound = 0.25 (bound 0.25)",
