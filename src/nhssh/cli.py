@@ -62,8 +62,8 @@ class ExperimentConfig:
     out: str = "out"
 
     def __post_init__(self):
-        if self.samples < 2:
-            raise ValueError("samples must be >= 2")
+        if not 2 <= self.samples <= sys.float_info.max:  # dt divides by samples - 1 as a float
+            raise ValueError(f"samples must lie in [2, {sys.float_info.max:.3g}]")
         if not 0.0 < self.tmax_over_tau < math.inf:
             raise ValueError(f"tmax_over_tau must be finite and positive, got {self.tmax_over_tau}")
         if self.params.boundary is Boundary.PERIODIC and self.experiment in ("fig3", "fig4", "fig7", "oracle-compare"):
@@ -99,7 +99,11 @@ class ExperimentConfig:
     @cached_property
     def dt(self) -> float:
         """The run's samples are at t = n*dt, n < samples, up to tmax_over_tau revival periods."""
-        return self.tmax_over_tau * self.tau / (self.samples - 1)
+        with np.errstate(over="ignore"):  # a span so long that dt overflows is refused below
+            dt = self.tmax_over_tau * self.tau / (self.samples - 1)
+        if not 0.0 < dt < math.inf:
+            raise ValueError(f"the time step tmax_over_tau * tau / (samples - 1) must be finite and > 0, got dt={dt}")
+        return dt
 
     @cached_property
     def packet(self) -> oracle.PacketSpec:
@@ -124,7 +128,7 @@ class ExperimentConfig:
         """fig5's growth window, which must hold enough of the run's samples n*dt to fit."""
         lo, hi = (f * self.tau for f in _GROWTH_WINDOW_OVER_TAU)
         dt, need = self.dt, analysis._MIN_WINDOW_SAMPLES
-        with np.errstate(over="ignore", divide="ignore"):  # n just below to just above the window; lo/dt may overflow
+        with np.errstate(over="ignore"):  # n just below to just above the window; lo/dt may overflow
             n = np.arange(*(int(min(x, self.samples)) for x in (max(lo / dt - 1, 0), hi / dt + 2)))
         held = np.count_nonzero((n * dt >= lo) & (n * dt <= hi))
         if held < need:
@@ -428,8 +432,8 @@ def main(argv: list[str] | None = None) -> int:
             if getattr(args, key) is not None:
                 explicit[key] = _parse(key, getattr(args, key))
         config = build_config(explicit)
-    except (ValueError, OSError) as exc:
-        # ConfigError, a value that clashes with another, an unreadable file
+    except (ValueError, OSError, MemoryError) as exc:
+        # ConfigError, a value that clashes with another, an unreadable file, a derived array numpy cannot allocate
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
@@ -440,7 +444,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"numerical failure [{type(exc).__name__}]: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except MemoryError:
-        print(f"numerical failure [MemoryError]: no memory for 2N = {2 * config.cells}; lower --cells", file=sys.stderr)
+        reason = f"no memory for 2N = {2 * config.cells} and {config.samples} samples; lower --cells or --samples"
+        print(f"numerical failure [MemoryError]: {reason}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:
         print(f"config error: cannot write outputs: {exc}", file=sys.stderr)

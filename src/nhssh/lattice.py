@@ -50,6 +50,8 @@ class LatticeParams:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
         if not 0.0 <= self.gamma < np.inf:
             raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
+        if float(self.gamma) * float(self.gamma) == math.inf:  # every solver reads H^2 = T^2 - gamma^2
+            raise ValueError(f"gamma^2 must be finite, got gamma={self.gamma}")
         if self.boundary is Boundary.PERIODIC and self.cells % 2:
             raise ValueError("periodic boundary requires an even number of cells")
 
