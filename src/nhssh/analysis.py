@@ -34,7 +34,6 @@ class GrowthReport:
     label: str  # "Exponential" | "Linear" | "Oscillatory"
     fit_params: dict
     r_squared: float
-    window: tuple
 
 
 def _r_squared(values: np.ndarray, predicted: np.ndarray) -> float:
@@ -87,7 +86,7 @@ def classify_growth(times: np.ndarray, norms: np.ndarray, window: tuple) -> Grow
         label, r2 = "Exponential", r2_exp
     else:
         label, r2 = "Linear", r2_lin
-    return GrowthReport(label=label, fit_params=fits, r_squared=max(0.0, min(1.0, r2)), window=(lo, hi))
+    return GrowthReport(label=label, fit_params=fits, r_squared=max(0.0, min(1.0, r2)))
 
 
 def reflection_symmetry(traj: Trajectory, t_reflect: float, delta_t: float) -> float:

@@ -138,9 +138,9 @@ class Modes:
         x = self.x
         k = np.sqrt(np.abs(x))
         grow = np.count_nonzero(x < 0)  # a leading run, as x ascends
-        kt = t[:, None] * k
-        c, s = np.cos(kt), np.sin(kt)
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):  # a k*t past float range: evolve names its sample
+            kt = t[:, None] * k
+            c, s = np.cos(kt), np.sin(kt)
             c[:, :grow], s[:, :grow] = np.cosh(kt[:, :grow]), np.sinh(kt[:, :grow])
         s /= np.where(k > 0, k, 1.0)
         s[:, k == 0] = t[:, None]  # lam == gamma: the exceptional point, where s = t

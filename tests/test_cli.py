@@ -7,7 +7,6 @@ import re
 from collections import Counter
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -105,18 +104,8 @@ def test_unknown_experiment_rejected():
         parse_config("experiment=fig9\n")
 
 
-SMALL = ["--cells", "40", "--samples", "160", "--tmax-over-tau", "0.3"]
-
-
-def test_main_fig3_outputs(tmp_path):
-    out = tmp_path / "fig3"
-    assert main(["fig3", *SMALL, "--out", str(out)]) == EXIT_OK
-    norms = (out / "norms.csv").read_text().splitlines()
-    assert norms[0] == "t,P_numeric,P_closed_form"
-    assert len(norms) == 1 + 160  # header + one row per sample
-    for idx in range(3):
-        prof = (out / f"profile_t{idx}.csv").read_text().splitlines()
-        assert len(prof) == 1 + 80  # 2N rows
+RUN = ["--cells", "40", "--samples", "160"]
+SMALL = [*RUN, "--tmax-over-tau", "0.3"]
 
 
 @pytest.mark.parametrize("q", ["1e-9", "0"])
@@ -171,28 +160,6 @@ def test_reproduce_all_matches_golden_summary(reproduce_all):
     assert mismatches(out, json.loads(GOLDEN.read_text(encoding="utf-8"))) == []
 
 
-def test_main_outputs_bit_identical(tmp_path):
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert main(["fig3", *SMALL, "--out", str(out1)]) == EXIT_OK
-    assert main(["fig3", *SMALL, "--out", str(out2)]) == EXIT_OK
-    for name in ("norms.csv", "profile_t0.csv", "compare.csv"):
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-
-
-def test_main_spectrum_rows(tmp_path):
-    out = tmp_path / "spec"
-    assert main(["spectrum", "--cells", "40", "--out", str(out), "--check"]) == EXIT_OK
-    rows = (out / "eigenvalues.csv").read_text().splitlines()
-    assert len(rows) == 1 + 80
-    assert (out / "spacings.csv").exists()
-
-
-def test_main_spectrum_periodic_zero_pair(tmp_path):
-    out = tmp_path / "ring"
-    code = main(["spectrum", "--cells", "40", "--boundary", "periodic", "--out", str(out), "--check"])
-    assert code == EXIT_OK
-
-
 OPEN_ONLY = ("fig3", "fig4", "fig7", "oracle-compare")
 HUGE = str(10**17)
 
@@ -225,6 +192,12 @@ EXIT_CONTRACT = {
     # above threshold the norm leaves float range about 6 periods in, and the first non-finite sample is named
     "fig5-overflow": (["fig5", "--cells", "20", "--samples", "4000", "--tmax-over-tau", "8"], EXIT_NUMERICAL,
                       r"\[OverflowError\]: .* at t = 59\d\.\d"),
+    # a span so long that a mode's k*t leaves float range, in the cosines as in the growth
+    "fig4-kt-overflow": (["fig4", "--cells", "40", "--samples", "144", "--delta", "1.68e-54", "--q", "0",
+                          "--tmax-over-tau", "2.88e279", "--check"], EXIT_NUMERICAL,
+                         r"\[OverflowError\]: .* at t = 1\.15322e\+308"),
+    "fig7-kt-overflow": (["fig7", "--cells", "9", "--samples", "241", "--tmax-over-tau", "4.029e264",
+                          "--gamma", "4.346e122"], EXIT_NUMERICAL, r"\[OverflowError\]: .* at t = 7\.9137e\+263"),
     # normalizing the packet at N = 1e17 asks numpy for 711 PiB, which it refuses without allocating
     **{f"{e}-huge-cells": ([e, "--cells", HUGE], EXIT_CONFIG, f"^config error: cells='{HUGE}': Unable to allocate")
        for e in EXPERIMENTS},
@@ -261,11 +234,16 @@ EXIT_CONTRACT = {
 }
 
 
+def _with_config_file(argv: list[str]) -> list[str]:
+    """argv with its newline-holding argument, a config file's text, written to run.cfg and passed as that path."""
+    Path("run.cfg").write_text("".join(arg for arg in argv if "\n" in arg))
+    return ["run.cfg" if "\n" in arg else arg for arg in argv]
+
+
 @pytest.mark.parametrize("argv, code, reason", EXIT_CONTRACT.values(), ids=EXIT_CONTRACT)
 def test_exit_contract(tmp_path, capsys, monkeypatch, argv, code, reason):
     monkeypatch.chdir(tmp_path)
-    Path("run.cfg").write_text("".join(arg for arg in argv if "\n" in arg))
-    argv = ["run.cfg" if "\n" in arg else arg for arg in argv]
+    argv = _with_config_file(argv)
     Path("kept").mkdir()
     Path("kept", "norms.csv").write_bytes(b"t\n0\n")
     for out in ("fresh", "kept"):
@@ -276,24 +254,67 @@ def test_exit_contract(tmp_path, capsys, monkeypatch, argv, code, reason):
     assert [(path.name, path.read_bytes()) for path in Path("kept").iterdir()] == [("norms.csv", b"t\n0\n")]
 
 
-@pytest.mark.parametrize(
-    "argv, csv",
-    [
-        (["fig3", *SMALL, "--tmax-over-tau", "0.25"], "profile_t2.csv"),  # a span of exactly tau/4
-        (["oracle-compare", *SMALL, "--tmax-over-tau", "0.25"], "profile_t2.csv"),
-        (["fig5", "--cells", "20", "--samples", "90"], "classification.csv"),  # 54 samples in its growth window
-    ],
-    ids=["fig3-quarter", "oracle-compare-quarter", "fig5-90-samples"],
-)
-def test_next_to_a_refusal_a_run_succeeds(tmp_path, argv, csv):
-    assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK
-    assert (tmp_path / csv).exists()
+NORMS = ("t,P_numeric,P_closed_form", 160)
+GRADED = {**{f"profile_t{i}.csv": ("site,probability,probability_closed_form", 80) for i in range(3)},
+          "compare.csv": ("t,l1_over_norm", 3)}  # fig3's and oracle-compare's profile oracle at t = 0, tau/8, tau/4
+SPECTRUM = {"eigenvalues.csv": ("re,im", 80), "spacings.csv": ("n,level,deviation", 5)}
+FIG5 = {"classification.csv": ("gamma,label,r_squared,slope", 3), **{f"norms_gamma{i}.csv": NORMS for i in (1, 2, 3)}}
+# The files each experiment writes, file -> (header, data rows), at 2N = 80 and 160 samples
+FILES = {
+    "fig2": {"centers.csv": ("kappa0_over_pi,center,width,expected_center", 7),
+             **{f"profile_t{m}.csv": ("site,probability", 80) for m in range(1, 8)}},
+    "fig3": {"norms.csv": NORMS, **GRADED},
+    "fig4": {"norms.csv": NORMS, "period_report.csv": ("formula_period,measured_period,revival_period", 1)},
+    "fig5": FIG5,
+    "fig6": {"norms.csv": NORMS, "translation.csv": (
+        "window_start,window_end,norm_drift,center_velocity,first_reflection,second_reflection", 1)},
+    "fig7": {**{f"norms_{name}.csv": ("t,P_pair,P_sum_singles", 160) for name in ("plus", "minus")},
+             **{f"interference_{name}.csv": ("window_start,window_end,ratio_max,ratio_min,p_before", 1)
+                for name in ("plus", "minus")}},
+    "spectrum": SPECTRUM,
+    "oracle-compare": GRADED,
+}
+
+# The CSV contract, one row per run: argv, exit code under --check, and the files it writes. A plain run exits 0
+# silently; a --check run writes the same bytes and prints one CHECK_LINE per check.
+OUTPUT_CONTRACT = {
+    # at 2N = 80 fig2's translations and the profile oracle miss bounds that are set for 2N >= 500
+    **{e: ([e, *RUN], EXIT_CHECK if e in ("fig2", "fig3", "oracle-compare") else EXIT_OK, FILES[e])
+       for e in EXPERIMENTS},
+    "spectrum-ring": (["spectrum", *RUN, "--boundary", "periodic"], EXIT_OK, {"eigenvalues.csv": ("re,im", 80)}),
+    # next to a refusal: a span of exactly tau/4, and 54 samples in fig5's growth window
+    **{f"{e}-quarter": ([e, *SMALL, "--tmax-over-tau", "0.25"], EXIT_CHECK, FILES[e])
+       for e in ("fig3", "oracle-compare")},
+    "fig5-90-samples": (["fig5", "--cells", "20", "--samples", "90"], EXIT_OK,
+                        {**FIG5, **{f"norms_gamma{i}.csv": (NORMS[0], 90) for i in (1, 2, 3)}}),
+    "fig3-off-center": (["fig3", "--kappa0-over-pi", "1/3", *SMALL], EXIT_CHECK, FILES["fig3"]),
+    "fig3-kappa0-1e-150": (["fig3", "--kappa0-over-pi", "1e-150", *RUN], EXIT_CHECK, FILES["fig3"]),
+    "file-and-flag": (["--config", "experiment=spectrum\ncells=30\nboundary=open\n", "--cells", "36"], EXIT_OK,
+                      {**SPECTRUM, "eigenvalues.csv": ("re,im", 72)}),  # the flag overrides the file's cells
+}
+CHECK_LINE = re.compile(r"^\[(PASS|FAIL)\] .+ = \S+ \(bound \S+\)$")
+
+
+@pytest.mark.parametrize("argv, code, files", OUTPUT_CONTRACT.values(), ids=OUTPUT_CONTRACT)
+def test_output_contract(tmp_path, capsys, monkeypatch, argv, code, files):
+    monkeypatch.chdir(tmp_path)
+    argv = _with_config_file(argv)
+    assert main([*argv, "--out", "plain"]) == EXIT_OK
+    assert capsys.readouterr().out == ""
+    plain = {path.name: path.read_bytes() for path in Path("plain").iterdir()}
+    assert {name: (data.split(b"\n", 1)[0].decode(), data.count(b"\n") - 1) for name, data in plain.items()} == files
+    assert not {cell for data in plain.values() for cell in re.split(rb"[,\n]", data)} & {b"nan", b"inf", b"-inf"}
+    assert main([*argv, "--out", "checked", "--check"]) == code
+    lines = capsys.readouterr().out.splitlines()
+    assert lines and all(CHECK_LINE.match(line) for line in lines), lines
+    assert any(line.startswith("[FAIL]") for line in lines) == (code == EXIT_CHECK)
+    assert {path.name: path.read_bytes() for path in Path("checked").iterdir()} == plain
 
 
 def test_fig3_runs_off_center(tmp_path):
     # fig4 refuses kappa0 off pi/2; fig3 takes it, and leaves the closed-form norm column empty
     assert main(["fig3", "--kappa0-over-pi", "1/3", *SMALL, "--out", str(tmp_path)]) == EXIT_OK
-    assert (tmp_path / "norms.csv").read_text().splitlines()[1].endswith(",")
+    assert all(row.endswith(",") for row in (tmp_path / "norms.csv").read_text().splitlines()[1:])
 
 
 def test_main_unwritable_outdir_exit_code(tmp_path):
@@ -321,24 +342,6 @@ def test_other_experiments_accept_the_ring(experiment):
     assert config.params.boundary is Boundary.PERIODIC and config.chain.ring
 
 
-def test_main_config_file_and_flag_override(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("experiment=spectrum\ncells=30\nboundary=open\n")
-    out = tmp_path / "out"
-    assert main(["--config", str(cfg), "--cells", "36", "--out", str(out)]) == EXIT_OK
-    rows = (out / "eigenvalues.csv").read_text().splitlines()
-    assert len(rows) == 1 + 72  # flag overrides the file value
-
-
-def test_main_fig2_small(tmp_path):
-    out = tmp_path / "fig2"
-    assert main(["fig2", "--cells", "100", "--out", str(out)]) == EXIT_OK
-    centers = (out / "centers.csv").read_text().splitlines()
-    assert len(centers) == 1 + 7
-    for m in range(1, 8):
-        assert (out / f"profile_t{m}.csv").exists()
-
-
 def test_check_failure_exit_code(tmp_path, capsys):
     # at a tiny scale with a far-off-tuned gamma the spectrum check fails
     out = tmp_path / "bad"
@@ -348,19 +351,6 @@ def test_check_failure_exit_code(tmp_path, capsys):
     # without --check the same run is not graded
     assert main(["spectrum", "--cells", "40", "--gamma", "2.6", "--out", str(out)]) == EXIT_OK
     assert "[FAIL]" not in capsys.readouterr().out
-
-
-CHECK_LINE = re.compile(r"^\[(PASS|FAIL)\] .+ = \S+ \(bound \S+\)$")
-
-
-@pytest.mark.parametrize("experiment", list(EXPERIMENTS))
-def test_every_check_line_names_its_value_and_bound(tmp_path, capsys, experiment):
-    # at 2N = 80 some checks fail (the profile oracle is graded at large N only), but every line has one form
-    argv = [experiment, "--cells", "40", "--samples", "160", "--out", str(tmp_path / experiment), "--check"]
-    code = main(argv)
-    lines = capsys.readouterr().out.splitlines()
-    assert lines and all(CHECK_LINE.match(line) for line in lines), lines
-    assert code == (EXIT_CHECK if any(line.startswith("[FAIL]") for line in lines) else EXIT_OK)
 
 
 def test_checks_are_graded_value_at_most_bound(tmp_path, capsys, monkeypatch):
@@ -376,23 +366,8 @@ def test_checks_are_graded_value_at_most_bound(tmp_path, capsys, monkeypatch):
 
 def test_small_kappa0_with_a_normal_weight_runs(tmp_path):
     # at kappa0 = 1e-150 pi the squared terms sum to 3.9e-298, a normal double: the packet keeps its scale
-    out = tmp_path / "fig3"
-    argv = ["fig3", "--kappa0-over-pi", "1e-150", "--cells", "40", "--samples", "160", "--out", str(out)]
-    assert main(argv) == EXIT_OK
-    norms = np.loadtxt(out / "norms.csv", delimiter=",", skiprows=1, usecols=(0, 1))
-    assert np.isfinite(norms).all() and norms[:, 1].min() > 0.0
-
-
-@pytest.mark.parametrize("experiment", list(EXPERIMENTS))
-def test_every_experiment_runs_silently(tmp_path, capsys, experiment):
-    out = tmp_path / experiment
-    assert main([experiment, "--cells", "40", "--samples", "160", "--out", str(out)]) == EXIT_OK
-    assert capsys.readouterr().out == ""
-    csvs = sorted(out.glob("*.csv"))
-    assert csvs
-    for path in csvs:
-        cells = set(re.split(r"[,\n]", path.read_text()))
-        assert not cells & {"nan", "inf", "-inf"}, path.name
+    assert main(["fig3", "--kappa0-over-pi", "1e-150", *RUN, "--out", str(tmp_path)]) == EXIT_OK
+    assert np.loadtxt(tmp_path / "norms.csv", delimiter=",", skiprows=1, usecols=1).min() > 0.0
 
 
 def test_config_resolves_its_derived_fields():
@@ -514,33 +489,6 @@ def test_every_evolved_state_takes_one_component(tmp_path, monkeypatch, cells):
     for experiment in ("fig3", "fig4", "fig5", "fig6", "fig7", "oracle-compare"):
         assert main([experiment, "--cells", str(cells), "--out", str(tmp_path / experiment)]) == EXIT_OK
     assert [traj.components for traj in runs] == [1] * 11  # fig5's three gains, fig7's two singles and two pairs
-
-
-@pytest.mark.parametrize("experiment", ["fig6", "fig7"])
-def test_profile_readers_peak_below_8_mib(tmp_path, experiment):
-    # at 2N = 500 and 2000 samples the profile stack alone is 7.6 MiB; fig6 and fig7 reduce one 64-sample
-    # block at a time (2.7 and 4.1 MiB measured, 18.6 and 26.7 MiB when they read the whole stack)
-    argv = [experiment, "--cells", "250", "--samples", "2000", "--out", str(tmp_path / experiment)]
-    tracemalloc.start()
-    try:
-        assert main(argv) == EXIT_OK
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * 2**20, peak / 2**20
-
-
-def test_large_lattice_run_peaks_below_16_mib(tmp_path):
-    # oracle-compare at 2N = 2000 holds one N x N basis, U (7.6 MiB), and evolve's transient beside it:
-    # 13.6 MiB measured, 22.3 MiB while the decomposition also stored the loss vectors V
-    argv = ["oracle-compare", "--cells", "1000", "--samples", "2000", "--out", str(tmp_path / "out")]
-    tracemalloc.start()
-    try:
-        assert main(argv) == EXIT_OK
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2**20, peak / 2**20
 
 
 def _cell(value) -> str:

@@ -1,0 +1,68 @@
+import tracemalloc
+from dataclasses import replace
+from functools import partial
+
+import numpy as np
+import pytest
+
+from nhssh import LatticeParams, PacketSpec, build_initial_state, evolve, full_spectrum, revival_period
+from nhssh.cli import EXIT_OK, main
+from nhssh.lattice import Boundary, build_chain
+from nhssh.propagate import decompose
+
+LARGE = LatticeParams(1000, 0.9, 1.8)  # 2N = 2000, where one 2N x 2N float64 array is 32 MiB
+
+
+def _cli(*argv):
+    def run():
+        assert main([*argv, "--out", "out"]) == EXIT_OK
+
+    return run
+
+
+def _on_large_chain(solver, boundary):
+    chain = build_chain(replace(LARGE, boundary=boundary))
+    return lambda: solver(chain)
+
+
+def _evolve_on_given_modes():
+    modes = decompose(build_chain(LARGE))
+    psi0 = build_initial_state(PacketSpec(np.pi / 2, 0.02), LARGE)
+    dt = 0.3 * revival_period(LARGE) / 1999
+    return lambda: evolve(psi0, modes, dt, 1999)
+
+
+# Peak traced memory, one row per run: label -> (setup, bound in MiB). setup builds the run's inputs, untraced,
+# and returns the call whose peak is measured.
+PEAK_MIB = {
+    # at 2N = 500 and 2000 samples the profile stack alone is 7.6 MiB; fig6 and fig7 reduce one 64-sample
+    # block at a time (2.7 and 4.1 MiB measured, 18.6 and 26.7 MiB when they read the whole stack)
+    **{f"{e}-profile-readers": (partial(_cli, e, "--cells", "250", "--samples", "2000"), 8) for e in ("fig6", "fig7")},
+    # oracle-compare at 2N = 2000 holds one N x N basis, U (7.6 MiB), and evolve's transient beside it:
+    # 13.6 MiB measured, 22.3 MiB while the decomposition also stored the loss vectors V
+    "oracle-compare-2000": (partial(_cli, "oracle-compare", "--cells", "1000", "--samples", "2000"), 16),
+    # on either boundary the spectrum needs no matrix at all (0.12 MiB measured on the ring)
+    **{f"spectrum-{b.value}": (partial(_on_large_chain, full_spectrum, b), 1) for b in Boundary},
+    # U is 7.6 MiB and the only N x N array held: the ring's is formed in place, the open chain's column norms
+    # are taken without squaring it, and V, U's parity image, is never stored, so no B^T U product or reversed
+    # copy exists (8.9 MiB open and 7.8 MiB ring measured)
+    **{f"decompose-{b.value}": (partial(_on_large_chain, decompose, b), 10) for b in Boundary},
+    # with 2 000 samples (32 blocks), on a given decomposition: the c and s tables at the 64 offsets and 32
+    # block starts (1.5 MiB), the [c^2, c*s, s^2] table (1.5 MiB), and per component its alpha and beta (1 MiB)
+    # and GEMM rows (0.7 MiB); 5.6 MiB measured, as each component's alpha, beta and rows are freed before the
+    # next one's are formed (6.6 MiB while they stayed alive)
+    "evolve-2000": (_evolve_on_given_modes, 6),
+}
+
+
+@pytest.mark.parametrize("setup, bound", PEAK_MIB.values(), ids=PEAK_MIB)
+def test_peak_memory(tmp_path, monkeypatch, setup, bound):
+    monkeypatch.chdir(tmp_path)
+    run = setup()
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound * 2**20, peak / 2**20

@@ -1,5 +1,4 @@
 import functools
-import tracemalloc
 from dataclasses import replace
 
 import mpmath
@@ -16,7 +15,6 @@ from nhssh import (
     coalescing_state,
     evolve,
     expm,
-    full_spectrum,
     fwhm_interval,
     revival_period,
 )
@@ -440,22 +438,6 @@ def test_shared_decomposition_gain_sweep():
             assert err.max() < 1e-12
 
 
-@pytest.mark.parametrize("boundary,decompose_mib,spectrum_mib", [(Boundary.OPEN, 32, 1), (Boundary.PERIODIC, 32, 1)])
-def test_chain_solvers_stay_half_size(boundary, decompose_mib, spectrum_mib):
-    # at 2N = 2000 one 2N x 2N float64 array is 32 MiB: on either boundary the decomposition stays below
-    # it (U alone, its parity image applied where it is used) and the spectrum needs no matrix at all
-    # (ring: 7.81 and 0.12 MiB measured)
-    chain = build_chain(LatticeParams(1000, 0.9, 1.8, boundary))
-    for solver, bound in ((decompose, decompose_mib), (full_spectrum, spectrum_mib)):
-        tracemalloc.start()
-        try:
-            solver(chain)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < bound * 2**20, (solver.__name__, peak / 2**20)
-
-
 def _loss_basis(modes) -> np.ndarray:
     """The loss-site vectors as the modes apply them: the identity's coefficients carried to the sites.
 
@@ -553,36 +535,3 @@ def test_parity_image_evolves_as_the_stored_loss_basis(cells, boundary, state):
         reference = two.profile_at(two.times[k])
         assert np.abs(one.profile_at(one.times[k]) - reference).max() <= 1e-14 * reference.max(), k
     assert (np.abs(one.states - two.states) <= 1e-14 * np.abs(two.states).max(axis=1, keepdims=True)).all()
-
-
-@pytest.mark.parametrize("boundary", [Boundary.OPEN, Boundary.PERIODIC], ids=["open", "ring"])
-def test_decomposition_peaks_below_10_mib(boundary):
-    # at 2N = 2000 U is 7.6 MiB and the only N x N array held: the ring's is formed in place, the open
-    # chain's column norms are taken without squaring it, and V, U's parity image, is never stored, so
-    # no B^T U product or reversed copy exists (8.9 MiB open and 7.8 MiB ring measured)
-    chain = build_chain(LatticeParams(1000, 0.9, 1.8, boundary))
-    tracemalloc.start()
-    try:
-        decompose(chain)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 10 * 2**20, peak / 2**20
-
-
-def test_evolve_transient_peaks_below_6_mib():
-    # at 2N = 2000 with 2 000 samples (32 blocks), on a given decomposition: the c and s tables at the 64
-    # offsets and 32 block starts (1.5 MiB), the [c^2, c*s, s^2] table (1.5 MiB), and per component its
-    # alpha and beta (1 MiB) and GEMM rows (0.7 MiB); 5.6 MiB measured, as each component's alpha, beta
-    # and rows are freed before the next one's are formed (6.6 MiB while they stayed alive)
-    params = LatticeParams(1000, 0.9, 1.8)
-    modes = decompose(build_chain(params))
-    psi0 = build_initial_state(PacketSpec(np.pi / 2, 0.02), params)
-    dt = 0.3 * revival_period(params) / 1999
-    tracemalloc.start()
-    try:
-        evolve(psi0, modes, dt, 1999)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 6 * 2**20, peak / 2**20
