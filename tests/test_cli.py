@@ -295,20 +295,66 @@ OUTPUT_CONTRACT = {
 CHECK_LINE = re.compile(r"^\[(PASS|FAIL)\] .+ = \S+ \(bound \S+\)$")
 
 
+def _written(argv: list[str], out: str, code: int = EXIT_OK) -> dict[str, bytes]:
+    """The files a run of argv writes to --out, name -> bytes, once the run has exited with code."""
+    assert main([*_with_config_file(argv), "--out", out]) == code
+    return {path.name: path.read_bytes() for path in Path(out).iterdir()}
+
+
 @pytest.mark.parametrize("argv, code, files", OUTPUT_CONTRACT.values(), ids=OUTPUT_CONTRACT)
-def test_output_contract(tmp_path, capsys, monkeypatch, argv, code, files):
+def test_every_experiment_runs_silently(tmp_path, capsys, monkeypatch, argv, code, files):
     monkeypatch.chdir(tmp_path)
-    argv = _with_config_file(argv)
-    assert main([*argv, "--out", "plain"]) == EXIT_OK
+    plain = _written(argv, "plain")
     assert capsys.readouterr().out == ""
-    plain = {path.name: path.read_bytes() for path in Path("plain").iterdir()}
     assert {name: (data.split(b"\n", 1)[0].decode(), data.count(b"\n") - 1) for name, data in plain.items()} == files
     assert not {cell for data in plain.values() for cell in re.split(rb"[,\n]", data)} & {b"nan", b"inf", b"-inf"}
-    assert main([*argv, "--out", "checked", "--check"]) == code
+
+
+@pytest.mark.parametrize("argv, code, files", OUTPUT_CONTRACT.values(), ids=OUTPUT_CONTRACT)
+def test_every_check_line_names_its_value_and_bound(tmp_path, capsys, monkeypatch, argv, code, files):
+    monkeypatch.chdir(tmp_path)
+    plain = _written(argv, "plain")
+    capsys.readouterr()
+    assert _written([*argv, "--check"], "checked", code) == plain
     lines = capsys.readouterr().out.splitlines()
     assert lines and all(CHECK_LINE.match(line) for line in lines), lines
     assert any(line.startswith("[FAIL]") for line in lines) == (code == EXIT_CHECK)
-    assert {path.name: path.read_bytes() for path in Path("checked").iterdir()} == plain
+
+
+def test_main_fig3_outputs(tmp_path):
+    out = tmp_path / "fig3"
+    assert main(["fig3", *SMALL, "--out", str(out)]) == EXIT_OK
+    norms = (out / "norms.csv").read_text().splitlines()
+    assert norms[0] == "t,P_numeric,P_closed_form"
+    assert len(norms) == 1 + 160  # header + one row per sample
+    for idx in range(3):
+        prof = (out / f"profile_t{idx}.csv").read_text().splitlines()
+        assert len(prof) == 1 + 80  # 2N rows
+
+
+def test_main_outputs_bit_identical(tmp_path):
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert main(["fig3", *SMALL, "--out", str(out1)]) == EXIT_OK
+    assert main(["fig3", *SMALL, "--out", str(out2)]) == EXIT_OK
+    for name in ("norms.csv", "profile_t0.csv", "compare.csv"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_main_spectrum_rows(tmp_path):
+    out = tmp_path / "spec"
+    assert main(["spectrum", "--cells", "40", "--out", str(out), "--check"]) == EXIT_OK
+    rows = (out / "eigenvalues.csv").read_text().splitlines()
+    assert len(rows) == 1 + 80
+    assert (out / "spacings.csv").exists()
+
+
+def test_main_fig2_small(tmp_path):
+    out = tmp_path / "fig2"
+    assert main(["fig2", "--cells", "100", "--out", str(out)]) == EXIT_OK
+    centers = (out / "centers.csv").read_text().splitlines()
+    assert len(centers) == 1 + 7
+    for m in range(1, 8):
+        assert (out / f"profile_t{m}.csv").exists()
 
 
 def test_fig3_runs_off_center(tmp_path):
