@@ -17,7 +17,7 @@ from .states import fwhm_interval
 
 # a local maximum followed by a >= 20% drop marks oscillation
 OSCILLATION_DROP = 0.20
-_MIN_WINDOW_SAMPLES = 50  # the fewest samples a growth window may hold
+MIN_WINDOW_SAMPLES = 50  # the fewest samples a growth window may hold
 # trimmed from each side of the inter-reflection window (bounce clearance)
 WINDOW_MARGIN_FRAC = 0.08
 # packets count as separated only when their FWHM intervals clear this gap;
@@ -55,8 +55,8 @@ def classify_growth(times: np.ndarray, norms: np.ndarray, window: tuple) -> Grow
     norms = np.asarray(norms, dtype=float)
     lo, hi = window
     sel = (times >= lo) & (times <= hi)
-    if sel.sum() < _MIN_WINDOW_SAMPLES:
-        raise AnalysisError(f"window [{lo}, {hi}] holds {sel.sum()} samples; need >= {_MIN_WINDOW_SAMPLES}")
+    if sel.sum() < MIN_WINDOW_SAMPLES:
+        raise AnalysisError(f"window [{lo}, {hi}] holds {sel.sum()} samples; need >= {MIN_WINDOW_SAMPLES}")
     t = times[sel]
     p = norms[sel]
     spread = p.max() - p.min()
@@ -148,7 +148,8 @@ def translation_window(traj: Trajectory) -> TranslationReport:
     norms = traj.norms[w0 : w1 + 1]
     drift = float((norms.max() - norms.min()) / norms.mean())
     centers = moments[w0 : w1 + 1] / norms
-    velocity = float(np.polyfit(traj.times[w0 : w1 + 1], centers, 1)[0])
+    with np.errstate(over="raise"):  # a span so long that the fit's sums of t^2 overflow fails here, not as a warning
+        velocity = float(np.polyfit(traj.times[w0 : w1 + 1], centers, 1)[0])
     return TranslationReport(
         window=(float(traj.times[w0]), float(traj.times[w1])),
         norm_drift=drift,

@@ -127,7 +127,7 @@ class ExperimentConfig:
     def window(self) -> tuple[float, float]:
         """fig5's growth window, which must hold enough of the run's samples n*dt to fit."""
         lo, hi = (f * self.tau for f in _GROWTH_WINDOW_OVER_TAU)
-        dt, need = self.dt, analysis._MIN_WINDOW_SAMPLES
+        dt, need = self.dt, analysis.MIN_WINDOW_SAMPLES
         with np.errstate(over="ignore"):  # n just below to just above the window; lo/dt may overflow
             n = np.arange(*(int(min(x, self.samples)) for x in (max(lo / dt - 1, 0), hi / dt + 2)))
         held = np.count_nonzero((n * dt >= lo) & (n * dt <= hi))
@@ -144,13 +144,10 @@ def _parse_fraction(text: str) -> float:
     return float(text)
 
 
-_TYPE_PARSERS = {"str": str, "int": int, "float": float, "Boundary": Boundary.parse}
+_TYPE_PARSERS = {"str": str, "int": int, "float": _parse_fraction, "Boundary": Boundary.parse}
 
 # every config key, with the parser of its text; each one is also a --flag
-_KEYS = {
-    f.name: _parse_fraction if f.name.startswith("kappa") else _TYPE_PARSERS[f.type]
-    for f in fields(ExperimentConfig)
-}
+_KEYS = {f.name: _TYPE_PARSERS[f.type] for f in fields(ExperimentConfig)}
 
 
 def _parse(key: str, text: str, line: int | None = None):
@@ -286,7 +283,8 @@ def _run_fig4(config: ExperimentConfig, files: dict) -> list:
 
     # report the waveform period two ways rather than asserting a wording:
     # the closed-form norm repeats every tau/2, packets revive every tau
-    peaks = _local_maxima(traj.times, traj.norms)
+    p = traj.norms
+    peaks = traj.times[1:-1][(p[1:-1] >= p[:-2]) & (p[1:-1] >= p[2:]) & (p[1:-1] > 0.5 * p.max())]
     if len(peaks) < 2:
         raise analysis.AnalysisError(f"fewer than two norm peaks in t = [0, {traj.times[-1]:.6g}]: no period")
     measured = float(peaks[1] - peaks[0])
@@ -297,10 +295,6 @@ def _run_fig4(config: ExperimentConfig, files: dict) -> list:
     half = traj.times <= config.tau / 2.0 + 1e-9
     rms = float(np.sqrt(np.mean((traj.norms[half] - closed[half]) ** 2)) / traj.norms[half].max())
     return [("closed-form norm RMS", rms, 0.15)]
-
-
-def _local_maxima(t: np.ndarray, p: np.ndarray) -> list:
-    return [t[i] for i in range(1, len(p) - 1) if p[i] >= p[i - 1] and p[i] >= p[i + 1] and p[i] > 0.5 * p.max()]
 
 
 def _run_fig5(config: ExperimentConfig, files: dict) -> list:
@@ -364,12 +358,9 @@ def _run_spectrum(config: ExperimentConfig, files: dict) -> list:
     if config.boundary is Boundary.PERIODIC:
         return [("coalescing zero pair", float(np.sort(np.abs(ev))[1]), 1e-6)]
     report = spectra.verify_equal_spacing(ev, 5, config.params)
-    if report.ok:
-        files["spacings.csv"] = (
-            ["n", "level", "deviation"],
-            [range(1, 6), report.levels[:5], report.spacing_deviations[:5]],
-        )
-    return [("equal spacing", max(report.spacing_deviations) if report.ok else math.inf, 0.10)]
+    n = np.arange(1, len(report.levels) + 1)  # no levels, so a header alone, where the near-zero levels do not pair
+    files["spacings.csv"] = ["n", "level", "deviation"], [n, report.levels, report.spacing_deviations]
+    return [("equal spacing", max(report.spacing_deviations, default=math.inf), 0.10)]
 
 
 def _run_oracle_compare(config: ExperimentConfig, files: dict) -> list:

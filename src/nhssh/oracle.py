@@ -232,14 +232,10 @@ def overlap_formula(spec: PacketSpec, params: LatticeParams) -> float:
     """Estimated overlap magnitude of the packet with the coalescing mode.
 
     ``sqrt(delta (1-delta)) lam / (N delta) * arctan(sin kappa0 / sinh q)``;
-    at q = 0 the arctan saturates at pi/2 for sin(kappa0) > 0.
+    taken as atan2, which saturates at pi/2 at q = 0, where sinh q = 0.
     """
     spec = spec.normalized(params.cells)
-    s = math.sin(spec.kappa0)
-    if spec.q == 0.0:
-        angle = math.pi / 2.0 if s > 0.0 else 0.0
-    else:
-        angle = math.atan(s / math.sinh(spec.q))
+    angle = math.atan2(math.sin(spec.kappa0), math.sinh(spec.q))
     return (
         math.sqrt(params.delta * (1.0 - params.delta))
         * spec.lam

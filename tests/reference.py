@@ -1,7 +1,9 @@
-"""Explicit forms that only the tests use: P and C as dense matrices, the q = 0 norm and three mode solvers.
+"""Explicit forms that only the tests use: P and C as dense matrices, the q = 0 norm, expm's Taylor series and
+three mode solvers.
 
 ``triangle_wave_norm`` is the explicit q = 0 reduction that
-``dirac_norm_closed_form`` is checked against.  ``open_roots_64`` is the
+``dirac_norm_closed_form`` is checked against, and ``taylor_expm`` the
+40-term series that ``expm`` is graded against.  ``open_roots_64`` is the
 direct form that ``Chain.modes`` must reproduce bit for bit: a full
 64-step bisection of the open chain's roots.  ``open_root_mpmath`` finds
 one open-chain root at mpmath's working precision, for the 40-digit
@@ -50,6 +52,16 @@ def triangle_wave_norm(t, spec: PacketSpec, params: LatticeParams):
     phase = np.mod(t, tau / 2.0)
     out = (2.0 * spec.lam**2 * np.pi**2 / tau) * np.minimum(phase, tau / 2.0 - phase)
     return float(out) if np.ndim(t) == 0 else out
+
+
+def taylor_expm(A: np.ndarray, order: int = 40) -> np.ndarray:
+    """Independent oracle: plain truncated Taylor series (small norms only)."""
+    out = np.eye(A.shape[0], dtype=complex)
+    term = np.eye(A.shape[0], dtype=complex)
+    for k in range(1, order + 1):
+        term = term @ A / k
+        out = out + term
+    return out
 
 
 def open_roots_64(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -77,6 +77,7 @@ def test_parse_config_bad_value_line_number():
 def test_parse_config_fractions():
     assert parse_config("kappa0_over_pi=1/6\n")["kappa0_over_pi"] == pytest.approx(1 / 6)
     assert parse_config("kappa0_over_pi=0.25\n")["kappa0_over_pi"] == 0.25
+    assert parse_config("delta=9/10\n")["delta"] == 0.9  # every float key takes a/b
 
 
 def test_experiment_defaults_applied():
@@ -138,7 +139,7 @@ def reproduce_all(tmp_path_factory):
     cwd = tmp_path_factory.mktemp("reproduce_all")
     src = Path(nhssh.__file__).resolve().parents[1]
     script = src.parent / "scripts" / "reproduce_all.py"
-    result = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, cwd=cwd,
+    result = subprocess.run([sys.executable, "-W", "error", str(script)], capture_output=True, text=True, cwd=cwd,
                             env={**os.environ, "PYTHONPATH": str(src)}, timeout=300)
     return result, cwd / "out"
 
@@ -182,6 +183,9 @@ EXIT_CONTRACT = {
     # a span that ends before the packet reaches a wall leaves fig6 no inter-reflection window
     "fig6-short": (["fig6", "--cells", "60", "--samples", "80", "--tmax-over-tau", "0.02"], EXIT_NUMERICAL,
                    r"\[AnalysisError\]: inter-reflection window too short"),
+    # samples about 1e170 apart: the center-velocity fit's sums of t^2 overflow
+    "fig6-fit-overflow": (["fig6", "--cells", "17", "--samples", "163", "--q", "0", "--tmax-over-tau", "7.48e171"],
+                          EXIT_NUMERICAL, r"\[FloatingPointError\]: overflow encountered in multiply$"),
     "fig4-one-peak": (["fig4", *SMALL], EXIT_NUMERICAL,  # 0.3 tau holds one norm peak: no period to measure
                       r"\[AnalysisError\]: fewer than two norm peaks in t = \[0, 57\.98\d*\]"),
     "fig7-one-position": (["fig7", "--kappa02-over-pi", "1/6"], EXIT_CONFIG, "kappa01 and kappa02 must differ"),
@@ -282,6 +286,9 @@ OUTPUT_CONTRACT = {
     **{e: ([e, *RUN], EXIT_CHECK if e in ("fig2", "fig3", "oracle-compare") else EXIT_OK, FILES[e])
        for e in EXPERIMENTS},
     "spectrum-ring": (["spectrum", *RUN, "--boundary", "periodic"], EXIT_OK, {"eigenvalues.csv": ("re,im", 80)}),
+    # far from the EP the near-zero levels do not pair: spacings.csv is written all the same, a header alone
+    "spectrum-unpaired": (["spectrum", *RUN, "--gamma", "2.6"], EXIT_CHECK,
+                          {**SPECTRUM, "spacings.csv": (SPECTRUM["spacings.csv"][0], 0)}),
     # next to a refusal: a span of exactly tau/4, and 54 samples in fig5's growth window
     **{f"{e}-quarter": ([e, *SMALL, "--tmax-over-tau", "0.25"], EXIT_CHECK, FILES[e])
        for e in ("fig3", "oracle-compare")},

@@ -3,7 +3,6 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -232,19 +231,9 @@ def test_closed_form_modes_match_mpmath_and_lapack(cells, boundary):
         assert abs(mpmath.mpf(float(got)) - ref) <= 1e-14 * abs(ref)
     if cells != 1000:
         return
-    # and at 2N = 2000, LAPACK's eigenpairs of B B^T, built from the dense H: the ring's in the order
-    # 0, N-1, 1, N-2, ..., which puts B B^T in a band of width 2
+    # and at 2N = 2000, LAPACK's eigenpairs of the dense B B^T, built from the dense H
     B = build_hamiltonian(LatticeParams(cells, 0.9, 1.8, boundary)).real[0::2, 1::2]
-    gram = B @ B.T
-    if chain.ring:
-        order = np.c_[np.arange(cells), np.arange(cells)[::-1]].ravel()[:cells]
-        folded = gram[np.ix_(order, order)]
-        band = np.array([np.r_[np.diagonal(folded, -k), np.zeros(k)] for k in range(3)])
-        lam2, vectors = scipy.linalg.eig_banded(band, lower=True)
-        reference = np.empty_like(vectors)
-        reference[order] = vectors
-    else:
-        lam2, reference = scipy.linalg.eigh_tridiagonal(np.diagonal(gram), np.diagonal(gram, 1))
+    lam2, reference = np.linalg.eigh(B @ B.T)
     assert np.abs(x + chain.gamma**2 - lam2).max() <= 1e-14 * lam2[-1]
     # each closed-form vector lies in its eigenvalue's reference subspace (a cos and a sin mode share
     # one on the ring): its weight outside it is LAPACK's own error, at most eps*|B B^T|/gap

@@ -20,17 +20,14 @@ from nhssh import (
 )
 from nhssh.lattice import build_chain
 from nhssh.propagate import BLOCK, decompose
-from reference import loss_amplitudes, open_root_mpmath, profiles_by_sublattice, stacked_profiles, two_basis_modes
-
-
-def taylor_expm(A: np.ndarray, order: int = 40) -> np.ndarray:
-    """Independent oracle: plain truncated Taylor series (small norms only)."""
-    out = np.eye(A.shape[0], dtype=complex)
-    term = np.eye(A.shape[0], dtype=complex)
-    for k in range(1, order + 1):
-        term = term @ A / k
-        out = out + term
-    return out
+from reference import (
+    loss_amplitudes,
+    open_root_mpmath,
+    profiles_by_sublattice,
+    stacked_profiles,
+    taylor_expm,
+    two_basis_modes,
+)
 
 
 def test_expm_of_zero_is_identity():
