@@ -128,12 +128,19 @@ class ExperimentConfig:
         """fig5's growth window, which must hold enough of the run's samples n*dt to fit."""
         lo, hi = (f * self.tau for f in _GROWTH_WINDOW_OVER_TAU)
         dt, need = self.dt, analysis.MIN_WINDOW_SAMPLES
-        with np.errstate(over="ignore"):  # n just below to just above the window; lo/dt may overflow
-            n = np.arange(*(int(min(x, self.samples)) for x in (max(lo / dt - 1, 0), hi / dt + 2)))
-        held = np.count_nonzero((n * dt >= lo) & (n * dt <= hi))
+        held = _first_sample(lambda n: n * dt > hi, self.samples) - _first_sample(lambda n: n * dt >= lo, self.samples)
         if held < need:
             raise ValueError(f"fig5's growth window, t in [{lo:.4g}, {hi:.4g}], holds {held} samples; need >= {need}")
         return lo, hi
+
+
+def _first_sample(reached, samples: int) -> int:
+    """The first n < samples where ``reached(n)``, which never turns false again as n grows, holds; else samples."""
+    lo, hi = 0, samples
+    while lo < hi:  # about log2(samples) steps, as no table of the samples is formed
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if reached(mid) else (mid + 1, hi)
+    return lo
 
 
 def _parse_fraction(text: str) -> float:

@@ -92,15 +92,16 @@ class Chain:
         Parity, gain site j to loss site N-1-j, takes column m (from 0) to
         ``(-1)^(N+m+1)`` times itself: the loss vectors B^T U / lam are U upside down.
         Open chain: ``u_j = sin(k(N - j))`` and ``w = sin^2(q/2)``, where
-        ``k = pi - q`` solves ``a sin((N+1)k) + b sin(Nk) = 0``.  The rows
-        come in blocks of ``L = isqrt(N)``: with ``N - j = M - t``, M a
-        block's first row and t < L, ``sin(k(M - t)) = sin(kM)cos(kt) -
-        cos(kM)sin(kt)``, so about 4N^1.5 sines and cosines and one product
-        form U.  Ring: B is circulant, with ``w = cos^2(theta/2)`` at ``theta =
-        2 pi m/N`` (a pair for every m but 0 and N/2): ``u_j = cos(theta j + phi)``,
-        ``phi = (theta - arg(a + b e^(i theta)))/2`` less pi/2 for parity's -1, theta j taken in [-pi, pi).
+        ``k = pi - q`` solves ``a sin((N+1)k) + b sin(Nk) = 0``.  Ring: B is
+        circulant, with ``w = cos^2(theta/2)`` at ``theta = 2 pi m/N`` (a pair for
+        every m but 0 and N/2): ``u_j = cos(theta j + phi)``, ``phi = (theta - arg(a + b e^(i theta)))/2``
+        less pi/2 for parity's -1.  On both boundaries a column is one sinusoid in j: with j = J + t, J a row
+        block's first row and t < L = isqrt(N), angle addition forms U from a table row per J and one per t,
+        so about 4N^1.5 sines and cosines and one product.
         """
         n = self.cells
+        size = math.isqrt(n)  # rows j = J + t, with J = 0, L, 2L, ... and 0 <= t < L
+        starts, offsets = np.arange(0, n, size), np.arange(size)
         if self.ring:
             top = np.arange(n // 2, -1, -1)
             members = np.where((top == 0) | (2 * top == n), 1, 2)
@@ -111,23 +112,18 @@ class Chain:
             theta = m * (2 * np.pi / n)
             beta = np.arctan2(self.weak * np.sin(theta), self.strong + self.weak * np.cos(theta))
             phi = 0.5 * (theta - beta) - 0.5 * np.pi * ((n + np.arange(n)) % 2 == 0)  # where the sign is -1
-            U = np.outer(np.arange(n, dtype=float), m)  # j*m < 2^53: exact, as are its shift and remainder
-            U += n // 2
-            np.fmod(U, n, out=U)
-            U -= n // 2  # j*m mod N, in [-N/2, N/2): the smaller the angle, the less it rounds
-            U *= 2 * np.pi / n
-            U += phi
-            np.cos(U, out=U)
-            U *= np.sqrt(np.repeat(members, members) / n)  # sum_j cos^2(theta j + phi): N/2 in a pair, N alone
+            # cos(theta(J + t) + phi) = cos(theta J + phi)cos(-theta t) + sin(theta J + phi)sin(-theta t)
+            first, step = _cos_sin(starts, m, n, phi), _cos_sin(-offsets, m, n)
+            first *= np.sqrt(np.repeat(members, members) / n)  # sum_j cos^2(theta j + phi): N/2 in a pair, N alone
         else:
             q, r = _open_roots(self.strong, self.weak, n)
             w = np.sin(0.5 * (q + r)) ** 2
             if not vectors:
                 return w, None
-            size = math.isqrt(n)  # rows N - j = M - t, with M = N, N - L, ... and 0 <= t < L
-            first, step = (_sin_cos(m[:, None], q, r) for m in (np.arange(n, 0, -size), -np.arange(size)))
-            # sin(k(M - t)) = sin(kM)cos(-kt) + cos(kM)sin(-kt); the last block runs past row N - 1
-            U = np.einsum("bkn,tkn->btn", first, step[:, ::-1]).reshape(-1, n)[:n]
+            # N - j = M - t, with M = N - J: sin(k(M - t)) = sin(kM)cos(-kt) + cos(kM)sin(-kt)
+            first, step = _sin_cos((n - starts)[:, None], q, r), _sin_cos(-offsets[:, None], q, r)[:, ::-1]
+        U = np.einsum("bkn,tkn->btn", first, step).reshape(-1, n)[:n]  # the last block runs past row N - 1
+        if not self.ring:
             U /= np.sqrt(np.einsum("ij,ij->j", U, U))  # np.linalg.norm's sums, without its N x N of squares
         return w, U
 
@@ -165,6 +161,13 @@ def _sin_cos(m: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.ndarray:
     s, c = np.sin(m * q), np.cos(m * q)
     mr = m * r
     return np.stack((-(s + mr * c), c - mr * s), axis=1) * (1.0 - 2.0 * (m % 2))[:, None]
+
+
+def _cos_sin(i: np.ndarray, m: np.ndarray, n: int, phi: np.ndarray | float = 0.0) -> np.ndarray:
+    """cos and sin of ``theta*i + phi`` at ``theta = 2 pi m/N``, a row per integer i, stacked on axis 1."""
+    im = (np.outer(i, m) + n // 2) % n - n // 2  # i*m mod N, exact, in [-N/2, N/2): the smaller, the less it rounds
+    x = im * (2 * np.pi / n) + phi
+    return np.stack((np.cos(x), np.sin(x)), axis=1)
 
 
 def build_chain(params: LatticeParams) -> Chain:

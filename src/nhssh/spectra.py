@@ -10,7 +10,6 @@ that analytic structure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -72,13 +71,10 @@ def analytic_dispersion(n, params: LatticeParams):
 
 @dataclass
 class SpectrumReport:
-    """Near-zero level pairing against the equal-spacing prediction."""
+    """Near-zero level pairing against the equal-spacing prediction, empty where the levels do not pair."""
 
-    max_imag: float
     spacing_deviations: list = field(default_factory=list)
     levels: list = field(default_factory=list)
-    ok: bool = True
-    message: str = ""
 
 
 def verify_equal_spacing(eigenvalues: np.ndarray, n_max: int, params: LatticeParams) -> SpectrumReport:
@@ -86,26 +82,19 @@ def verify_equal_spacing(eigenvalues: np.ndarray, n_max: int, params: LatticePar
 
     ``spacing_deviations[n-1] = |E_n - n*omega| / (n*omega)`` where E_n is
     the pair-averaged magnitude.  Levels count as near-real when
-    ``|Im E|`` is below ``1e-6`` times the spectral radius; if
-    fewer than ``2*n_max`` qualify the report comes back with ``ok=False``
+    ``|Im E|`` is below ``1e-6`` times the spectral radius; unless n_max
+    near-real levels lie on each side of zero, the report comes back empty
     instead of raising.
     """
     ev = np.asarray(eigenvalues, dtype=complex)
     omega = esm_spacing(params)
     im_tol = 1e-6 * (np.abs(ev).max() if ev.size else 1.0)
     nearest = ev[np.argsort(np.abs(ev))][: 2 * n_max]
-    report = partial(SpectrumReport, float(np.abs(nearest.imag).max()) if nearest.size else 0.0)
-    real_enough = nearest[np.abs(nearest.imag) < im_tol]
-    if real_enough.size < 2 * n_max:
-        message = f"only {real_enough.size} of {2 * n_max} near-zero levels have |Im E| < {im_tol:.3g}"
-        return report(ok=False, message=message)
-
-    pos = np.sort(real_enough.real[real_enough.real > 0])
-    neg = np.sort(-real_enough.real[real_enough.real < 0])
+    real_enough = nearest[np.abs(nearest.imag) < im_tol].real
+    pos = np.sort(real_enough[real_enough > 0])
+    neg = np.sort(-real_enough[real_enough < 0])
     if len(pos) != n_max or len(neg) != n_max:
-        message = f"levels do not split into +/- pairs ({len(pos)} positive, {len(neg)} negative)"
-        return report(ok=False, message=message)
-
+        return SpectrumReport()
     levels = 0.5 * (pos + neg)
     deviations = [float(abs(levels[n - 1] - n * omega) / (n * omega)) for n in range(1, n_max + 1)]
-    return report(spacing_deviations=deviations, levels=[float(e) for e in levels])
+    return SpectrumReport(deviations, [float(e) for e in levels])

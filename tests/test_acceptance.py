@@ -77,12 +77,12 @@ def test_c03_spectrum_structure():
     ten = ev[np.argsort(np.abs(ev))][:10]
     max_im = float(np.abs(ten.imag).max())
     report = verify_equal_spacing(ev, 5, params)
-    worst_dev = max(report.spacing_deviations) if report.ok else float("inf")
+    worst_dev = max(report.spacing_deviations) if report.levels else float("inf")
 
     ring = LatticeParams(CELLS, DELTA, 1.8, Boundary.PERIODIC)
     ring_pair = float(np.sort(np.abs(full_spectrum(build_hamiltonian(ring))))[1])
 
-    ok = max_im < 1e-6 * scale and report.ok and worst_dev < 0.10 and ring_pair < 1e-6
+    ok = max_im < 1e-6 * scale and bool(report.levels) and worst_dev < 0.10 and ring_pair < 1e-6
     _report(
         "C3 spectrum structure",
         ok,

@@ -11,19 +11,23 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nhssh
-from nhssh import Trajectory, build_hamiltonian, build_initial_state, build_pair_state, evolve, revival_period
+from nhssh import Trajectory, analysis, build_hamiltonian, build_initial_state, build_pair_state, evolve, revival_period
 from nhssh.cli import (
     EXIT_CHECK,
     EXIT_CONFIG,
     EXIT_NUMERICAL,
     EXIT_OK,
     EXPERIMENTS,
+    _GROWTH_WINDOW_OVER_TAU,
     ConfigError,
     ExperimentConfig,
     build_config,
     main,
+    _parse,
     _write_csv,
     parse_config,
     run_experiment,
@@ -207,10 +211,10 @@ EXIT_CONTRACT = {
        for e in EXPERIMENTS},
     **{f"{e}-huge-cells-file": (["--config", f"experiment={e}\ncells={HUGE}\n"], EXIT_CONFIG,
                                 f"^config error: line 2: cells='{HUGE}': Unable to allocate") for e in EXPERIMENTS},
-    "fig5-huge-samples": (["fig5", "--cells", "40", "--samples", HUGE], EXIT_CONFIG,
-                          "^config error: Unable to allocate"),
-    "fig3-huge-samples": (["fig3", "--cells", "40", "--samples", HUGE], EXIT_NUMERICAL,
-                          f"no memory for 2N = 80 and {HUGE} samples; lower --cells or --samples"),
+    # fig5's growth window is counted with no table of the samples, so both resolve and the run meets the limit
+    **{f"{e}-huge-samples": ([e, "--cells", "40", "--samples", HUGE], EXIT_NUMERICAL,
+                             f"no memory for 2N = 80 and {HUGE} samples; lower --cells or --samples")
+       for e in ("fig5", "fig3")},
     # the time step overflows, underflows to 0, or divides by a sample count beyond float range
     "samples-beyond-float": (["fig3", "--samples", str(10**400)], EXIT_CONFIG,
                              f"samples='{10**400}': samples must lie in"),
@@ -482,6 +486,27 @@ def test_fig5_resolves_its_growth_window_once(tmp_path, monkeypatch):
     assert calls == {"window": 1, "tau": 1}
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    cells=st.integers(2, 60),
+    samples=st.integers(2, 10**4),
+    tmax_over_tau=st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
+)
+def test_fig5_window_agrees_with_a_brute_count(cells, samples, tmax_over_tau):
+    # fig5 counts its growth window's samples n*dt from the window's two edges, with no table of the samples;
+    # it must refuse exactly where a count over every sample holds too few, and name that count
+    explicit = {"experiment": "fig5", "cells": cells, "samples": samples, "tmax_over_tau": tmax_over_tau}
+    config = build_config({**explicit, "experiment": "spectrum"})  # resolves no window
+    lo, hi = (f * config.tau for f in _GROWTH_WINDOW_OVER_TAU)
+    t = np.arange(samples) * config.dt
+    held = np.count_nonzero((t >= lo) & (t <= hi))
+    if held < analysis.MIN_WINDOW_SAMPLES:
+        with pytest.raises(ValueError, match=f"holds {held} samples; need >= {analysis.MIN_WINDOW_SAMPLES}$"):
+            build_config(explicit)
+    else:
+        assert build_config(explicit).window == (lo, hi)
+
+
 def _read_columns(path):
     header, *rows = path.read_text().splitlines()
     return dict(zip(header.split(","), np.array([row.split(",") for row in rows], dtype=float).T))
@@ -582,6 +607,25 @@ def test_public_api_is_pinned():
     # helpers stay importable from their modules
     assert sorted(nhssh.__all__) == PUBLIC_API
     assert all(hasattr(nhssh, name) for name in PUBLIC_API)
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_matches_the_experiments_table_and_tree():
+    # README's canonical-parameters table, read with the CLI's own parsers, holds EXPERIMENTS' defaults; its
+    # line count of src/nhssh and its size of the public API are the tree's
+    text = README.read_text(encoding="utf-8")
+    table = text.split("| Experiment | Canonical parameters |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    canonical = {}
+    for row in table.splitlines():
+        name, values = (cell.strip().strip("`") for cell in row.split("|")[1:3])
+        pairs = [] if values == "none" else [pair.split("=") for pair in values.split(", ")]
+        canonical[name] = {key: _parse(key, value) for key, value in pairs}
+    assert canonical == {experiment: defaults for experiment, (_, defaults) in EXPERIMENTS.items()}
+    lines = sum(path.read_bytes().count(b"\n") for path in Path(nhssh.__file__).parent.glob("*.py"))
+    stated = re.search(r"`src/nhssh` is\s+(\d+) lines, and `len\(nhssh\.__all__\)` is (\d+)\.", text)
+    assert stated and stated.groups() == (str(lines), str(len(nhssh.__all__)))
 
 
 def test_benchmark_traced_names_exist(tmp_path, monkeypatch):

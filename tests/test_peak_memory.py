@@ -43,9 +43,9 @@ PEAK_MIB = {
     "oracle-compare-2000": (partial(_cli, "oracle-compare", "--cells", "1000", "--samples", "2000"), 16),
     # on either boundary the spectrum needs no matrix at all (0.12 MiB measured on the ring)
     **{f"spectrum-{b.value}": (partial(_on_large_chain, full_spectrum, b), 1) for b in Boundary},
-    # U is 7.6 MiB and the only N x N array held: the ring's is formed in place, the open chain's column norms
-    # are taken without squaring it, and V, U's parity image, is never stored, so no B^T U product or reversed
-    # copy exists (8.9 MiB open and 7.8 MiB ring measured)
+    # U is 7.6 MiB and the only N x N array held: on both boundaries one product of two small angle-addition
+    # tables forms it, the open chain's column norms are taken without squaring it, and V, U's parity image, is
+    # never stored, so no B^T U product or reversed copy exists (8.9 MiB open and 8.8 MiB ring measured)
     **{f"decompose-{b.value}": (partial(_on_large_chain, decompose, b), 10) for b in Boundary},
     # with 2 000 samples (32 blocks), on a given decomposition: the c and s tables at the 64 offsets and 32
     # block starts (1.5 MiB), the [c^2, c*s, s^2] table (1.5 MiB), and per component its alpha and beta (1 MiB)

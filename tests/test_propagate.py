@@ -477,9 +477,9 @@ def _vectors_mpmath(chain, column: int) -> tuple[np.ndarray, np.ndarray]:
 @pytest.mark.parametrize("cells", [250, 1000])
 @pytest.mark.parametrize("boundary", [Boundary.OPEN, Boundary.PERIODIC], ids=["open", "ring"])
 def test_bases_match_40_digit_vectors(boundary, cells):
-    # U by angle addition in row blocks (open) or shifted cosines (ring), and the loss vectors as U's
-    # parity image, each within 5e-16 absolute of the 40-digit mode at the lowest, middle and highest
-    # columns (at most 5.6e-17 measured open, 5.6e-17 ring)
+    # U by angle addition in row blocks on both boundaries, and the loss vectors as U's parity image, each
+    # within 5e-16 absolute of the 40-digit mode at the lowest, middle and highest columns (at most 4.2e-17
+    # measured open, 4.2e-17 ring)
     chain = build_chain(LatticeParams(cells, 0.9, 1.8, boundary))
     modes = decompose(chain)
     U, V = modes.U, _loss_basis(modes)
