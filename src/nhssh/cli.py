@@ -62,8 +62,8 @@ class ExperimentConfig:
     out: str = "out"
 
     def __post_init__(self):
-        if not 2 <= self.samples <= sys.float_info.max:  # dt divides by samples - 1 as a float
-            raise ValueError(f"samples must lie in [2, {sys.float_info.max:.3g}]")
+        if not 2 <= self.samples <= 2**53:  # sample n sits at n*dt: past 2^53 a float no longer holds every n
+            raise ValueError("samples must lie in [2, 2^53]")
         if not 0.0 < self.tmax_over_tau < math.inf:
             raise ValueError(f"tmax_over_tau must be finite and positive, got {self.tmax_over_tau}")
         if self.params.boundary is Boundary.PERIODIC and self.experiment in ("fig3", "fig4", "fig7", "oracle-compare"):

@@ -135,8 +135,10 @@ def _open_roots(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     positive just above its spurious root 0: root j lies between them.
     Bisecting in q keeps the lowest roots to their own relative precision.
     q keeps the bits whose products with 0, ..., N+1 are exact, so bisection
-    stops once every bracket is below a quarter of q's last bit, and one
-    Newton step gives the rest, r, to well below that bit.
+    stops once every bracket is below a quarter of q's last bit (38 passes
+    at N = 250, 34 at N = 1000, set by the widest bracket, [0, pi/(N+1)]),
+    and one Newton step gives the rest, r, to well below that bit: q + r is
+    a 64-step bisection's root, bit for bit, on the tested grid.
     """
     j = np.arange(1, n + 1)
     lo, hi = (j - 1) * np.pi / n, j * np.pi / (n + 1)
@@ -196,7 +198,8 @@ def apply_antilinear(kind: str, state: np.ndarray) -> np.ndarray:
     """Apply T, PT or CT to a state vector.
 
     T is plain complex conjugation; PT and CT compose it with the real
-    involutions P and C (the order does not matter).
+    involutions P, the site reversal, and C, the sublattice sign (the
+    order does not matter).
     """
     state = np.asarray(state, dtype=complex)
     if state.ndim != 1 or state.size % 2:

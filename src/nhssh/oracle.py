@@ -204,7 +204,8 @@ def dirac_norm_closed_form(t, spec: PacketSpec, params: LatticeParams):
     ``Phi(z, 2, 1/2) = 4 chi2(sqrt z)/sqrt z``, where every phase cancels.
     The one expression holds for every q >= 0; at q = 0 the argument runs
     on the unit circle and P is a triangle wave of slope
-    ``2 lam^2 pi^2/tau`` and period tau/2.
+    ``2 lam^2 pi^2/tau`` (8/tau, as lam^2 = 4/pi^2 there up to the
+    finite-size tail) and period tau/2.
 
     Accepts scalar or array t.
     """

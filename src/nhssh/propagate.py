@@ -11,24 +11,12 @@ of the N x N gain-site block ``B B^T`` of T^2 of a
 singular value lam of B is one pair +/-lam of T, one 2x2 block on the
 gain and loss amplitudes.  The loss-site vectors are the gain-site ones
 reversed (parity), a sign per mode, so they are never stored:
-:class:`Modes` applies U to the loss sites in reverse order.
+:class:`Modes` applies U to the loss sites in reverse order.  So a
+decomposition holds one N x N array, and no 2N x 2N matrix is formed.
 
-A :class:`Trajectory`, which only :func:`evolve` builds, lives in that
-mode basis, sampled in blocks of BLOCK samples that share one table of c
-and s at the offsets inside a block: by angle addition a mode's amplitude
-there is ``alpha*c + beta*s``, with alpha and beta its amplitudes carried
-to the block's first sample.  The Dirac norms follow by Parseval's
-identity (the bases have orthonormal columns) as one real matrix product
-of per-block rows ``[sum alpha^2, 2 sum alpha*beta, sum beta^2]`` by the
-table's squares; no 2N-wide state is formed.  Profiles and states are
-formed when read, one real matrix product per block for both sublattices
-and every component, into workspace allocated once per read, and written
-straight into their gain (even) or loss (odd) site columns: profiles one
-block at a time into one reused buffer (:meth:`Trajectory.profile_blocks`),
-which the reader reduces before the next, or one sample alone; states all
-at once.  The chiral-time symmetry keeps every packet real up to one
-phase, which halves those products (see :class:`Trajectory`).
-:func:`expm` is the dense reference for tests.
+A :class:`Trajectory`, which only :func:`evolve` builds, keeps a run's
+mode amplitudes and forms its norms, profiles and states from them, as
+its docstring derives.  :func:`expm` is the dense reference for tests.
 """
 
 from __future__ import annotations
@@ -74,13 +62,13 @@ class Modes:
     ``w`` holds the modes' weights (:meth:`~nhssh.lattice.Chain.modes`) and
     ``lam`` the singular values of B, both ascending, and ``U`` the gain-site
     vectors (eigenvectors of B B^T, orthonormal columns, a row per even site).
-    The loss-site vectors B^T U / lam are ``(-1)^(N+m+1)`` times U's column m
-    upside down, so a loss amplitude is kept on U upside down, without the
-    sign: U is applied to the loss (odd) sites in reverse order both ways
-    (:meth:`amplitudes`, :meth:`_sites`), and the sign rides on the mode's
-    coupling lam of its gain and loss amplitudes.  None of them depends on
-    gamma, so :meth:`at_gamma` retunes the chain to any other gain, 0
-    included, at no cost.
+    The loss-site vectors B^T U / lam are U's columns upside down, each times
+    its parity sign (:attr:`_parity`), so a loss amplitude is kept on U
+    upside down, without the sign: U is applied to the loss (odd) sites in
+    reverse order both ways (:meth:`amplitudes`, :meth:`_sites`), and the
+    sign rides on the mode's coupling lam of its gain and loss amplitudes.
+    None of them depends on gamma, so :meth:`at_gamma` retunes the chain to
+    any other gain, 0 included, at no cost.
     """
 
     chain: Chain
@@ -122,7 +110,7 @@ class Modes:
 
     @property
     def _parity(self) -> np.ndarray:
-        """(-1)^(N+m+1) for mode m (from 0): parity (gain site j to loss site N-1-j) takes the mode to that times it."""
+        """(-1)^(N+m+1) for mode m (from 0): parity takes the mode to itself times this sign (see Chain.modes)."""
         return (-1.0) ** (self.w.size + 1 + np.arange(self.w.size))
 
     def _sites(self, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -178,15 +166,17 @@ class Trajectory:
     is ``c(tau)*alpha + s(tau)*beta`` with ``alpha = c(t0)a + s(t0)b`` and
     ``beta = c(t0)b - x s(t0)a``, which :meth:`_block_starts` forms for the
     norms, profiles and states alike: cos and sin run on one table of
-    offsets and on one sample per block.  The loss amplitudes are on U
-    upside down (:meth:`Modes.amplitudes`), so every block's alpha and beta
-    carry each mode's parity sign.  A block's coefficient rows, for both
-    sublattices and every component, go through one GEMM in room that a
-    read allocates once (:meth:`_workspace`), and the squares or the states
-    go straight to the output.  The norms' expanded form cancels inside a
-    block, more the longer the block: on fig4's run at 2N = 500 the worst
-    norm is 1.37e-13 off a long-double evaluation with 64 samples a block,
-    1.22e-12 with 128.
+    offsets and on one sample per block.  The Dirac norms follow by
+    Parseval's identity (the bases have orthonormal columns), one real
+    matrix product for every block (:meth:`_norms`), with no 2N-wide state.
+    The loss amplitudes are on U upside down (:meth:`Modes.amplitudes`), so
+    every block's alpha and beta carry each mode's parity sign.  A block's
+    coefficient rows, for both sublattices and every component, go through
+    one GEMM in room that a read allocates once (:meth:`_workspace`), and
+    the squares or the states go straight to the output.  The norms'
+    expanded form cancels inside a block, more the longer the block: on
+    fig4's run at 2N = 500 the worst norm is 1.37e-13 off a long-double
+    evaluation with 64 samples a block, 1.22e-12 with 128.
     """
 
     def __init__(self, modes: Modes, amplitudes: tuple, dt: float, samples: int, record_states: bool):
@@ -331,7 +321,8 @@ def evolve(
     their :func:`decompose`, which lets many runs on one chain share one
     decomposition.  Dirac norms are computed at once; profiles, and states
     with ``record_states``, when read.
-    Raises OverflowError naming the first sample that leaves float range.
+    Raises ValueError for a non-finite state0, and OverflowError naming the
+    first sample that leaves float range.
     """
     modes = H if isinstance(H, Modes) else decompose(H)
     amplitudes = modes.amplitudes(state0)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nhssh
@@ -212,9 +212,14 @@ EXIT_CONTRACT = {
     **{f"{e}-huge-cells-file": (["--config", f"experiment={e}\ncells={HUGE}\n"], EXIT_CONFIG,
                                 f"^config error: line 2: cells='{HUGE}': Unable to allocate") for e in EXPERIMENTS},
     # fig5's growth window is counted with no table of the samples, so both resolve and the run meets the limit
-    **{f"{e}-huge-samples": ([e, "--cells", "40", "--samples", HUGE], EXIT_NUMERICAL,
-                             f"no memory for 2N = 80 and {HUGE} samples; lower --cells or --samples")
+    **{f"{e}-huge-samples": ([e, "--cells", "40", "--samples", str(10**15)], EXIT_NUMERICAL,
+                             f"no memory for 2N = 80 and {10**15} samples; lower --cells or --samples")
        for e in ("fig5", "fig3")},
+    # past 2^53 a float no longer holds every sample index n of t = n*dt
+    **{f"{e}-samples-{label}": ([e, "--cells", "40", "--samples", str(n)], EXIT_CONFIG,
+                                f"^config error: samples='{n}': samples must lie in \\[2, 2\\^53\\]$")
+       for e in ("fig2", "fig3", "fig5", "fig6")
+       for label, n in (("10^17", 10**17), ("2^60", 2**60), ("10^300", 10**300))},
     # the time step overflows, underflows to 0, or divides by a sample count beyond float range
     "samples-beyond-float": (["fig3", "--samples", str(10**400)], EXIT_CONFIG,
                              f"samples='{10**400}': samples must lie in"),
@@ -492,6 +497,7 @@ def test_fig5_resolves_its_growth_window_once(tmp_path, monkeypatch):
     samples=st.integers(2, 10**4),
     tmax_over_tau=st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
 )
+@example(cells=3, samples=31, tmax_over_tau=1.0)  # sample 6, t = 6*dt, lands on the window's end 0.2*tau
 def test_fig5_window_agrees_with_a_brute_count(cells, samples, tmax_over_tau):
     # fig5 counts its growth window's samples n*dt from the window's two edges, with no table of the samples;
     # it must refuse exactly where a count over every sample holds too few, and name that count
@@ -612,20 +618,64 @@ def test_public_api_is_pinned():
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
+def _readme_table(header: str) -> list[list[str]]:
+    """The rows of README's table under the header line, each a list of its cells' text."""
+    rows = README.read_text(encoding="utf-8").split(f"\n{header}\n", 1)[1].split("\n\n", 1)[0].splitlines()
+    return [[cell.strip() for cell in row.strip("|").split("|")] for row in rows[1:]]  # below the |---| line
+
+
+def _ticked(cell: str) -> list[str]:
+    return re.findall(r"`([^`]+)`", cell)
+
+
+def _placeholder(name: str) -> str:
+    """A file or check name with each number, and each <m> that README writes for one, read as one placeholder."""
+    return re.sub(r"\d+(\.\d+)?", "#", re.sub(r"<\w+>", "0", name))
+
+
 def test_readme_matches_the_experiments_table_and_tree():
-    # README's canonical-parameters table, read with the CLI's own parsers, holds EXPERIMENTS' defaults; its
-    # line count of src/nhssh and its size of the public API are the tree's
+    # README's canonical-parameters table and its defaults, read with the CLI's own parsers, hold EXPERIMENTS' and
+    # ExperimentConfig's defaults; its line count of src/nhssh and its size of the public API are the tree's
     text = README.read_text(encoding="utf-8")
-    table = text.split("| Experiment | Canonical parameters |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
     canonical = {}
-    for row in table.splitlines():
-        name, values = (cell.strip().strip("`") for cell in row.split("|")[1:3])
-        pairs = [] if values == "none" else [pair.split("=") for pair in values.split(", ")]
-        canonical[name] = {key: _parse(key, value) for key, value in pairs}
+    for name, values in _readme_table("| Experiment | Canonical parameters |"):
+        pairs = [] if values == "none" else [pair.split("=") for pair in values.strip("`").split(", ")]
+        canonical[name.strip("`")] = {key: _parse(key, value) for key, value in pairs}
     assert canonical == {experiment: defaults for experiment, (_, defaults) in EXPERIMENTS.items()}
+    stated = re.split(r",\s+", re.search(r"Defaults: `([^`]+)`", text)[1])
+    defaults = {key: _parse(key, value) for key, value in (pair.split("=") for pair in stated)}
+    assert defaults == {f.name: f.default for f in dataclasses.fields(ExperimentConfig) if f.name != "experiment"}
     lines = sum(path.read_bytes().count(b"\n") for path in Path(nhssh.__file__).parent.glob("*.py"))
     stated = re.search(r"`src/nhssh` is\s+(\d+) lines, and `len\(nhssh\.__all__\)` is (\d+)\.", text)
     assert stated and stated.groups() == (str(lines), str(len(nhssh.__all__)))
+
+
+def test_readme_tables_match_the_cli_contracts(tmp_path, capsys, monkeypatch):
+    # README's outputs table holds FILES' names, headers and rows (2N = 80, 160 samples); its checks table the names
+    # and bounds that OUTPUT_CONTRACT's run of each experiment, and of the ring's spectrum, prints under --check;
+    # its exit-code table the CLI's codes
+    size = {"2N": "80", "samples": "160"}
+    outputs = {(e, _placeholder(name), header.strip("`"), int(size.get(rows, rows)))
+               for es, names, header, rows in _readme_table("| Experiment | File | Header | Rows |")
+               for e in _ticked(es) for name in _ticked(names)}
+    assert outputs == {(e, _placeholder(name), header, rows)
+                       for e, files in FILES.items() for name, (header, rows) in files.items()}
+
+    monkeypatch.chdir(tmp_path)
+    printed = set()
+    for row in (*EXPERIMENTS, "spectrum-ring"):
+        argv, code, _ = OUTPUT_CONTRACT[row]
+        _written([*argv, "--check"], row, code)
+        for line in capsys.readouterr().out.splitlines():
+            name, bound = re.fullmatch(r"\[(?:PASS|FAIL)\] (.+) = \S+ \(bound (\S+)\)", line).groups()
+            printed.add((argv[0], _placeholder(name), bound))
+    assert printed == {(e, _placeholder(name), bound)
+                       for es, names, _, bound in _readme_table("| Experiment | Check | Value | Bound |")
+                       for e in _ticked(es) for name in _ticked(names)}
+
+    codes = {name.strip("`"): int(code) for code, name, _ in _readme_table("| Code | Constant | Meaning |")}
+    assert codes == {name: getattr(nhssh.cli, name)
+                     for name in ("EXIT_OK", "EXIT_CONFIG", "EXIT_NUMERICAL", "EXIT_CHECK")}
 
 
 def test_benchmark_traced_names_exist(tmp_path, monkeypatch):
