@@ -37,6 +37,7 @@ class GrowthReport:
 
 
 def _r_squared(values: np.ndarray, predicted: np.ndarray) -> float:
+    values, predicted = np.array([values, predicted]) / np.abs(values).max()  # in the window's units: no square overflows
     ss_tot = np.sum((values - values.mean()) ** 2)
     if ss_tot == 0.0:
         return 0.0

@@ -16,6 +16,7 @@ failure (with --check).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 from dataclasses import dataclass, fields
@@ -68,7 +69,7 @@ class ExperimentConfig:
             raise ValueError(f"tmax_over_tau must be finite and positive, got {self.tmax_over_tau}")
         if self.params.boundary is Boundary.PERIODIC and self.experiment in ("fig3", "fig4", "fig7", "oracle-compare"):
             raise ValueError(f"{self.experiment} grades packets built for the open chain; it takes boundary=open only")
-        self.packet  # refuses one with no weight, as is kappa02's for every experiment: each value is checked alone too
+        self.packet  # refuses one with no weight, as is kappa02's, for every experiment: here, not key by key
         oracle.PacketSpec(self.kappa02_over_pi * np.pi, self.q).normalized(self.cells)
         if self.experiment in ("fig3", "oracle-compare") and self.tmax_over_tau < _PROFILE_TIMES_OVER_TAU[-1]:
             raise ValueError(
@@ -158,13 +159,15 @@ _KEYS = {f.name: _TYPE_PARSERS[f.type] for f in fields(ExperimentConfig)}
 
 
 def _parse(key: str, text: str, line: int | None = None):
-    """One value from its text, checked on its own: an experiment by name, any other key against the global defaults."""
+    """One value from its text, checked on its own: an experiment by name, any other key against the global
+    defaults, all but a packet's weight, which kappa0, q and cells decide together in the run's own config."""
     if key not in _KEYS:
         raise ConfigError(f"unknown key {key!r}", line)
     try:
         value = _KEYS[key](text)
         if key != "experiment":
-            ExperimentConfig(**{"experiment": next(iter(EXPERIMENTS)), key: value})
+            with contextlib.suppress(oracle.NoWeightError):
+                ExperimentConfig(**{"experiment": next(iter(EXPERIMENTS)), key: value})
         elif value not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {value!r}; expected one of {', '.join(EXPERIMENTS)}")
     except (ValueError, ZeroDivisionError, MemoryError) as exc:  # MemoryError: a --cells too large to resolve

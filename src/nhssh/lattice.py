@@ -46,8 +46,8 @@ class LatticeParams:
     def __post_init__(self):
         if not isinstance(self.cells, int) or self.cells < 2:
             raise ValueError(f"cells must be an integer >= 2, got {self.cells}")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
+        if not np.finfo(float).tiny <= self.delta < 1.0:  # the closed forms take 1/(4*delta)
+            raise ValueError(f"delta must lie in (0, 1) and be a normal double, got {self.delta}")
         if not 0.0 <= self.gamma < np.inf:
             raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
         if float(self.gamma) * float(self.gamma) == math.inf:  # every solver reads H^2 = T^2 - gamma^2
@@ -127,6 +127,17 @@ class Chain:
             U /= np.sqrt(np.einsum("ij,ij->j", U, U))  # np.linalg.norm's sums, without its N x N of squares
         return w, U
 
+    def dense(self) -> np.ndarray:
+        """Dense 2N x 2N single-particle Hamiltonian: real symmetric hoppings plus ``+i*gamma`` on gain sites
+        and ``-i*gamma`` on loss sites, so complex symmetric (H == H.T) for every parameter choice."""
+        n = 2 * self.cells
+        H = np.diag(np.resize([1j, -1j], n) * self.gamma)
+        bond = np.arange(n - 1)  # bond l joins sites l and l+1, strong inside a cell
+        H[bond, bond + 1] = H[bond + 1, bond] = np.resize([self.strong, self.weak], n - 1)
+        if self.ring:
+            H[n - 1, 0] = H[0, n - 1] = self.weak
+        return H
+
 
 def _open_roots(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The N roots in (0, pi) of ``f(q) = a sin((N+1)q) - b sin(Nq)``, ascending, each as a sum q + r.
@@ -179,19 +190,8 @@ def build_chain(params: LatticeParams) -> Chain:
 
 
 def build_hamiltonian(params: LatticeParams) -> np.ndarray:
-    """Dense 2N x 2N single-particle Hamiltonian.
-
-    Real symmetric hoppings plus the staggered imaginary potential
-    ``+i*gamma`` on A sites and ``-i*gamma`` on B sites.  The matrix is
-    complex symmetric (H == H.T) for every parameter choice.
-    """
-    n = 2 * params.cells
-    H = np.diag(np.resize([1j, -1j], n) * params.gamma)
-    bond = np.arange(n - 1)  # bond l joins sites l and l+1, strong inside a cell
-    H[bond, bond + 1] = H[bond + 1, bond] = np.resize([1.0 + params.delta, 1.0 - params.delta], n - 1)
-    if params.boundary is Boundary.PERIODIC:
-        H[n - 1, 0] = H[0, n - 1] = 1.0 - params.delta
-    return H
+    """Dense 2N x 2N single-particle Hamiltonian of the lattice: its :meth:`Chain.dense`."""
+    return build_chain(params).dense()
 
 
 def apply_antilinear(kind: str, state: np.ndarray) -> np.ndarray:
@@ -231,31 +231,25 @@ def symmetry_residuals(H: np.ndarray, cells: int) -> dict:
 
 
 def chiral_split(H: np.ndarray) -> Chain:
-    """Read a dense ``H = T + i*diag(g)`` as a :class:`Chain`.
+    """Read a dense H as the :class:`Chain` whose :meth:`Chain.dense` it is, naming the first entry that is not.
 
-    g must alternate ``+gamma, -gamma`` from the first site (``gamma < 0``
-    puts the loss first; ``gamma = 0`` is a gain-free chain), the number of
-    sites must be even and T must hold only the chain's bonds: one value a
-    inside every cell and one value b, with ``a >= b >= 0``, between them.
+    The chain's ``a = Re H[0, 1]``, ``b = Re H[1, 2]`` (0 for two sites), ``gamma = Im H[0, 0]`` (``gamma < 0``
+    puts the loss first) and a ring where ``H[0, -1] != 0``; it needs ``a > 0`` and ``a >= b >= 0``.
     """
     H = np.asarray(H)
     if H.ndim != 2 or H.shape[0] != H.shape[1] or not H.size:
         raise ValueError(f"H must be square and not empty, got shape {H.shape}")
-    T, g = H.real, np.diag(H).imag
-    if np.count_nonzero(H.imag) != np.count_nonzero(g) or not np.array_equal(T, T.T):
-        raise ValueError("H is not real symmetric hopping plus an imaginary potential")
-    n = len(g)
-    if not np.array_equal(g, g[0] * np.resize([1.0, -1.0], n)):
-        raise ValueError("H's gain does not alternate +/-i*gamma from site to site")
+    n = len(H)
     if n % 2:
         raise ValueError("T is singular: the zero mode of an odd chain has no -lam partner")
-    bonds = np.diagonal(T, 1)
-    closing = T[0, -1] if n > 2 else 0.0
-    if np.count_nonzero(T) != 2 * (np.count_nonzero(bonds) + np.count_nonzero(closing)):
-        raise ValueError("H's hopping is not a chain: gain site j must join loss sites j and j-1 alone")
-    a, b = bonds[0], bonds[1] if n > 2 else 0.0
-    if np.any(bonds[::2] != a) or np.any(bonds[1::2] != b) or closing not in (0.0, b):
-        raise ValueError("H's bonds are uneven: the chain takes one value inside its cells and one between them")
+    a, b = float(H[0, 1].real), float(H[1, 2].real) if n > 2 else 0.0  # two sites hold a alone: no b, no corner
+    chain = Chain(n // 2, a, b, float(H[0, 0].imag), n > 2 and bool(H[0, -1] != 0))
+    with np.errstate(invalid="ignore"):  # an infinite gamma: its 0*inf real parts fail the comparison below
+        dense = chain.dense()
+    if (H != dense).any():
+        i, j = divmod(int(np.argmax(H != dense)), n)
+        raise ValueError(f"H is not a chain: H[{i}, {j}] = {H[i, j]}, where the chain read from H[0, 1], H[1, 2],"
+                         f" H[0, 0] and H[0, -1] has {dense[i, j]}")
     if not (a > 0.0 and a >= b >= 0.0):
         raise ValueError(f"H's bonds need a > 0 and a >= b >= 0 (a inside a cell), got a = {a:g}, b = {b:g}")
-    return Chain(n // 2, float(a), float(b), float(g[0]), bool(closing))
+    return chain

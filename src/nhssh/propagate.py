@@ -126,10 +126,9 @@ class Modes:
         x = self.x
         k = np.sqrt(np.abs(x))
         grow = np.count_nonzero(x < 0)  # a leading run, as x ascends
-        with np.errstate(over="ignore", invalid="ignore"):  # a k*t past float range: evolve names its sample
-            kt = t[:, None] * k
-            c, s = np.cos(kt), np.sin(kt)
-            c[:, :grow], s[:, :grow] = np.cosh(kt[:, :grow]), np.sinh(kt[:, :grow])
+        kt = t[:, None] * k
+        c, s = np.cos(kt), np.sin(kt)
+        c[:, :grow], s[:, :grow] = np.cosh(kt[:, :grow]), np.sinh(kt[:, :grow])
         s /= np.where(k > 0, k, 1.0)
         s[:, k == 0] = t[:, None]  # lam == gamma: the exceptional point, where s = t
         return c, s
@@ -242,17 +241,14 @@ class Trajectory:
         """
         c1, s1 = self._offsets
         norms = []
-        with np.errstate(over="ignore", invalid="ignore"):
-            table = np.hstack([c1 * c1, c1 * s1, s1 * s1])
-            for a, b in zip(*(u.swapaxes(0, 1)[:, :, None] for u in self._amplitudes)):  # (sublattice, 1, mode) each
-                alpha, beta = self._block_starts(slice(None), a, b)  # (sublattice, block, mode) each
-                exponent = np.frexp(np.maximum(*(np.abs(u).max(axis=(0, 2)) for u in (alpha, beta))))[1]
-                alpha, beta = (np.ldexp(u, -exponent[:, None], out=u) for u in (alpha, beta))
-                rows = np.hstack(
-                    [(alpha * alpha).sum(axis=0), 2.0 * (alpha * beta).sum(axis=0), (beta * beta).sum(axis=0)]
-                )
-                norms.append(np.ldexp(rows @ table.T, 2 * exponent[:, None]).ravel()[: self.times.size])
-                del alpha, beta, rows  # before the next component's are formed
+        table = np.hstack([c1 * c1, c1 * s1, s1 * s1])
+        for a, b in zip(*(u.swapaxes(0, 1)[:, :, None] for u in self._amplitudes)):  # (sublattice, 1, mode) each
+            alpha, beta = self._block_starts(slice(None), a, b)  # (sublattice, block, mode) each
+            exponent = np.frexp(np.maximum(*(np.abs(u).max(axis=(0, 2)) for u in (alpha, beta))))[1]
+            alpha, beta = (np.ldexp(u, -exponent[:, None], out=u) for u in (alpha, beta))
+            rows = np.hstack([(alpha * alpha).sum(axis=0), 2.0 * (alpha * beta).sum(axis=0), (beta * beta).sum(axis=0)])
+            norms.append(np.ldexp(rows @ table.T, 2 * exponent[:, None]).ravel()[: self.times.size])
+            del alpha, beta, rows  # before the next component's are formed
         return np.array(norms)
 
     def _workspace(self, out: np.ndarray) -> np.ndarray:
@@ -328,7 +324,8 @@ def evolve(
     amplitudes = modes.amplitudes(state0)
     if steps < 1 or not 0.0 < dt < np.inf:
         raise ValueError(f"need steps >= 1 and a finite dt > 0, got steps={steps}, dt={dt}")
-    traj = Trajectory(modes, amplitudes, dt, steps + 1, record_states)
+    with np.errstate(over="ignore", invalid="ignore"):  # a k*t or a norm past float range: named below
+        traj = Trajectory(modes, amplitudes, dt, steps + 1, record_states)
     bad = ~np.isfinite(traj.norms)
     if bad.any():
         raise OverflowError(f"state left float range at t = {traj.times[np.argmax(bad)]:.6g}")

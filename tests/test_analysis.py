@@ -57,8 +57,9 @@ def test_classify_needs_samples():
 
 
 @settings(max_examples=30, deadline=None)
-@given(scale=st.floats(min_value=1e-6, max_value=1e6))
+@given(scale=st.floats(-250.0, 250.0).map(lambda e: 10.0**e))
 def test_classification_scale_invariant(scale):
+    # past 1e154 and below 1e-154 the series' squares leave float range: R^2 is formed in the window's own units
     t = np.linspace(5, 50, 120)
     for series, label in (
         (t, "Linear"),

@@ -1,5 +1,7 @@
+import contextlib
 import dataclasses
 import functools
+import io
 import json
 import math
 import os
@@ -7,6 +9,7 @@ import re
 from collections import Counter
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -178,6 +181,9 @@ EXIT_CONTRACT = {
        for e in OPEN_ONLY},
     "delta-file": (["fig3", "--config", "delta=1.2\n"], EXIT_CONFIG, r"line 1: delta='1\.2': delta must lie in"),
     "delta-negative": (["fig3", "--delta", "-3"], EXIT_CONFIG, "delta='-3': delta must lie in"),
+    # the closed forms take 1/(4*delta), which overflows below about 1.4e-309: a NaN profile and a numpy warning
+    "delta-subnormal": (["oracle-compare", "--cells", "11", "--samples", "695", "--delta", "6.539197086e-315",
+                         "--check"], EXIT_CONFIG, r"delta='6\.539197086e-315': .* and be a normal double"),
     **{f"{key}-{text}": (["fig3", f"--{key.replace('_', '-')}={text}"], EXIT_CONFIG, f"{key}='{text}': {key} must be")
        for key in ("gamma", "q", "tmax_over_tau") for text in ("nan", "inf", "-inf")},
     "q-nan-file": (["fig3", "--config", "q=nan\n"], EXIT_CONFIG, "line 1: q='nan': q must be finite"),
@@ -206,6 +212,13 @@ EXIT_CONTRACT = {
                          r"\[OverflowError\]: .* at t = 1\.15322e\+308"),
     "fig7-kt-overflow": (["fig7", "--cells", "9", "--samples", "241", "--tmax-over-tau", "4.029e264",
                           "--gamma", "4.346e122"], EXIT_NUMERICAL, r"\[OverflowError\]: .* at t = 7\.9137e\+263"),
+    # sinh(k*t) is finite but sinh(k*t)/k is not: the whole construction runs under one guard, so no numpy warning
+    "fig5-cs-overflow": (["fig5", "--cells", "60", "--samples", "1869", "--tmax-over-tau", "5.391126825267719",
+                          "--q", "0.00043104501836205733"], EXIT_NUMERICAL, r"\[OverflowError\]: .* at t = 590\.06$"),
+    "fig7-cs-overflow": (["fig7", "--cells", "51", "--samples", "1359", "--tmax-over-tau", "19.362418922909097",
+                          "--delta", "0.02439464074510145", "--gamma", "1.4903182120940368", "--q", "0",
+                          "--kappa02-over-pi", "0.3977836652744285"], EXIT_NUMERICAL,
+                         r"\[OverflowError\]: .* at t = 244\.679$"),
     # normalizing the packet at N = 1e17 asks numpy for 711 PiB, which it refuses without allocating
     **{f"{e}-huge-cells": ([e, "--cells", HUGE], EXIT_CONFIG, f"^config error: cells='{HUGE}': Unable to allocate")
        for e in EXPERIMENTS},
@@ -240,6 +253,9 @@ EXIT_CONTRACT = {
     "fig3-kappa0-1e-160": (["fig3", "--kappa0-over-pi", "1e-160", *SMALL, "--check"], EXIT_CONFIG,
                            "packet has no weight"),
     "fig7-q30": (["fig7", "--q", "30", "--check"], EXIT_CONFIG, "packet has no weight"),
+    # the weight is the run's own, at q = 0 and 2N = 80, and a clash of values names no key
+    "fig3-kappa0-4e-156-q0": (["fig3", "--q", "0", "--kappa0-over-pi", "4e-156", *RUN], EXIT_CONFIG,
+                              r"^config error: packet has no weight: its squared terms sum to 1\.26e-308,"),
     "fig4-off-center": (["fig4", "--kappa0-over-pi", "1/3"], EXIT_CONFIG, "kappa0 = pi/2"),
     # both grade profiles at t = 0, tau/8 and tau/4
     **{f"{e}-span-{span}": ([e, *SMALL, "--tmax-over-tau", span], EXIT_CONFIG, "tmax_over_tau >= 1/4")
@@ -305,6 +321,11 @@ OUTPUT_CONTRACT = {
                         {**FIG5, **{f"norms_gamma{i}.csv": (NORMS[0], 90) for i in (1, 2, 3)}}),
     "fig3-off-center": (["fig3", "--kappa0-over-pi", "1/3", *SMALL], EXIT_CHECK, FILES["fig3"]),
     "fig3-kappa0-1e-150": (["fig3", "--kappa0-over-pi", "1e-150", *RUN], EXIT_CHECK, FILES["fig3"]),
+    # at q = 0 and 2N = 80 this packet has a normal weight, though at the global defaults it would have none
+    "fig3-kappa0-6e-156-q0": (["fig3", "--q", "0", "--kappa0-over-pi", "6e-156", *RUN], EXIT_CHECK, FILES["fig3"]),
+    # above threshold the norm passes 1e154, where its squares would overflow: R^2 is formed in the window's units
+    "fig5-delta-0.999": (["fig5", "--cells", "40", "--samples", "300", "--delta", "0.999"], EXIT_OK,
+                         {**FIG5, **{f"norms_gamma{i}.csv": (NORMS[0], 300) for i in (1, 2, 3)}}),
     "file-and-flag": (["--config", "experiment=spectrum\ncells=30\nboundary=open\n", "--cells", "36"], EXIT_OK,
                       {**SPECTRUM, "eigenvalues.csv": ("re,im", 72)}),  # the flag overrides the file's cells
 }
@@ -335,6 +356,45 @@ def test_every_check_line_names_its_value_and_bound(tmp_path, capsys, monkeypatc
     lines = capsys.readouterr().out.splitlines()
     assert lines and all(CHECK_LINE.match(line) for line in lines), lines
     assert any(line.startswith("[FAIL]") for line in lines) == (code == EXIT_CHECK)
+
+
+def _exponent(lo: float, hi: float):
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    experiment=st.sampled_from(list(EXPERIMENTS)),
+    cells=st.integers(2, 12),
+    samples=st.integers(2, 400),
+    flags=st.fixed_dictionaries({}, optional={
+        "tmax-over-tau": _exponent(-6.0, 6.0),
+        "delta": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        "gamma": _exponent(-6.0, 4.0),
+        "q": st.just(0.0) | _exponent(-8.0, math.log10(300.0)),
+        "kappa0-over-pi": st.floats(0.0, 2.0),
+        "kappa02-over-pi": st.floats(0.0, 2.0),
+        "boundary": st.sampled_from(["open", "periodic"]),
+    }),
+    check=st.booleans(),
+)
+def test_cli_fuzz_keeps_the_contracts(experiment, cells, samples, flags, check):
+    # any input in a small domain exits 0, 2, 3 or 4; a refusal prints one stderr line and writes nothing, a run
+    # prints nothing but its check lines and writes no non-finite cell; a numpy warning is an error here too
+    argv = [experiment, "--cells", str(cells), "--samples", str(samples), *(["--check"] if check else [])]
+    argv += [text for key, value in flags.items() for text in (f"--{key}", str(value))]
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main([*argv, "--out", str(Path(tmp, "out"))])
+        written = [path.read_bytes() for path in Path(tmp).glob("out/*")]
+    lines, err = out.getvalue().splitlines(), err.getvalue()
+    assert code in ((EXIT_OK, EXIT_CHECK) if check else (EXIT_OK,)) + (EXIT_CONFIG, EXIT_NUMERICAL), argv
+    if code in (EXIT_CONFIG, EXIT_NUMERICAL):
+        assert err.endswith("\n") and err.count("\n") == 1 and not lines and not written, (argv, err)
+        return
+    assert not err and all(CHECK_LINE.match(line) for line in lines) and bool(lines) == check, (argv, err, lines)
+    assert any(line.startswith("[FAIL]") for line in lines) == (code == EXIT_CHECK)
+    assert not {cell for data in written for cell in re.split(rb"[,\n]", data)} & {b"nan", b"inf", b"-inf"}, argv
 
 
 def test_main_fig3_outputs(tmp_path):

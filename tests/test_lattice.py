@@ -3,7 +3,7 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nhssh import (
@@ -15,7 +15,7 @@ from nhssh import (
     full_spectrum,
     symmetry_residuals,
 )
-from nhssh.lattice import _open_roots, build_chain, chiral_split
+from nhssh.lattice import Chain, _open_roots, build_chain, chiral_split
 from nhssh.propagate import decompose
 from reference import loss_amplitudes, open_root_mpmath, open_roots_64, symmetry_operator
 
@@ -190,6 +190,31 @@ def test_chiral_split_reads_the_chain(cells, boundary):
     assert chiral_split(build_hamiltonian(replace(params, gamma=0.0))) == replace(chain, gamma=0.0)  # no gain
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    cells=st.integers(1, 8),
+    a=st.floats(0.0, 1e300, exclude_min=True),
+    fraction=st.floats(0.0, 1.0),
+    gamma=st.floats(-1e300, 1e300),
+    ring=st.booleans(),
+    data=st.data(),
+)
+def test_chiral_split_reads_back_every_dense_chain(cells, a, fraction, gamma, ring, data):
+    # chiral_split reads Chain.dense back over a > 0, 0 <= b <= a and gain of either sign; a single cell holds a
+    # alone, and a ring's corner holds b, so at b = 0 it is the open chain
+    b = a * fraction if cells > 1 else 0.0
+    chain = Chain(cells, a, b, gamma, ring and b > 0.0)
+    H = chain.dense()
+    assert chiral_split(H) == chain
+    # and a change to any one entry is refused, naming the first entry off the chain read from H
+    i, j = data.draw(st.tuples(*2 * [st.integers(0, 2 * cells - 1)]))
+    value = data.draw(st.complex_numbers() | st.floats())
+    assume(value != H[i, j])
+    H[i, j] = value
+    with pytest.raises(ValueError, match=r"^H is not a chain: H\[\d+, \d+\] = "):
+        chiral_split(H)
+
+
 @pytest.mark.parametrize("boundary", [Boundary.OPEN, Boundary.PERIODIC])
 @pytest.mark.parametrize("gamma", [0.0, 1.8])
 def test_dense_hamiltonian_solves_as_its_chain(gamma, boundary):
@@ -261,10 +286,10 @@ def test_chiral_split_rejects_what_is_not_a_chain():
         chiral_split(stray)
     swapped = H.copy()
     swapped[[6, 7], [6, 7]] *= -1  # loss before gain in the last cell only
-    with pytest.raises(ValueError, match="alternate"):
+    with pytest.raises(ValueError, match=r"not a chain: H\[6, 6\] = "):
         chiral_split(swapped)
-    with pytest.raises(ValueError, match="symmetric"):
-        chiral_split(H + np.triu(H.real, 1))
+    with pytest.raises(ValueError, match=r"not a chain: H\[1, 0\] = "):
+        chiral_split(H + np.triu(H.real, 1))  # a and b read from the doubled upper triangle
     with pytest.raises(ValueError, match="square"):
         chiral_split(H[:, :-1])
     with pytest.raises(ValueError, match="square"):

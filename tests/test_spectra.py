@@ -237,9 +237,12 @@ def test_uneven_bonds_are_rejected(boundary):
     # and the weak bond inside the cells: the chain that ends in edge modes
     flipped = H.copy()
     flipped[H == 1.5], flipped[H == 0.5] = 0.5, 1.5
+    # each is refused at its first entry off the chain read from H[0, 1], H[1, 2], H[0, 0] and H[0, -1]: the
+    # first scaled bond, or the ring's scaled corner, which comes before it
+    first = "2, 3" if boundary is Boundary.OPEN else "0, 59"
     for solver in (full_spectrum, decompose):
-        for bad in (uneven, corner):
-            with pytest.raises(ValueError, match="uneven"):
+        for bad, entry in ((uneven, first), (corner, "0, 59")):
+            with pytest.raises(ValueError, match=rf"not a chain: H\[{entry}\] = "):
                 solver(bad)
         with pytest.raises(ValueError, match=r"a >= b >= 0 .*, got a = 0\.5, b = 1\.5$"):
             solver(flipped)
