@@ -16,7 +16,6 @@ failure (with --check).
 from __future__ import annotations
 
 import argparse
-import contextlib
 import math
 import sys
 from dataclasses import dataclass, fields
@@ -37,6 +36,7 @@ EXIT_CHECK = 4
 
 _PROFILE_TIMES_OVER_TAU = (0.0, 0.125, 0.25)  # where fig3 and oracle-compare grade the profile oracle
 _GROWTH_WINDOW_OVER_TAU = (0.05, 0.2)  # where fig5 classifies the norm's growth
+_OPEN_ONLY = ("fig2", "fig3", "fig4", "fig7", "oracle-compare")  # they build or grade the open chain's packets
 
 
 class ConfigError(ValueError):
@@ -67,10 +67,13 @@ class ExperimentConfig:
             raise ValueError("samples must lie in [2, 2^53]")
         if not 0.0 < self.tmax_over_tau < math.inf:
             raise ValueError(f"tmax_over_tau must be finite and positive, got {self.tmax_over_tau}")
-        if self.params.boundary is Boundary.PERIODIC and self.experiment in ("fig3", "fig4", "fig7", "oracle-compare"):
+        if self.params.boundary is Boundary.PERIODIC and self.experiment in _OPEN_ONLY:
             raise ValueError(f"{self.experiment} grades packets built for the open chain; it takes boundary=open only")
-        self.packet  # refuses one with no weight, as is kappa02's, for every experiment: here, not key by key
-        oracle.PacketSpec(self.kappa02_over_pi * np.pi, self.q).normalized(self.cells)
+        np.empty(self.cells)  # every run holds arrays over the N modes: a size numpy cannot allocate is refused
+        for kappa0_over_pi in (self.kappa0_over_pi, self.kappa02_over_pi):
+            oracle.PacketSpec(kappa0_over_pi * np.pi, self.q)  # each key's own range, whether or not the run reads it
+        if self.experiment in ("fig3", "fig4", "fig5", "fig6", "oracle-compare"):
+            self.packet  # refuses one with no weight: here, not key by key
         if self.experiment in ("fig3", "oracle-compare") and self.tmax_over_tau < _PROFILE_TIMES_OVER_TAU[-1]:
             raise ValueError(
                 f"{self.experiment} grades profiles up to t = tau/4, so it needs tmax_over_tau >= 1/4,"
@@ -112,8 +115,10 @@ class ExperimentConfig:
 
     @cached_property
     def pairs(self) -> tuple[states.PacketPairSpec, states.PacketPairSpec]:
-        """fig7's pairs at kappa0 and kappa02, plus then minus."""
+        """fig7's pairs at kappa0 and kappa02, plus then minus; each packet, alone and in both pairs, has weight."""
         k1, k2 = self.kappa0_over_pi * np.pi, self.kappa02_over_pi * np.pi
+        for kappa0 in (k1, k2):
+            oracle.PacketSpec(kappa0, self.q).normalized(self.cells)
         return tuple(states.PacketPairSpec(k1, k2, self.q, sign).normalized(self.cells) for sign in (+1, -1))
 
     @cached_property
@@ -160,14 +165,14 @@ _KEYS = {f.name: _TYPE_PARSERS[f.type] for f in fields(ExperimentConfig)}
 
 def _parse(key: str, text: str, line: int | None = None):
     """One value from its text, checked on its own: an experiment by name, any other key against the global
-    defaults, all but a packet's weight, which kappa0, q and cells decide together in the run's own config."""
+    defaults in a spectrum's config, which takes either boundary and forms no packet: a packet's weight,
+    which kappa0, q and cells decide together, is left to the run's own config."""
     if key not in _KEYS:
         raise ConfigError(f"unknown key {key!r}", line)
     try:
         value = _KEYS[key](text)
         if key != "experiment":
-            with contextlib.suppress(oracle.NoWeightError):
-                ExperimentConfig(**{"experiment": next(iter(EXPERIMENTS)), key: value})
+            ExperimentConfig(**{"experiment": "spectrum", key: value})
         elif value not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {value!r}; expected one of {', '.join(EXPERIMENTS)}")
     except (ValueError, ZeroDivisionError, MemoryError) as exc:  # MemoryError: a --cells too large to resolve
@@ -272,7 +277,7 @@ def _closed_form_profiles(config: ExperimentConfig, traj: Trajectory, files: dic
         l1 = np.abs(numeric - predicted).sum() / numeric.sum()
         compare_rows.append((t, l1))
         files[f"profile_t{index}.csv"] = _profile_table(numeric, predicted)
-        outcomes.append((f"profile oracle t={t:.1f}", l1, 0.10))
+        outcomes.append((f"profile oracle t={t:.4g}", l1, 0.10))
     files["compare.csv"] = ["t", "l1_over_norm"], zip(*compare_rows)
     return outcomes
 

@@ -173,14 +173,22 @@ def _sin_cos(m: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.ndarray:
     """
     s, c = np.sin(m * q), np.cos(m * q)
     mr = m * r
-    return np.stack((-(s + mr * c), c - mr * s), axis=1) * (1.0 - 2.0 * (m % 2))[:, None]
+    out = np.empty((len(m), 2, q.size))  # filled in place: several times faster than stacking temporaries
+    sin, cos = out[:, 0], out[:, 1]
+    np.negative(np.add(s, np.multiply(mr, c, out=sin), out=sin), out=sin)
+    np.subtract(c, np.multiply(mr, s, out=cos), out=cos)
+    out *= (1.0 - 2.0 * (m % 2))[:, None]
+    return out
 
 
 def _cos_sin(i: np.ndarray, m: np.ndarray, n: int, phi: np.ndarray | float = 0.0) -> np.ndarray:
     """cos and sin of ``theta*i + phi`` at ``theta = 2 pi m/N``, a row per integer i, stacked on axis 1."""
     im = (np.outer(i, m) + n // 2) % n - n // 2  # i*m mod N, exact, in [-N/2, N/2): the smaller, the less it rounds
     x = im * (2 * np.pi / n) + phi
-    return np.stack((np.cos(x), np.sin(x)), axis=1)
+    out = np.empty((len(i), 2, len(m)))
+    np.cos(x, out=out[:, 0])
+    np.sin(x, out=out[:, 1])
+    return out
 
 
 def build_chain(params: LatticeParams) -> Chain:

@@ -67,10 +67,6 @@ def coefficient_lambda(kappa0: float, q: float, cells: int) -> float:
     return normalizing_scale(2.0 * np.sum(terms))
 
 
-class NoWeightError(ValueError):
-    """A packet whose squared terms sum below the smallest normal double: kappa0, q and cells decide it together."""
-
-
 def normalizing_scale(total: float) -> float:
     """lam = 1/sqrt(total) for coefficients whose squares sum to total at lam = 1.
 
@@ -79,7 +75,7 @@ def normalizing_scale(total: float) -> float:
     terms have lost their digits to underflow and lam would be wrong.
     """
     if not total >= np.finfo(float).tiny:
-        raise NoWeightError(
+        raise ValueError(
             f"packet has no weight: its squared terms sum to {total:.3g}, below the smallest normal double "
             f"(they lie past n*q > {COEFF_CUTOFF:g}, underflow or cancel)"
         )

@@ -237,18 +237,26 @@ class Trajectory:
         ``[c^2, c*s, s^2](tau)``.  Each block's alpha and beta are scaled by
         a power of two (exact) so that no row leaves float range before the
         norm itself does.  The components go one at a time, so that the rows
-        of only one are alive.  Returns (component, sample).
+        of only one are alive.  The table and the rows are written into column
+        slices of one array each, several times faster than stacking
+        temporaries.  Returns (component, sample).
         """
         c1, s1 = self._offsets
+        m = c1.shape[1]
         norms = []
-        table = np.hstack([c1 * c1, c1 * s1, s1 * s1])
+        table = np.empty((len(c1), 3 * m))
+        for k, (u, v) in enumerate(((c1, c1), (c1, s1), (s1, s1))):
+            np.multiply(u, v, out=table[:, k * m : (k + 1) * m])
         for a, b in zip(*(u.swapaxes(0, 1)[:, :, None] for u in self._amplitudes)):  # (sublattice, 1, mode) each
             alpha, beta = self._block_starts(slice(None), a, b)  # (sublattice, block, mode) each
             exponent = np.frexp(np.maximum(*(np.abs(u).max(axis=(0, 2)) for u in (alpha, beta))))[1]
             alpha, beta = (np.ldexp(u, -exponent[:, None], out=u) for u in (alpha, beta))
-            rows = np.hstack([(alpha * alpha).sum(axis=0), 2.0 * (alpha * beta).sum(axis=0), (beta * beta).sum(axis=0)])
+            rows, work = np.empty((alpha.shape[1], 3 * m)), np.empty(alpha.shape)
+            for k, (u, v) in enumerate(((alpha, alpha), (alpha, beta), (beta, beta))):  # summed over the sublattices
+                total = np.add(*np.multiply(u, v, out=work), out=work[0])  # in place: a strided out is buffered
+                rows[:, k * m : (k + 1) * m] = np.multiply(total, 2.0, out=total) if k == 1 else total
             norms.append(np.ldexp(rows @ table.T, 2 * exponent[:, None]).ravel()[: self.times.size])
-            del alpha, beta, rows  # before the next component's are formed
+            del alpha, beta, rows, work, total, u, v  # before the next component's are formed
         return np.array(norms)
 
     def _workspace(self, out: np.ndarray) -> np.ndarray:

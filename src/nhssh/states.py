@@ -93,13 +93,25 @@ def smoothed_profile(profile: np.ndarray) -> np.ndarray:
 
     Site i sums p[i-2] + p[i-1] + p[i] + p[i+1], left to right as np.convolve
     does, leaving out the sites past either end, and then scales by 1/4.
+    The sums run over the rows laid end to end, where a ufunc is several
+    times faster than over row slices; the windows of each row's sites 0, 1
+    and n-1 cross a row boundary there, so those three are summed again.
     """
-    p = np.asarray(profile, dtype=float)
+    p = np.ascontiguousarray(profile, dtype=float)
     sm = np.empty_like(p)
-    sm[..., :2] = p[..., :1]  # the sums of sites 0 and 1 both start at p[0]
-    np.add(p[..., :-2], p[..., 1:-1], out=sm[..., 2:])
-    sm[..., 1:] += p[..., 1:]
-    sm[..., :-1] += p[..., 1:]
+    flat, out = p.reshape(-1), sm.reshape(-1)
+    np.add(flat[:-3], flat[1:-2], out=out[2:-1])
+    out[2:-1] += flat[2:-1]
+    out[2:-1] += flat[3:]
+    n = p.shape[-1]
+    rows, sums = p.reshape(-1, n), sm.reshape(-1, n)
+    sums[:, :2] = rows[:, :1]  # the sums of sites 0 and 1 both start at p[0]
+    if n > 1:
+        sums[:, :2] += rows[:, 1:2]
+    if n > 2:
+        sums[:, 1] += rows[:, 2]
+        np.add(rows[:, -3], rows[:, -2], out=sums[:, -1])
+        sums[:, -1] += rows[:, -1]
     sm *= 1.0 / SMOOTH_WINDOW
     return sm
 

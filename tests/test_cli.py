@@ -168,7 +168,7 @@ def test_reproduce_all_matches_golden_summary(reproduce_all):
     assert mismatches(out, json.loads(GOLDEN.read_text(encoding="utf-8"))) == []
 
 
-OPEN_ONLY = ("fig3", "fig4", "fig7", "oracle-compare")
+OPEN_ONLY = ("fig2", "fig3", "fig4", "fig7", "oracle-compare")
 HUGE = str(10**17)
 
 # The exit contract, one row per input: argv, exit code, and a pattern that the run's one stderr line must hold.
@@ -219,7 +219,7 @@ EXIT_CONTRACT = {
                           "--delta", "0.02439464074510145", "--gamma", "1.4903182120940368", "--q", "0",
                           "--kappa02-over-pi", "0.3977836652744285"], EXIT_NUMERICAL,
                          r"\[OverflowError\]: .* at t = 244\.679$"),
-    # normalizing the packet at N = 1e17 asks numpy for 711 PiB, which it refuses without allocating
+    # an array over N = 1e17 modes asks numpy for 711 PiB, which it refuses without allocating
     **{f"{e}-huge-cells": ([e, "--cells", HUGE], EXIT_CONFIG, f"^config error: cells='{HUGE}': Unable to allocate")
        for e in EXPERIMENTS},
     **{f"{e}-huge-cells-file": (["--config", f"experiment={e}\ncells={HUGE}\n"], EXIT_CONFIG,
@@ -253,6 +253,8 @@ EXIT_CONTRACT = {
     "fig3-kappa0-1e-160": (["fig3", "--kappa0-over-pi", "1e-160", *SMALL, "--check"], EXIT_CONFIG,
                            "packet has no weight"),
     "fig7-q30": (["fig7", "--q", "30", "--check"], EXIT_CONFIG, "packet has no weight"),
+    # fig7 reads kappa02's packet, alone and in its pairs; fig6 does not (an OUTPUT_CONTRACT row)
+    "fig7-kappa02-1e-300": (["fig7", "--kappa02-over-pi", "1e-300", *RUN], EXIT_CONFIG, "packet has no weight"),
     # the weight is the run's own, at q = 0 and 2N = 80, and a clash of values names no key
     "fig3-kappa0-4e-156-q0": (["fig3", "--q", "0", "--kappa0-over-pi", "4e-156", *RUN], EXIT_CONFIG,
                               r"^config error: packet has no weight: its squared terms sum to 1\.26e-308,"),
@@ -323,6 +325,15 @@ OUTPUT_CONTRACT = {
     "fig3-kappa0-1e-150": (["fig3", "--kappa0-over-pi", "1e-150", *RUN], EXIT_CHECK, FILES["fig3"]),
     # at q = 0 and 2N = 80 this packet has a normal weight, though at the global defaults it would have none
     "fig3-kappa0-6e-156-q0": (["fig3", "--q", "0", "--kappa0-over-pi", "6e-156", *RUN], EXIT_CHECK, FILES["fig3"]),
+    # a packet the run never builds is not refused, however little weight it would have
+    "fig2-kappa0-1e-300": (["fig2", *RUN, "--kappa0-over-pi", "1e-300"], EXIT_CHECK, FILES["fig2"]),
+    "spectrum-kappa0-1e-300": (["spectrum", *RUN, "--kappa0-over-pi", "1e-300"], EXIT_OK, SPECTRUM),
+    "fig6-kappa02-1e-300": (["fig6", *RUN, "--kappa02-over-pi", "1e-300"], EXIT_OK, FILES["fig6"]),
+    # a span of about 1e154: each check names its time in at most 4 digits
+    "oracle-compare-delta-tiny": (["oracle-compare", "--cells", "11", "--samples", "695", "--delta",
+                                   "2.2250738585072014e-308"], EXIT_CHECK,
+                                  {**{f"profile_t{i}.csv": (GRADED["profile_t0.csv"][0], 22) for i in range(3)},
+                                   "compare.csv": GRADED["compare.csv"]}),
     # above threshold the norm passes 1e154, where its squares would overflow: R^2 is formed in the window's units
     "fig5-delta-0.999": (["fig5", "--cells", "40", "--samples", "300", "--delta", "0.999"], EXIT_OK,
                          {**FIG5, **{f"norms_gamma{i}.csv": (NORMS[0], 300) for i in (1, 2, 3)}}),
@@ -354,7 +365,7 @@ def test_every_check_line_names_its_value_and_bound(tmp_path, capsys, monkeypatc
     capsys.readouterr()
     assert _written([*argv, "--check"], "checked", code) == plain
     lines = capsys.readouterr().out.splitlines()
-    assert lines and all(CHECK_LINE.match(line) for line in lines), lines
+    assert lines and all(CHECK_LINE.match(line) and len(line) < 80 for line in lines), lines
     assert any(line.startswith("[FAIL]") for line in lines) == (code == EXIT_CHECK)
 
 
@@ -458,7 +469,7 @@ def test_main_memory_error_exit_code(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("experiment", ["fig2", "fig5", "fig6", "spectrum"])
+@pytest.mark.parametrize("experiment", ["fig5", "fig6", "spectrum"])
 def test_other_experiments_accept_the_ring(experiment):
     config = build_config({"experiment": experiment, "boundary": Boundary.PERIODIC})
     assert config.params.boundary is Boundary.PERIODIC and config.chain.ring

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nhssh import (
     Boundary,
@@ -209,3 +211,35 @@ def test_smoothing_and_fwhm_match_convolve(case):
     if case == "half-maximum-tie":
         assert np.array_equal(smoothed_profile(profile)[3:10], [0.25, 0.5, 0.75, 1.0, 0.75, 0.5, 0.25])
         assert np.array_equal(ends, [5, 9])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rows=st.integers(1, 70),
+    sites=st.integers(1, 600),
+    values=st.sampled_from(["uniform", "near-2^-1000", "plateaus", "edge-maximum"]),
+    layout=st.sampled_from(["contiguous", "every-other-row", "transposed"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_whole_buffer_smoothing_matches_convolve_row_by_row(rows, sites, values, layout, seed):
+    # smoothed_profile sums the rows laid end to end, across row boundaries, and then sums each row's sites 0, 1
+    # and n-1 again: every row must still match np.convolve on that row alone, bit for bit
+    rng = np.random.default_rng(seed)
+    profile = rng.random((rows, sites))
+    if sites < 4:  # np.convolve sums right to left there (see _PROFILES): integers, whose sums are exact
+        profile = np.floor(8.0 * profile)
+    if values == "near-2^-1000":
+        profile = np.ldexp(profile, -1000)
+    elif values == "plateaus":  # runs of equal levels: ties at the maximum and at half of it
+        run = int(rng.integers(1, 9))
+        profile = np.repeat(rng.integers(0, 3, (rows, sites // run + 1)), run, axis=1)[:, :sites].astype(float)
+    elif values == "edge-maximum":
+        profile[np.arange(rows), rng.choice([0, sites - 1], rows)] = 8.0
+    if layout == "every-other-row":
+        spaced = rng.random((2 * rows, sites))
+        spaced[::2] = profile
+        profile = spaced[::2]
+    elif layout == "transposed":
+        profile = np.ascontiguousarray(profile.T).T
+    assert smoothed_profile(profile).tobytes() == np.array([_convolved(row) for row in profile]).tobytes()
+    assert np.array_equal(fwhm_interval(profile), [_fwhm_one_by_one(row) for row in profile])
