@@ -246,7 +246,7 @@ class Trajectory:
         norms = []
         table = np.empty((len(c1), 3 * m))
         for k, (u, v) in enumerate(((c1, c1), (c1, s1), (s1, s1))):
-            np.multiply(u, v, out=table[:, k * m : (k + 1) * m])
+            table[:, k * m : (k + 1) * m] = u * v  # a ufunc's strided out= is buffered
         for a, b in zip(*(u.swapaxes(0, 1)[:, :, None] for u in self._amplitudes)):  # (sublattice, 1, mode) each
             alpha, beta = self._block_starts(slice(None), a, b)  # (sublattice, block, mode) each
             exponent = np.frexp(np.maximum(*(np.abs(u).max(axis=(0, 2)) for u in (alpha, beta))))[1]
