@@ -1,13 +1,13 @@
 """Command-line front end: named experiments with CSV artifacts.
 
-Each experiment id reproduces one published-figure-style data set from
-the packet dynamics (initial profiles, evolved profiles, norm curves,
-threshold classification, spectra, oracle comparisons).  Outputs are
-plain CSV with '.' decimals, bit-identical across repeated runs; plot
-rendering is left to external tools.  ``build_config`` resolves a run
-once, and a config it cannot resolve is refused (exit 2) before any
-output; ``run_experiment(config, check)`` runs it, writes its CSVs once
-it has finished (a run that fails writes nothing) and, with check, grades it.
+Each experiment id reproduces one published-figure-style data set from the
+packet dynamics (initial profiles, evolved profiles, norm curves, threshold
+classification, spectra, oracle comparisons).  Outputs are plain CSV with '.'
+decimals, bit-identical across repeated runs at one BLAS build and thread count;
+plot rendering is left to external tools.  ``build_config`` resolves a run once,
+and a config it cannot resolve is refused (exit 2) before any output;
+``run_experiment(config, check)`` runs it, writes its CSVs once it has finished
+(a run that fails writes nothing) and, with check, grades it.
 
 Exit codes: 0 success, 2 config error, 3 numerical failure, 4 check
 failure (with --check).
@@ -34,9 +34,8 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_CHECK = 4
 
-_PROFILE_TIMES_OVER_TAU = (0.0, 0.125, 0.25)  # where fig3 and oracle-compare grade the profile oracle
+_PROFILE_TIMES_OVER_TAU = (0.0, 0.125, 0.25)  # where the profile oracle is graded
 _GROWTH_WINDOW_OVER_TAU = (0.05, 0.2)  # where fig5 classifies the norm's growth
-_OPEN_ONLY = ("fig2", "fig3", "fig4", "fig7", "oracle-compare")  # they build or grade the open chain's packets
 
 
 class ConfigError(ValueError):
@@ -67,26 +66,12 @@ class ExperimentConfig:
             raise ValueError("samples must lie in [2, 2^53]")
         if not 0.0 < self.tmax_over_tau < math.inf:
             raise ValueError(f"tmax_over_tau must be finite and positive, got {self.tmax_over_tau}")
-        if self.params.boundary is Boundary.PERIODIC and self.experiment in _OPEN_ONLY:
-            raise ValueError(f"{self.experiment} grades packets built for the open chain; it takes boundary=open only")
+        self.params  # the lattice's own checks
         np.empty(self.cells)  # every run holds arrays over the N modes: a size numpy cannot allocate is refused
         for kappa0_over_pi in (self.kappa0_over_pi, self.kappa02_over_pi):
             oracle.PacketSpec(kappa0_over_pi * np.pi, self.q)  # each key's own range, whether or not the run reads it
-        if self.experiment in ("fig3", "fig4", "fig5", "fig6", "oracle-compare"):
-            self.packet  # refuses one with no weight: here, not key by key
-        if self.experiment in ("fig3", "oracle-compare") and self.tmax_over_tau < _PROFILE_TIMES_OVER_TAU[-1]:
-            raise ValueError(
-                f"{self.experiment} grades profiles up to t = tau/4, so it needs tmax_over_tau >= 1/4,"
-                f" got {self.tmax_over_tau}"
-            )
-        if self.experiment == "fig4" and not oracle.is_central(self.packet.kappa0):
-            raise ValueError(f"fig4 grades the kappa0 = pi/2 norm formula, got kappa0_over_pi={self.kappa0_over_pi}")
-        if self.experiment == "fig5":
-            self.gains, self.window
-        if self.experiment == "fig7":
-            self.pairs
-        if self.experiment not in ("fig2", "spectrum"):
-            self.dt  # every other experiment evolves
+        for name in EXPERIMENTS[self.experiment][2]:  # then what the run reads, in its row's order
+            getattr(self, name)  # each property refuses for itself: a packet's weight, by the run's own config
 
     @cached_property
     def params(self) -> LatticeParams:
@@ -95,6 +80,13 @@ class ExperimentConfig:
     @cached_property
     def chain(self) -> Chain:
         return build_chain(self.params)
+
+    @cached_property
+    def open_chain(self) -> Chain:
+        """The chain of a run that builds or grades the open chain's packets, which fail their checks on a ring."""
+        if self.params.boundary is Boundary.PERIODIC:
+            raise ValueError(f"{self.experiment} grades packets built for the open chain; it takes boundary=open only")
+        return self.chain
 
     @cached_property
     def tau(self) -> float:
@@ -110,8 +102,23 @@ class ExperimentConfig:
         return dt
 
     @cached_property
+    def profile_times(self) -> tuple[float, float, float]:
+        """Where the profile oracle is graded, t = 0, tau/8 and tau/4: inside the run's span."""
+        if self.tmax_over_tau < _PROFILE_TIMES_OVER_TAU[-1]:
+            raise ValueError(f"{self.experiment} grades profiles up to t = tau/4, so it needs tmax_over_tau >= 1/4,"
+                             f" got {self.tmax_over_tau}")
+        return tuple(self.tau * f for f in _PROFILE_TIMES_OVER_TAU)
+
+    @cached_property
     def packet(self) -> oracle.PacketSpec:
         return oracle.PacketSpec(self.kappa0_over_pi * np.pi, self.q).normalized(self.cells)
+
+    @cached_property
+    def central_packet(self) -> oracle.PacketSpec:
+        """The packet, at kappa0 = pi/2, where fig4's closed-form norm holds."""
+        if not oracle.is_central(self.packet.kappa0):
+            raise ValueError(f"fig4 grades the kappa0 = pi/2 norm formula, got kappa0_over_pi={self.kappa0_over_pi}")
+        return self.packet
 
     @cached_property
     def pairs(self) -> tuple[states.PacketPairSpec, states.PacketPairSpec]:
@@ -195,10 +202,10 @@ def parse_config(text: str) -> dict:
 
 
 def build_config(explicit: dict) -> ExperimentConfig:
-    """Resolve a run once: defaults global, then per-experiment, then gamma = 2*delta; then what the runner reads.
+    """Resolve a run once: defaults global, then per-experiment, then gamma = 2*delta; then what its row names.
 
-    Values that are valid alone but not together (an odd cell count on a
-    ring, a growth window too short for its samples) raise ``ValueError``.
+    Values valid alone but not together (an odd cell count on a ring, a growth window too short for its samples)
+    raise ``ValueError``, each from the property that guards it, in the order the run's ``EXPERIMENTS`` row names.
     """
     if "experiment" not in explicit:
         raise ConfigError("no experiment selected (pass one on the command line or set experiment=)")
@@ -271,7 +278,7 @@ def _run_fig2(config: ExperimentConfig, files: dict) -> list:
 def _closed_form_profiles(config: ExperimentConfig, traj: Trajectory, files: dict) -> list:
     outcomes = []
     compare_rows = []
-    for index, t in enumerate(config.tau * f for f in _PROFILE_TIMES_OVER_TAU):
+    for index, t in enumerate(config.profile_times):
         numeric = traj.profile_at(t)
         predicted = np.abs(oracle.evolved_state_closed_form(t, config.packet, config.params)) ** 2
         l1 = np.abs(numeric - predicted).sum() / numeric.sum()
@@ -283,7 +290,7 @@ def _closed_form_profiles(config: ExperimentConfig, traj: Trajectory, files: dic
 
 
 def _run_fig3(config: ExperimentConfig, files: dict) -> list:
-    traj = _evolve_packet(config, config.chain)
+    traj = _evolve_packet(config, config.open_chain)
     closed = None
     if oracle.is_central(config.packet.kappa0):
         closed = oracle.dirac_norm_closed_form(traj.times, config.packet, config.params)
@@ -292,8 +299,8 @@ def _run_fig3(config: ExperimentConfig, files: dict) -> list:
 
 
 def _run_fig4(config: ExperimentConfig, files: dict) -> list:
-    traj = _evolve_packet(config, config.chain)
-    closed = oracle.dirac_norm_closed_form(traj.times, config.packet, config.params)
+    traj = _evolve_packet(config, config.open_chain)
+    closed = oracle.dirac_norm_closed_form(traj.times, config.central_packet, config.params)
     files["norms.csv"] = _norms_table(traj, closed)
 
     # report the waveform period two ways rather than asserting a wording:
@@ -338,7 +345,7 @@ def _run_fig6(config: ExperimentConfig, files: dict) -> list:
 
 
 def _run_fig7(config: ExperimentConfig, files: dict) -> list:
-    modes = decompose(config.chain)  # one decomposition for all four runs
+    modes = decompose(config.open_chain)  # one decomposition for all four runs
     plus = config.pairs[0]
     psi1, psi2 = (states.build_initial_state(spec, config.params) for spec in plus.single_specs(config.cells))
     singles = [evolve(psi, modes, config.dt, config.samples - 1) for psi in (psi1, psi2)]
@@ -379,19 +386,21 @@ def _run_spectrum(config: ExperimentConfig, files: dict) -> list:
 
 
 def _run_oracle_compare(config: ExperimentConfig, files: dict) -> list:
-    return _closed_form_profiles(config, _evolve_packet(config, config.chain), files)
+    return _closed_form_profiles(config, _evolve_packet(config, config.open_chain), files)
 
 
-# experiment id -> (runner, canonical figure parameters for keys left unset)
+# experiment id -> (runner, canonical figure parameters for keys left unset, needs): needs names, in the order
+# they are resolved, the ExperimentConfig properties that can refuse a config and that the runner reads
 EXPERIMENTS = {
-    "fig2": (_run_fig2, {"cells": 1000}),
-    "fig3": (_run_fig3, {}),
-    "fig4": (_run_fig4, {"q": 0.05, "tmax_over_tau": 1.0}),
-    "fig5": (_run_fig5, {"tmax_over_tau": 0.25}),
-    "fig6": (_run_fig6, {"kappa0_over_pi": 1.0 / 6.0, "q": 0.05}),
-    "fig7": (_run_fig7, {"kappa0_over_pi": 1.0 / 6.0, "kappa02_over_pi": 5.0 / 6.0, "q": 0.05}),
-    "spectrum": (_run_spectrum, {}),
-    "oracle-compare": (_run_oracle_compare, {"tmax_over_tau": 0.3}),
+    "fig2": (_run_fig2, {"cells": 1000}, ("open_chain",)),  # its m pi/8 packets are the open chain's
+    "fig3": (_run_fig3, {}, ("open_chain", "packet", "profile_times", "dt")),
+    "fig4": (_run_fig4, {"q": 0.05, "tmax_over_tau": 1.0}, ("open_chain", "central_packet", "dt")),
+    "fig5": (_run_fig5, {"tmax_over_tau": 0.25}, ("packet", "gains", "window")),
+    "fig6": (_run_fig6, {"kappa0_over_pi": 1.0 / 6.0, "q": 0.05}, ("packet", "dt")),
+    "fig7": (_run_fig7, {"kappa0_over_pi": 1.0 / 6.0, "kappa02_over_pi": 5.0 / 6.0, "q": 0.05},
+             ("open_chain", "pairs", "dt")),
+    "spectrum": (_run_spectrum, {}, ()),
+    "oracle-compare": (_run_oracle_compare, {"tmax_over_tau": 0.3}, ("open_chain", "packet", "profile_times", "dt")),
 }
 
 

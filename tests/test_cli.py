@@ -262,6 +262,19 @@ EXIT_CONTRACT = {
     # both grade profiles at t = 0, tau/8 and tau/4
     **{f"{e}-span-{span}": ([e, *SMALL, "--tmax-over-tau", span], EXIT_CONFIG, "tmax_over_tau >= 1/4")
        for e in ("fig3", "oracle-compare") for span in ("0.2", "0.2499")},
+    # where two refusals apply, the property named first in the run's EXPERIMENTS row refuses
+    "fig3-ring-q100": (["fig3", "--boundary", "periodic", "--q", "100"], EXIT_CONFIG, "boundary=open only"),
+    "fig7-ring-one-position": (["fig7", "--boundary", "periodic", "--kappa02-over-pi", "1/6"], EXIT_CONFIG,
+                               "boundary=open only"),
+    "fig3-q100-span": (["fig3", "--q", "100", "--tmax-over-tau", "0.2"], EXIT_CONFIG, "packet has no weight"),
+    "fig4-off-center-q100": (["fig4", "--kappa0-over-pi", "1/3", "--q", "100"], EXIT_CONFIG, "packet has no weight"),
+    "fig4-off-center-dt-inf": (["fig4", "--kappa0-over-pi", "1/3", "--cells", "23", "--samples", "6", "--delta",
+                                "9.4e-48", "--gamma", "0", "--q", "0", "--tmax-over-tau", "1.531e294"], EXIT_CONFIG,
+                               "kappa0 = pi/2"),
+    "fig5-delta-window": (["fig5", "--delta", "0.04", "--cells", "20", "--samples", "60"], EXIT_CONFIG,
+                          r"delta > 0\.05"),
+    "fig7-q100-one-position": (["fig7", "--q", "100", "--kappa02-over-pi", "1/6"], EXIT_CONFIG,
+                               "packet has no weight"),
 }
 
 
@@ -489,7 +502,7 @@ def test_check_failure_exit_code(tmp_path, capsys):
 def test_checks_are_graded_value_at_most_bound(tmp_path, capsys, monkeypatch):
     # run_experiment grades every runner's (name, value, bound): a value at its bound passes, a NaN fails
     checks = [("at the bound", 0.25, 0.25), ("no value", math.nan, 1.0)]
-    monkeypatch.setitem(EXPERIMENTS, "spectrum", (lambda config, files: checks, {}))
+    monkeypatch.setitem(EXPERIMENTS, "spectrum", (lambda config, files: checks, {}, ()))
     assert main(["spectrum", "--out", str(tmp_path / "spectrum"), "--check"]) == EXIT_CHECK
     assert capsys.readouterr().out.splitlines() == [
         "[PASS] at the bound = 0.25 (bound 0.25)",
@@ -537,8 +550,10 @@ def _counting(calls: Counter, name: str, func):
 @pytest.mark.parametrize("experiment", list(EXPERIMENTS))
 def test_runners_read_the_resolved_config(tmp_path, monkeypatch, experiment):
     # build_config resolves tau, dt and every packet and pair a run reads, so its runner derives none of them
-    # again; fig2 alone builds packets of its own, at m pi/8 for m = 1..7
+    # again; fig2 alone builds packets of its own, at m pi/8 for m = 1..7. Nor does a runner resolve any property
+    # beyond the chain, which refuses nothing: so every property it reads that can refuse is named in its row
     config = build_config({"experiment": experiment, "cells": 40, "samples": 160, "out": str(tmp_path / "out")})
+    resolved = set(vars(config))
     calls = Counter()
     for module, name in (
         (nhssh.spectra, "revival_period"),
@@ -548,6 +563,7 @@ def test_runners_read_the_resolved_config(tmp_path, monkeypatch, experiment):
         monkeypatch.setattr(module, name, _counting(calls, name, getattr(module, name)))
     assert run_experiment(config) == EXIT_OK
     assert calls == ({"coefficient_lambda": 7} if experiment == "fig2" else {})
+    assert set(vars(config)) - resolved <= {"chain"}
 
 
 def test_fig5_resolves_its_growth_window_once(tmp_path, monkeypatch):
@@ -712,7 +728,7 @@ def test_readme_matches_the_experiments_table_and_tree():
     for name, values in _readme_table("| Experiment | Canonical parameters |"):
         pairs = [] if values == "none" else [pair.split("=") for pair in values.strip("`").split(", ")]
         canonical[name.strip("`")] = {key: _parse(key, value) for key, value in pairs}
-    assert canonical == {experiment: defaults for experiment, (_, defaults) in EXPERIMENTS.items()}
+    assert canonical == {experiment: defaults for experiment, (_, defaults, _) in EXPERIMENTS.items()}
     stated = re.split(r",\s+", re.search(r"Defaults: `([^`]+)`", text)[1])
     defaults = {key: _parse(key, value) for key, value in (pair.split("=") for pair in stated)}
     assert defaults == {f.name: f.default for f in dataclasses.fields(ExperimentConfig) if f.name != "experiment"}
