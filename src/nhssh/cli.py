@@ -4,7 +4,9 @@ Each experiment id reproduces one published-figure-style data set from the
 packet dynamics (initial profiles, evolved profiles, norm curves, threshold
 classification, spectra, oracle comparisons).  Outputs are plain CSV with '.'
 decimals, bit-identical across repeated runs at one BLAS build and thread count;
-plot rendering is left to external tools.  ``build_config`` resolves a run once,
+``csvtext.write_csv`` formats their cells a column at a time (floats as C's
+``%.17g``, ints in full, strings as given); plot rendering is left to external
+tools.  ``build_config`` resolves a run once,
 and a config it cannot resolve is refused (exit 2) before any output;
 ``run_experiment(config, check)`` runs it, writes its CSVs once it has finished
 (a run that fails writes nothing) and, with check, grades it.
@@ -26,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, oracle, spectra, states
+from .csvtext import write_csv as _write_csv
 from .lattice import Boundary, Chain, LatticeParams, build_chain
 from .propagate import Trajectory, decompose, evolve
 
@@ -217,16 +220,6 @@ def build_config(explicit: dict) -> ExperimentConfig:
 
 
 # ---------------------------------------------------------------- output
-
-
-_CELL = {"f": "%.17g", "i": "%d", "U": "%s"}  # by a column's dtype kind
-
-
-def _write_csv(path: Path, header: list[str], columns) -> None:
-    columns = [np.asarray(column) for column in columns]
-    row = ",".join(_CELL[column.dtype.kind] for column in columns)
-    lines = [",".join(header), *(row % cells for cells in zip(*(column.tolist() for column in columns)))]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _norms_table(traj: Trajectory, closed_form=None) -> tuple:

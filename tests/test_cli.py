@@ -6,10 +6,12 @@ import json
 import math
 import os
 import re
+import struct
 from collections import Counter
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +37,7 @@ from nhssh.cli import (
     parse_config,
     run_experiment,
 )
+from nhssh.csvtext import _E, _POW10
 from nhssh.lattice import Boundary, Chain
 
 from golden_summary import GOLDEN, mismatches
@@ -682,6 +685,99 @@ def test_csv_columns_format_like_cells(tmp_path):
     text = (tmp_path / "x.csv").read_text(encoding="utf-8")
     assert text == "\n".join(expected) + "\n"
     assert text.splitlines()[1] == "1,0.10000000000000001,0/8,,0.10000000000000001,-1,0,0.10000000000000001"
+
+
+def _double(bits: int) -> float:
+    return struct.unpack("<d", bits.to_bytes(8, "little"))[0]
+
+
+def _single(bits: int) -> np.float32:
+    return np.float32(struct.unpack("<f", bits.to_bytes(4, "little"))[0])
+
+
+@st.composite
+def _ties(draw):
+    # x = m / 2^j with m odd and m 5^j of 18 digits: x's 18 significant digits end in 5, so "%.17g" rounds it half
+    # to even; and its neighbours a unit in the last place away
+    j = draw(st.integers(2, 25))
+    m = draw(st.integers(-(-10**17 // 5**j), min(2**53, 10**18 // 5**j) - 1).filter(lambda m: m % 2))
+    x = float(Fraction(m, 2**j))
+    assert Fraction(x) == Fraction(m, 2**j) and str(m * 5**j)[17:] == "5"
+    return float(np.nextafter(x, draw(st.sampled_from([-math.inf, x, math.inf]))))
+
+
+# doubles whose y = |x| 10^(16 - e) lies within 1/200 of a half integer, off it: in x87 long double, the first
+# eight's y = x * 10^(16 - e) rounds to the far side of the half, which a tie band of 0 would take as certain, and
+# the last four's to the half itself (rechecked below)
+NEAR_TIES = [float.fromhex(h) for h in (
+    "0x1.56e2bafa05b87p+159", "0x1.551cc41df6100p+933", "0x1.56b4d5fb75d54p-914", "0x1.4594b6a7f35acp+179",
+    "0x1.497d598eb6256p-791", "0x1.48f54337ae050p-223", "0x1.5370214c5aba2p+840", "0x1.4737f573e6d07p-688",
+    "0x1.5df1a961637f3p-996", "0x1.fe4c29476b208p-498", "0x1.71820fff1c738p+80", "0x1.af6021ef36306p+997",
+)]
+# either side of where %g switches notation (e = -5 | -4 and 16 | 17), at and away from a power of ten; no double
+# below 10^17 reaches 1e+17 at 17 digits, but 1e98 lies below 10^98 and rounds up to 1e+98
+LAYOUT_EDGES = [1e-4 * (1 - 2**-52), np.nextafter(1e-4, 0), 1e-4, 1.5e-4, 1.5e-5, 1e-5, np.nextafter(1e16, 0),
+                1e16, 1.5e16, np.nextafter(1e17, 0), 1e17, 1.5e17, 1e98, 0.0, -0.0, math.inf, -math.inf, math.nan,
+                5e-324, 1.7976931348623157e308]
+FLOAT_CELLS = st.one_of(
+    st.integers(0, 2**64 - 1).map(_double),  # subnormals, zeros, infinities and NaNs among them
+    _ties(),
+    st.sampled_from(NEAR_TIES),
+    st.integers(-323, 308).flatmap(lambda k: st.sampled_from(
+        [float(np.nextafter(float(Fraction(10)**k), to)) for to in (0.0, float(Fraction(10)**k), math.inf)])),
+    st.sampled_from(LAYOUT_EDGES),
+)
+
+
+@st.composite
+def _columns(draw):
+    # a few cells of each column's kind, tiled to a length that may cross the writer's chunks of rows
+    rows = draw(st.integers(0, 2100))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(["float", "float32", "int", "range", "str"]), min_size=1, max_size=4)):
+        length = rows + draw(st.integers(0, 2))  # the table is as long as its shortest column
+        if kind == "range":
+            start, step = draw(st.integers(-2**40, 2**40)), draw(st.integers(-2**20, 2**20).filter(bool))
+            columns.append(range(start, start + step * length, step))
+            continue
+        cells = draw(st.lists({
+            "float": FLOAT_CELLS,
+            "float32": st.integers(0, 2**32 - 1).map(_single),
+            "int": st.integers(-2**63, 2**63 - 1),
+            # a str array drops trailing NULs, as the writer's np.asarray always has
+            "str": st.text(st.characters(blacklist_categories=("Cs",)), max_size=12).map(lambda s: s.rstrip("\0")),
+        }[kind], min_size=1, max_size=30))
+        cells = [cells[i % len(cells)] for i in range(length)]
+        if kind == "float32":
+            columns.append(np.array(cells, np.float32))
+        else:
+            columns.append(draw(st.sampled_from([list, tuple]))(cells))
+    return columns
+
+
+@settings(max_examples=150, deadline=None)
+@given(columns=_columns())
+@example(columns=[NEAR_TIES, list(range(len(NEAR_TIES)))])
+@example(columns=[LAYOUT_EDGES])
+def test_csv_bytes_match_cell_by_cell_formatting(tmp_path_factory, columns):
+    # every cell the writer formats a column at a time reads as _cell's "%.17g", "%d" or string, byte for byte
+    path = tmp_path_factory.mktemp("csv") / "x.csv"
+    header = [f"c{i}" for i in range(len(columns))]
+    _write_csv(path, header, columns)
+    expected = [",".join(header)] + [",".join(_cell(v) for v in row) for row in zip(*columns)]
+    assert path.read_bytes() == ("\n".join(expected) + "\n").encode("utf-8")
+
+
+def test_near_ties_and_powers_of_ten_are_what_the_writer_assumes():
+    # each near tie's y lies within 1/200 of a half integer, off it; each long-double power of ten the writer
+    # scales by lies within half a unit in the last place of 10^k
+    for x in NEAR_TIES:
+        e = math.floor(math.log10(x))
+        y = Fraction(x) * Fraction(10) ** (16 - e)
+        assert 10**16 <= y < 10**17 and 0 < abs(y - math.floor(y) - Fraction(1, 2)) < Fraction(1, 200)
+    for e, power in zip(_E.tolist(), _POW10):
+        error = Fraction(*power.as_integer_ratio()) - Fraction(10) ** (16 - e)
+        assert abs(error) <= Fraction(*np.spacing(power).as_integer_ratio()) / 2, e
 
 
 PUBLIC_API = [
