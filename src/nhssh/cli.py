@@ -117,13 +117,6 @@ class ExperimentConfig:
         return oracle.PacketSpec(self.kappa0_over_pi * np.pi, self.q).normalized(self.cells)
 
     @cached_property
-    def central_packet(self) -> oracle.PacketSpec:
-        """The packet, at kappa0 = pi/2, where fig4's closed-form norm holds."""
-        if not oracle.is_central(self.packet.kappa0):
-            raise ValueError(f"fig4 grades the kappa0 = pi/2 norm formula, got kappa0_over_pi={self.kappa0_over_pi}")
-        return self.packet
-
-    @cached_property
     def pairs(self) -> tuple[states.PacketPairSpec, states.PacketPairSpec]:
         """fig7's pairs at kappa0 and kappa02, plus then minus; each packet, alone and in both pairs, has weight."""
         k1, k2 = self.kappa0_over_pi * np.pi, self.kappa02_over_pi * np.pi
@@ -284,16 +277,14 @@ def _closed_form_profiles(config: ExperimentConfig, traj: Trajectory, files: dic
 
 def _run_fig3(config: ExperimentConfig, files: dict) -> list:
     traj = _evolve_packet(config, config.open_chain)
-    closed = None
-    if oracle.is_central(config.packet.kappa0):
-        closed = oracle.dirac_norm_closed_form(traj.times, config.packet, config.params)
+    closed = oracle.dirac_norm_closed_form(traj.times, config.packet, config.params)
     files["norms.csv"] = _norms_table(traj, closed)
     return _closed_form_profiles(config, traj, files)
 
 
 def _run_fig4(config: ExperimentConfig, files: dict) -> list:
     traj = _evolve_packet(config, config.open_chain)
-    closed = oracle.dirac_norm_closed_form(traj.times, config.central_packet, config.params)
+    closed = oracle.dirac_norm_closed_form(traj.times, config.packet, config.params)
     files["norms.csv"] = _norms_table(traj, closed)
 
     # report the waveform period two ways rather than asserting a wording:
@@ -387,7 +378,7 @@ def _run_oracle_compare(config: ExperimentConfig, files: dict) -> list:
 EXPERIMENTS = {
     "fig2": (_run_fig2, {"cells": 1000}, ("open_chain",)),  # its m pi/8 packets are the open chain's
     "fig3": (_run_fig3, {}, ("open_chain", "packet", "profile_times", "dt")),
-    "fig4": (_run_fig4, {"q": 0.05, "tmax_over_tau": 1.0}, ("open_chain", "central_packet", "dt")),
+    "fig4": (_run_fig4, {"q": 0.05, "tmax_over_tau": 1.0}, ("open_chain", "packet", "dt")),
     "fig5": (_run_fig5, {"tmax_over_tau": 0.25}, ("packet", "gains", "window")),
     "fig6": (_run_fig6, {"kappa0_over_pi": 1.0 / 6.0, "q": 0.05}, ("packet", "dt")),
     "fig7": (_run_fig7, {"kappa0_over_pi": 1.0 / 6.0, "kappa02_over_pi": 5.0 / 6.0, "q": 0.05},

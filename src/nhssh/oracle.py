@@ -5,8 +5,8 @@ compared against the numerically exact evolution:
 
 * the analytic eigenstate family and its symmetry phases,
 * the compact form of the evolved wave packet,
-* the Dirac-norm formula through Legendre's chi of the dilogarithm,
-  with its q = 0 triangle-wave reduction,
+* the Dirac-norm formula for every kappa0, one dilogarithm expression
+  (Legendre's chi at kappa0 = pi/2, and a triangle wave there at q = 0),
 * the coalescing-mode overlap estimate.
 
 Normalization policy: packets are coefficient-normalized,
@@ -26,7 +26,7 @@ import numpy as np
 
 from .lattice import LatticeParams
 from .spectra import analytic_dispersion, esm_spacing
-from .specfun import _chi2
+from .specfun import dilog
 
 # exp(-q n)/n weights below exp(-40) never reach float relevance
 COEFF_CUTOFF = 40.0
@@ -195,38 +195,33 @@ def evolved_state_closed_form(t: float, spec: PacketSpec, params: LatticeParams)
 
 
 def dirac_norm_closed_form(t, spec: PacketSpec, params: LatticeParams):
-    """Closed-form Dirac norm P(t) of the evolved kappa0 = pi/2 packet.
+    """Closed-form Dirac norm P(t) of the evolved packet, for every kappa0 in (0, pi).
 
-    ``P(t) = 2 lam^2 [chi2(e^{-2q}) - Re chi2(e^{-2q - 2 i omega t})]`` with
-    Legendre's ``chi2(x) = (Li2(x) - Li2(-x))/2``.  This is the Lerch form
-    ``-(lam^2 e^{-2q}/2) Re[e^{-2 i omega t} Phi(e^{-4(q + i omega t)}, 2, 1/2)]
-    + lam^2 (Li2(e^{-2q}) - Li2(-e^{-2q}))`` with
-    ``Phi(z, 2, 1/2) = 4 chi2(sqrt z)/sqrt z``, where every phase cancels.
-    The one expression holds for every q >= 0; at q = 0 the argument runs
-    on the unit circle and P is a triangle wave of slope
-    ``2 lam^2 pi^2/tau`` (8/tau, as lam^2 = 4/pi^2 there up to the
-    finite-size tail) and period tau/2.
+    ``P(t) = 2 sum_n c_n^2 (1 - cos 2 n omega t)``, over the coefficients c_n of
+    :func:`packet_coefficients` with n unbounded, sums in closed form: with
+    ``z = e^{-2q}``, ``a = e^{2 i kappa0}``, ``b = conj(a)`` and ``e = e^{2 i omega t}``,
+    ``P = lam^2 Re{[Li2(z) - Li2(ze)] - [Li2(za) - (Li2(zae) + Li2(zbe))/2]}``,
+    grouped so that at t = 0 each bracket, and so P(0), is exactly 0.  At kappa0 = pi/2
+    (a = -1) it is ``2 lam^2 [chi2(z) - Re chi2(ze)]``, Legendre's ``chi2(x)
+    = (Li2(x) - Li2(-x))/2``, and at q = 0 there a triangle wave of slope
+    ``2 lam^2 pi^2/tau`` (8/tau, as lam^2 = 4/pi^2 up to the finite-size
+    tail) and period tau/2.  Toward kappa0 = 0 or pi the brackets cancel and
+    the error grows like eps q/kappa0^2: at q = 0.02 and 2N = 500, against an
+    80-digit polylog, 1.9e-14 of the peak at kappa0 = pi/100, 1.4e-10 at
+    1e-4 pi, 2.1e-6 at 1e-6 pi and 8.9e-3 at 1e-8 pi.
 
     Accepts scalar or array t.
     """
-    spec = _central(spec, params)
-    omega = esm_spacing(params)
+    spec = spec.normalized(params.cells)
     t = np.asarray(t, dtype=float)
-    # the first entry, t = 0, gives chi2(e^{-2q})
-    chi = _chi2(np.exp(-2.0 * (spec.q + 1j * omega * np.append(0.0, t)))).real
-    out = 2.0 * spec.lam**2 * (chi[0] - chi[1:]).reshape(t.shape)
+    e = np.exp(2j * esm_spacing(params) * t)
+    a = np.exp(2j * spec.kappa0)
+    z = math.exp(-2.0 * spec.q)
+    ze = z * np.stack([e, a * e, a.conjugate() * e])
+    li = dilog(np.append([z, z * a], ze)).real  # one call; Li2(z) and Li2(za) do not depend on t
+    li_z, li_za, (li_ze, li_zae, li_zbe) = li[0], li[1], li[2:].reshape(ze.shape)
+    out = spec.lam**2 * ((li_z - li_ze) - (li_za - 0.5 * (li_zae + li_zbe)))
     return float(out) if out.ndim == 0 else out
-
-
-def is_central(kappa0: float) -> bool:
-    """Whether the Dirac-norm formula holds at kappa0: pi/2, to 1e-9."""
-    return abs(kappa0 - np.pi / 2.0) <= 1e-9
-
-
-def _central(spec: PacketSpec, params: LatticeParams) -> PacketSpec:
-    if not is_central(spec.kappa0):
-        raise ValueError("the Dirac-norm formula is derived for kappa0 = pi/2 only")
-    return spec.normalized(params.cells)
 
 
 def overlap_formula(spec: PacketSpec, params: LatticeParams) -> float:

@@ -24,7 +24,6 @@ import mpmath
 import numpy as np
 
 from nhssh import LatticeParams, PacketSpec, revival_period
-from nhssh.oracle import _central
 from nhssh.propagate import BLOCK, Modes, decompose
 
 
@@ -46,8 +45,8 @@ def symmetry_operator(kind: str, cells: int) -> np.ndarray:
 
 
 def triangle_wave_norm(t, spec: PacketSpec, params: LatticeParams):
-    """The explicit q = 0 norm: a triangle wave of slope ``2 lam^2 pi^2/tau`` and period tau/2."""
-    spec = _central(replace(spec, q=0.0), params)
+    """The explicit q = 0 norm at kappa0 = pi/2: a triangle wave of slope ``2 lam^2 pi^2/tau`` and period tau/2."""
+    spec = replace(spec, q=0.0).normalized(params.cells)
     tau = revival_period(params)
     phase = np.mod(t, tau / 2.0)
     out = (2.0 * spec.lam**2 * np.pi**2 / tau) * np.minimum(phase, tau / 2.0 - phase)

@@ -261,7 +261,6 @@ EXIT_CONTRACT = {
     # the weight is the run's own, at q = 0 and 2N = 80, and a clash of values names no key
     "fig3-kappa0-4e-156-q0": (["fig3", "--q", "0", "--kappa0-over-pi", "4e-156", *RUN], EXIT_CONFIG,
                               r"^config error: packet has no weight: its squared terms sum to 1\.26e-308,"),
-    "fig4-off-center": (["fig4", "--kappa0-over-pi", "1/3"], EXIT_CONFIG, "kappa0 = pi/2"),
     # both grade profiles at t = 0, tau/8 and tau/4
     **{f"{e}-span-{span}": ([e, *SMALL, "--tmax-over-tau", span], EXIT_CONFIG, "tmax_over_tau >= 1/4")
        for e in ("fig3", "oracle-compare") for span in ("0.2", "0.2499")},
@@ -273,7 +272,7 @@ EXIT_CONTRACT = {
     "fig4-off-center-q100": (["fig4", "--kappa0-over-pi", "1/3", "--q", "100"], EXIT_CONFIG, "packet has no weight"),
     "fig4-off-center-dt-inf": (["fig4", "--kappa0-over-pi", "1/3", "--cells", "23", "--samples", "6", "--delta",
                                 "9.4e-48", "--gamma", "0", "--q", "0", "--tmax-over-tau", "1.531e294"], EXIT_CONFIG,
-                               "kappa0 = pi/2"),
+                               "got dt=inf"),
     "fig5-delta-window": (["fig5", "--delta", "0.04", "--cells", "20", "--samples", "60"], EXIT_CONFIG,
                           r"delta > 0\.05"),
     "fig7-q100-one-position": (["fig7", "--q", "100", "--kappa02-over-pi", "1/6"], EXIT_CONFIG,
@@ -338,6 +337,7 @@ OUTPUT_CONTRACT = {
     "fig5-90-samples": (["fig5", "--cells", "20", "--samples", "90"], EXIT_OK,
                         {**FIG5, **{f"norms_gamma{i}.csv": (NORMS[0], 90) for i in (1, 2, 3)}}),
     "fig3-off-center": (["fig3", "--kappa0-over-pi", "1/3", *SMALL], EXIT_CHECK, FILES["fig3"]),
+    "fig4-off-center": (["fig4", "--kappa0-over-pi", "1/3", *SMALL], EXIT_OK, FILES["fig4"]),
     "fig3-kappa0-1e-150": (["fig3", "--kappa0-over-pi", "1e-150", *RUN], EXIT_CHECK, FILES["fig3"]),
     # at q = 0 and 2N = 80 this packet has a normal weight, though at the global defaults it would have none
     "fig3-kappa0-6e-156-q0": (["fig3", "--q", "0", "--kappa0-over-pi", "6e-156", *RUN], EXIT_CHECK, FILES["fig3"]),
@@ -461,9 +461,10 @@ def test_main_fig2_small(tmp_path):
 
 
 def test_fig3_runs_off_center(tmp_path):
-    # fig4 refuses kappa0 off pi/2; fig3 takes it, and leaves the closed-form norm column empty
+    # the norm formula holds for every kappa0: off pi/2 fig3 fills the closed-form norm column, from P(0) = 0
     assert main(["fig3", "--kappa0-over-pi", "1/3", *SMALL, "--out", str(tmp_path)]) == EXIT_OK
-    assert all(row.endswith(",") for row in (tmp_path / "norms.csv").read_text().splitlines()[1:])
+    rows = [row.split(",") for row in (tmp_path / "norms.csv").read_text().splitlines()[1:]]
+    assert rows[0][2] == "0" and all(row[2] for row in rows)
 
 
 def test_main_unwritable_outdir_exit_code(tmp_path):
