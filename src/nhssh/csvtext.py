@@ -179,12 +179,15 @@ def _ints(v) -> np.ndarray:
     return out
 
 
-def _text(strings) -> np.ndarray:
-    """The words of the strings, shape (words, len(strings)): each after its separator byte, in UTF-8, padded."""
-    encoded = [s.encode() for s in strings]
+def _text(column) -> np.ndarray:
+    """The words of a string column, shape (words, len(column)): each after its separator byte, in UTF-8, padded.
+
+    Each distinct string is encoded once, and its words are gathered for every cell that holds it."""
+    distinct, which = np.unique(column, return_inverse=True)
+    encoded = [s.encode() for s in distinct.tolist()]
     words = (max(map(len, encoded)) + 8) // 8
     text = b"".join((_PAD + s).ljust(8 * words, _PAD) for s in encoded)
-    return np.frombuffer(text, np.int64).reshape(len(encoded), words).T
+    return np.frombuffer(text, np.int64).reshape(len(encoded), words)[which].T
 
 
 def _chunk(columns) -> bytes:
@@ -197,7 +200,7 @@ def _chunk(columns) -> bytes:
             widths += [4] * len(run)
             continue
         for column in run:
-            parts.append(_ints(column.astype(np.int64)) if kind == "i" else _text(column.tolist()))
+            parts.append(_ints(column.astype(np.int64)) if kind == "i" else _text(column))
             widths.append(parts[-1].nbytes // 8 // len(column))
     rows = len(columns[0])
     block = np.empty((rows, sum(widths)), np.int64)  # made last, when the formatting's temporaries are gone

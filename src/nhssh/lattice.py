@@ -87,17 +87,23 @@ class Chain:
         return 4.0 * a * b * w + low * (d + g)
 
     def modes(self, vectors: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
-        """Every mode's weight w, ascending, and unless not ``vectors`` U: orthonormal columns, a row per gain site.
+        """Every mode's weight w, ascending, and unless not ``vectors`` U, formed whole from :meth:`mode_tables`."""
+        w, tables = self.mode_tables(vectors)
+        return w, None if tables is None else tables.basis()
 
-        Parity, gain site j to loss site N-1-j, takes column m (from 0) to
-        ``(-1)^(N+m+1)`` times itself: the loss vectors B^T U / lam are U upside down.
+    def mode_tables(self, vectors: bool = True) -> tuple[np.ndarray, ModeTables | None]:
+        """Every mode's weight w, ascending, and unless not ``vectors`` the :class:`ModeTables` of U.
+
+        U has orthonormal columns, a row per gain site.  Parity, gain site j to
+        loss site N-1-j, takes column m (from 0) to ``(-1)^(N+m+1)`` times
+        itself: the loss vectors B^T U / lam are U upside down.
         Open chain: ``u_j = sin(k(N - j))`` and ``w = sin^2(q/2)``, where
         ``k = pi - q`` solves ``a sin((N+1)k) + b sin(Nk) = 0``.  Ring: B is
         circulant, with ``w = cos^2(theta/2)`` at ``theta = 2 pi m/N`` (a pair for
         every m but 0 and N/2): ``u_j = cos(theta j + phi)``, ``phi = (theta - arg(a + b e^(i theta)))/2``
-        less pi/2 for parity's -1.  On both boundaries a column is one sinusoid in j: with j = J + t, J a row
-        block's first row and t < L = isqrt(N), angle addition forms U from a table row per J and one per t,
-        so about 4N^1.5 sines and cosines and one product.
+        less pi/2 for parity's -1.  On both boundaries a column is one sinusoid in j, so angle addition
+        gives it from a table row per row block and one per offset inside a block: about 4N^1.5 sines
+        and cosines, with each column's norm folded into the first table.
         """
         n = self.cells
         size = math.isqrt(n)  # rows j = J + t, with J = 0, L, 2L, ... and 0 <= t < L
@@ -120,12 +126,12 @@ class Chain:
             w = np.sin(0.5 * (q + r)) ** 2
             if not vectors:
                 return w, None
-            # N - j = M - t, with M = N - J: sin(k(M - t)) = sin(kM)cos(-kt) + cos(kM)sin(-kt)
-            first, step = _sin_cos((n - starts)[:, None], q, r), _sin_cos(-offsets[:, None], q, r)[:, ::-1]
-        U = np.einsum("bkn,tkn->btn", first, step).reshape(-1, n)[:n]  # the last block runs past row N - 1
-        if not self.ring:
-            U /= np.sqrt(np.einsum("ij,ij->j", U, U))  # np.linalg.norm's sums, without its N x N of squares
-        return w, U
+            # N - j = M - t, with M = N - J: sin(k(M - t)) = cos(kM)sin(-kt) + sin(kM)cos(-kt)
+            first, step = _sin_cos((n - starts)[:, None], q, r)[:, ::-1], _sin_cos(-offsets[:, None], q, r)
+            # sum_{i=1..N} sin^2(ki) = N/2 - sin(Nk)cos((N+1)k)/(2 sin k), sin(Nk) and cos(Nk) from first's row J = 0
+            (cos_n, sin_n), (sin_k, cos_k) = first[0], _sin_cos(np.ones((1, 1), dtype=int), q, r)[0]
+            first /= np.sqrt(0.5 * (n - sin_n * (cos_n * cos_k - sin_n * sin_k) / sin_k))
+        return w, ModeTables(first, step)
 
     def dense(self) -> np.ndarray:
         """Dense 2N x 2N single-particle Hamiltonian: real symmetric hoppings plus ``+i*gamma`` on gain sites
@@ -137,6 +143,60 @@ class Chain:
         if self.ring:
             H[n - 1, 0] = H[0, n - 1] = self.weak
         return H
+
+
+@dataclass(frozen=True)
+class ModeTables:
+    """A chain's gain-site vectors U as two angle-addition tables, from :meth:`Chain.mode_tables`.
+
+    Row j of U is J + t, with J = 0, L, 2L, ... a row block's first row and
+    t < L = isqrt(N), and ``U[J + t, m] = sum_k first[J/L, k, m] * step[t, k, m]``:
+    ``first`` is (ceil(N/L), 2, N) and carries each column's norm, ``step`` is
+    (L, 2, N), so the two hold about 4N^1.5 numbers against U's N^2.
+    :meth:`basis` forms U; :meth:`to_sites` and :meth:`to_modes` apply U and
+    its transpose to a few rows without holding it.
+    """
+
+    first: np.ndarray
+    step: np.ndarray
+
+    def basis(self) -> np.ndarray:
+        """U as one N x N array."""
+        n = self.first.shape[2]
+        return np.einsum("bkn,tkn->btn", self.first, self.step).reshape(-1, n)[:n]  # the last block runs past row N - 1
+
+    def to_sites(self, coefs: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``coefs @ U.T`` into out, a row of site amplitudes per row of mode coefficients.
+
+        U is formed one block of L rows at a time, as :meth:`basis` forms
+        them, so each of its entries rounds as there.
+        """
+        size, n = len(self.step), self.first.shape[2]
+        slab = np.empty((size, n))
+        for start, first in zip(range(0, n, size), self.first):
+            rows = np.einsum("kn,tkn->tn", first, self.step[: n - start], out=slab[: n - start])
+            np.matmul(coefs, rows.T, out=out[:, start : start + size])
+        return out
+
+    def to_modes(self, rows: np.ndarray) -> np.ndarray:
+        """``rows @ U``: the mode coefficients of rows of site amplitudes.
+
+        A row's sites J + t, padded to whole blocks, go through one product
+        with step over t, then are summed against first over the blocks and
+        k.  A pass takes as many blocks as keep its product to step's size.
+        """
+        size, (blocks, _, n) = len(self.step), self.first.shape
+        padded = np.zeros((len(rows), blocks * size))
+        padded[:, :n] = rows
+        padded = padded.reshape(len(rows), blocks, size)
+        chunk = -(-size // len(rows))
+        sums = np.empty((len(rows) * chunk, 2 * n))
+        out = np.zeros((len(rows), n))
+        for block in range(0, blocks, chunk):
+            part = padded[:, block : block + chunk].reshape(-1, size)
+            product = np.matmul(part, self.step.reshape(size, -1), out=sums[: len(part)])
+            out += np.einsum("rbkn,bkn->rn", product.reshape(len(rows), -1, 2, n), self.first[block : block + chunk])
+        return out
 
 
 def _open_roots(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -11,8 +11,11 @@ of the N x N gain-site block ``B B^T`` of T^2 of a
 singular value lam of B is one pair +/-lam of T, one 2x2 block on the
 gain and loss amplitudes.  The loss-site vectors are the gain-site ones
 reversed (parity), a sign per mode, so they are never stored:
-:class:`Modes` applies U to the loss sites in reverse order.  So a
-decomposition holds one N x N array, and no 2N x 2N matrix is formed.
+:class:`Modes` applies U to the loss sites in reverse order.  A
+decomposition holds U as two angle-addition tables of about 4N^1.5
+numbers (:class:`~nhssh.lattice.ModeTables`) and forms the N x N U only
+for the reads that take a block of samples at a time, profile blocks and
+states; no 2N x 2N matrix is formed.
 
 A :class:`Trajectory`, which only :func:`evolve` builds, keeps a run's
 mode amplitudes and forms its norms, profiles and states from them, as
@@ -26,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .lattice import Chain, chiral_split
+from .lattice import Chain, ModeTables, chiral_split
 
 BLOCK = 64  # samples per block; longer blocks lose norm accuracy to cancellation (see Trajectory)
 
@@ -59,9 +62,12 @@ def expm(A: np.ndarray) -> np.ndarray:
 class Modes:
     """Eigenpairs of the real hopping T of one :class:`~nhssh.lattice.Chain`, at the chain's gain.
 
-    ``w`` holds the modes' weights (:meth:`~nhssh.lattice.Chain.modes`) and
-    ``lam`` the singular values of B, both ascending, and ``U`` the gain-site
-    vectors (eigenvectors of B B^T, orthonormal columns, a row per even site).
+    ``w`` holds the modes' weights (:meth:`~nhssh.lattice.Chain.mode_tables`)
+    and ``lam`` the singular values of B, both ascending, and ``tables`` the
+    gain-site vectors U (eigenvectors of B B^T, orthonormal columns, a row
+    per even site) as two angle-addition tables.  :meth:`amplitudes` and
+    :meth:`_few_sites` apply the tables to a few rows; :attr:`U`, formed on
+    first read, serves the blocks of :meth:`_sites`.
     The loss-site vectors B^T U / lam are U's columns upside down, each times
     its parity sign (:attr:`_parity`), so a loss amplitude is kept on U
     upside down, without the sign: U is applied to the loss (odd) sites in
@@ -74,7 +80,12 @@ class Modes:
     chain: Chain
     w: np.ndarray
     lam: np.ndarray
-    U: np.ndarray
+    tables: ModeTables
+
+    @cached_property
+    def U(self) -> np.ndarray:
+        """The gain-site vectors as one N x N array, formed from the tables on first read."""
+        return self.tables.basis()
 
     @property
     def n_sites(self) -> int:
@@ -101,7 +112,8 @@ class Modes:
         if not np.isfinite(psi0).all():
             raise ValueError("state0 has non-finite entries")
         parts = np.stack((psi0.real, psi0.imag))  # (part, site); loss site N-1-j is column 2N-1-2j
-        re, im = np.stack([parts[:, 0::2] @ self.U, parts[:, ::-2] @ self.U], axis=1)
+        rows = np.concatenate((parts[:, 0::2], parts[:, ::-2]))  # gain real, gain imaginary, loss real, loss imaginary
+        re, im = self.tables.to_modes(rows).reshape(2, 2, -1).swapaxes(0, 1)
         a = re + 1j * im
         # H acts on a mode's gain and loss amplitudes as [[i*gamma, lam], [lam, -i*gamma]]; on U upside down
         # the loss amplitude is the mode's times its parity sign, and so is lam
@@ -120,6 +132,10 @@ class Modes:
         down (:meth:`amplitudes`), so their sites come out in reverse order.
         """
         return np.matmul(rows, self.U.T, out=out)
+
+    def _few_sites(self, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """:meth:`_sites` for the rows of one sample, by the tables: U is formed a row block at a time, never whole."""
+        return self.tables.to_sites(rows, out)
 
     def cs(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """c and s at the times t (rows) of every mode (columns)."""
@@ -143,7 +159,8 @@ class Trajectory:
     |psi_l(t_k)|^2 (1-based site l in column l-1), are formed when read:
     :meth:`profile_blocks` yields BLOCK samples at a time in one buffer,
     refilled for the next block, so a reader reduces each block before
-    taking the next; :meth:`profile_at` forms one sample alone.
+    taking the next; :meth:`profile_at` forms one sample alone, from the
+    modes' tables, so that it needs no N x N basis.
 
     Chiral-time symmetry (C the sublattice sign, ``C H* C = -H`` at every
     real gain) keeps a state with real gain and imaginary loss amplitudes
@@ -205,7 +222,7 @@ class Trajectory:
         out = np.empty((self.times.size, self._modes.n_sites), dtype=complex)
         work = self._workspace(out[:BLOCK])
         for start in range(0, self.times.size, BLOCK):
-            self._form(out[start : start + BLOCK], start, work)
+            self._form(out[start : start + BLOCK], start, work, self._modes._sites)
         return out
 
     def profile_blocks(self):
@@ -216,7 +233,7 @@ class Trajectory:
         buffer = np.empty((min(BLOCK, self.times.size), self._modes.n_sites))
         work = self._workspace(buffer)
         for start in range(0, self.times.size, BLOCK):
-            yield start, self._form(buffer[: self.times.size - start], start, work)
+            yield start, self._form(buffer[: self.times.size - start], start, work, self._modes._sites)
 
     def index_at(self, t: float) -> int:
         """Index of the sample nearest t; t must lie inside the span."""
@@ -227,7 +244,7 @@ class Trajectory:
     def profile_at(self, t: float) -> np.ndarray:
         """The profile at the sample nearest t, formed alone."""
         out = np.empty((1, self._modes.n_sites))
-        return self._form(out, self.index_at(t), self._workspace(out))[0]
+        return self._form(out, self.index_at(t), self._workspace(out), self._modes._few_sites)[0]
 
     def _norms(self) -> np.ndarray:
         """Dirac norms of each component, sum |c*a + s*b|^2 over the modes and bases, as one GEMM for every block.
@@ -268,8 +285,11 @@ class Trajectory:
         size = 2 * self.components * len(out) * self._modes.w.size
         return np.empty(size if out.view(float).size >= size else 2 * size)
 
-    def _form(self, out: np.ndarray, start: int, work: np.ndarray) -> np.ndarray:
-        """out's rows, samples start, start + 1, ... of one block: the states if out is complex, else the profiles."""
+    def _form(self, out: np.ndarray, start: int, work: np.ndarray, to_sites) -> np.ndarray:
+        """out's rows, samples start, start + 1, ... of one block: the states if out is complex, else the profiles.
+
+        ``to_sites`` is the modes' :meth:`Modes._sites` or :meth:`Modes._few_sites`.
+        """
         i, j = divmod(start, BLOCK)
         c1, s1 = (table[j : j + len(out)] for table in self._offsets)  # (sample, mode)
         shape = (2, self.components) + c1.shape  # (sublattice, component, sample, mode)
@@ -279,7 +299,7 @@ class Trajectory:
             alpha, beta = self._block_starts(i, *self._amplitudes)  # (sublattice, component, mode) each
             np.multiply(c1, alpha[:, :, None], out=coefs)
             coefs += np.multiply(s1, beta[:, :, None], out=sites)
-            self._modes._sites(coefs.reshape(-1, c1.shape[1]), sites.reshape(-1, c1.shape[1]))
+            to_sites(coefs.reshape(-1, c1.shape[1]), sites.reshape(-1, c1.shape[1]))
             for columns, parts, turn in zip((slice(0, None, 2), slice(None, None, -2)), sites, self._turn):
                 view = out[:, columns]  # the even columns (gain) or the odd (loss), reversed
                 if np.iscomplexobj(out):  # psi = (chi_1 + i*chi_2) / turn on either sublattice
@@ -305,11 +325,11 @@ def decompose(H: Chain | np.ndarray) -> Modes:
     where B is singular.
     """
     chain = H if isinstance(H, Chain) else chiral_split(H)
-    w, U = chain.modes()
+    w, tables = chain.mode_tables()
     lam2 = replace(chain, gamma=0.0).x(w)
     if lam2[0] <= lam2.size * np.finfo(float).eps * lam2[-1]:
         raise ValueError("T is singular: a zero mode has no -lam partner to pair its gain and loss sites")
-    return Modes(chain, w, np.sqrt(lam2), U)
+    return Modes(chain, w, np.sqrt(lam2), tables)
 
 
 def evolve(

@@ -146,6 +146,8 @@ class TwoBasisModes(Modes):
         np.matmul(rows[half:], self.V[::-1].T, out=out[half:])
         return out
 
+    _few_sites = _sites  # a single profile goes through the stored V too, not through the tables
+
 
 def two_basis_modes(chain) -> TwoBasisModes:
     """The chain's modes with V = B^T U / lam stored, from B as a dense N x N matrix."""
@@ -154,4 +156,4 @@ def two_basis_modes(chain) -> TwoBasisModes:
     B = np.diag(np.full(n, chain.strong)) + np.diag(np.full(n - 1, chain.weak), -1)
     if chain.ring:
         B[0, -1] = chain.weak
-    return TwoBasisModes(modes.chain, modes.w, modes.lam, modes.U, B.T @ modes.U / modes.lam)
+    return TwoBasisModes(modes.chain, modes.w, modes.lam, modes.tables, B.T @ modes.U / modes.lam)

@@ -633,8 +633,8 @@ def test_fig7_pairs_from_singles_match_pair_evolution(tmp_path):
 def test_one_eigensolve_per_experiment(tmp_path, monkeypatch, experiment):
     # fig5's three gains and fig7's four runs share one closed-form solve of the chain's modes
     calls = []
-    solve = Chain.modes
-    monkeypatch.setattr(Chain, "modes", lambda *a, **k: calls.append(1) or solve(*a, **k))
+    solve = Chain.mode_tables
+    monkeypatch.setattr(Chain, "mode_tables", lambda *a, **k: calls.append(1) or solve(*a, **k))
     argv = [experiment, "--cells", "40", "--samples", "400", "--out", str(tmp_path / experiment)]
     assert main(argv) == EXIT_OK
     assert len(calls) == 1

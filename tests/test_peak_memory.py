@@ -45,15 +45,16 @@ PEAK_MIB = {
     # at 2N = 500 and 2000 samples the profile stack alone is 7.6 MiB; fig6 and fig7 reduce one 64-sample
     # block at a time (2.7 and 4.1 MiB measured, 18.6 and 26.7 MiB when they read the whole stack)
     **{f"{e}-profile-readers": (partial(_cli, e, "--cells", "250", "--samples", "2000"), 8) for e in ("fig6", "fig7")},
-    # oracle-compare at 2N = 2000 holds one N x N basis, U (7.6 MiB), and evolve's transient beside it:
-    # 13.6 MiB measured, 22.3 MiB while the decomposition also stored the loss vectors V
-    "oracle-compare-2000": (partial(_cli, "oracle-compare", "--cells", "1000", "--samples", "2000"), 16),
+    # oracle-compare and fig4 at 2N = 2000 hold U's two angle-addition tables (0.5 MiB each) and evolve's
+    # transient beside them, and form no N x N array: 6.41 MiB measured for each, 13.24 MiB while the
+    # decomposition held U (7.6 MiB), 22.3 MiB while it also stored the loss vectors V
+    **{f"{e}-2000": (partial(_cli, e, "--cells", "1000", "--samples", "2000"), 8) for e in ("oracle-compare", "fig4")},
     # on either boundary the spectrum needs no matrix at all (0.12 MiB measured on the ring)
     **{f"spectrum-{b.value}": (partial(_on_large_chain, full_spectrum, b), 1) for b in Boundary},
-    # U is 7.6 MiB and the only N x N array held: on both boundaries one product of two small angle-addition
-    # tables forms it, the open chain's column norms are taken without squaring it, and V, U's parity image, is
-    # never stored, so no B^T U product or reversed copy exists (8.9 MiB open and 8.8 MiB ring measured)
-    **{f"decompose-{b.value}": (partial(_on_large_chain, decompose, b), 10) for b in Boundary},
+    # the decomposition holds U as two angle-addition tables and forms no N x N array, the open chain's column
+    # norms come in closed form, and V, U's parity image, is never stored: 1.83 MiB open and 1.56 MiB ring
+    # measured, 8.9 and 8.8 MiB while it formed U (7.6 MiB)
+    **{f"decompose-{b.value}": (partial(_on_large_chain, decompose, b), 3) for b in Boundary},
     # with 2 000 samples (32 blocks), on a given decomposition: the c and s tables at the 64 offsets and 32
     # block starts (1.5 MiB), the [c^2, c*s, s^2] table (1.5 MiB), and per component its alpha and beta (1 MiB)
     # and GEMM rows (0.7 MiB); 5.6 MiB measured, as each component's alpha, beta and rows are freed before the

@@ -477,9 +477,10 @@ def _vectors_mpmath(chain, column: int) -> tuple[np.ndarray, np.ndarray]:
 @pytest.mark.parametrize("cells", [250, 1000])
 @pytest.mark.parametrize("boundary", [Boundary.OPEN, Boundary.PERIODIC], ids=["open", "ring"])
 def test_bases_match_40_digit_vectors(boundary, cells):
-    # U by angle addition in row blocks on both boundaries, and the loss vectors as U's parity image, each
-    # within 5e-16 absolute of the 40-digit mode at the lowest, middle and highest columns (at most 4.2e-17
-    # measured open, 4.2e-17 ring)
+    # U by angle addition in row blocks on both boundaries, the open chain's column norms in closed form, and
+    # the loss vectors as U's parity image, each within 5e-16 absolute of the 40-digit mode at the lowest,
+    # middle and highest columns (at most 2.8e-17 measured open, 4.2e-17 while the open chain's norms were
+    # sums of U's squares; 4.2e-17 ring)
     chain = build_chain(LatticeParams(cells, 0.9, 1.8, boundary))
     modes = decompose(chain)
     U, V = modes.U, _loss_basis(modes)
@@ -532,3 +533,36 @@ def test_parity_image_evolves_as_the_stored_loss_basis(cells, boundary, state):
         reference = two.profile_at(two.times[k])
         assert np.abs(one.profile_at(one.times[k]) - reference).max() <= 1e-14 * reference.max(), k
     assert (np.abs(one.states - two.states) <= 1e-14 * np.abs(two.states).max(axis=1, keepdims=True)).all()
+
+
+@_LONG_DOUBLE
+@pytest.mark.parametrize("state", ["packet", "complex"])
+@pytest.mark.parametrize("cells", [20, 250, 1000])
+@pytest.mark.parametrize("boundary", [Boundary.OPEN, Boundary.PERIODIC], ids=["open", "ring"])
+def test_table_products_match_the_formed_basis(boundary, cells, state):
+    # amplitudes and profile_at apply U's two angle-addition tables and never form U; against long-double
+    # products of the same rows by the formed U, the amplitudes stay within 1e-15 of their largest, 2.7 times
+    # the most measured (3.6e-16), and each single profile within 1e-14 of its peak, 2.7 times the most
+    # measured (1.6e-15 at 2N = 500, 3.6e-15 at 2N = 2000)
+    params = LatticeParams(cells, 0.9, 1.8, boundary)
+    modes = decompose(build_chain(params))
+    if state == "packet":
+        psi0 = build_initial_state(PacketSpec(np.pi / 6, 0.05), params)
+    else:
+        rng = np.random.default_rng(cells)
+        psi0 = rng.normal(size=2 * cells) + 1j * rng.normal(size=2 * cells)
+    U = modes.U.astype(np.longdouble)
+    parts = np.stack((psi0.real, psi0.imag)).astype(np.longdouble)
+    gain, loss = parts[:, 0::2] @ U, parts[:, ::-2] @ U  # the loss sites in reverse order, as Modes keeps them
+    reference = np.stack((gain[0] + 1j * gain[1], loss[0] + 1j * loss[1]))
+    assert np.abs(modes.amplitudes(psi0)[0] - reference).max() <= 1e-15 * np.abs(reference).max()
+    steps = 2 * BLOCK + 5
+    traj = evolve(psi0, modes, 0.5 * revival_period(params) / steps, steps)
+    for k in (0, BLOCK - 1, BLOCK, steps):
+        i, j = divmod(k, BLOCK)
+        c1, s1 = (table[j] for table in traj._offsets)
+        alpha, beta = traj._block_starts(i, *traj._amplitudes)  # (sublattice, component, mode) each
+        sites = (c1 * alpha + s1 * beta).astype(np.longdouble) @ U.T
+        reference = np.empty(2 * cells, np.longdouble)
+        reference[0::2], reference[::-2] = (sites * sites).sum(axis=1)
+        assert np.abs(traj.profile_at(traj.times[k]) - reference).max() <= 1e-14 * reference.max(), k
