@@ -95,7 +95,8 @@ def reflection_symmetry(traj: Trajectory, t_reflect: float, delta_t: float) -> f
 
     Normalized by the Dirac norm at the reflection instant (the norm at
     the packet's turning point sets the natural scale; the norm at t = 0
-    is nearly zero at the tuned gain and would be meaningless here).
+    is nearly zero at the tuned gain and would be meaningless here).  The
+    2*lags profiles are formed together, in one :meth:`Trajectory.profiles`.
     """
     k0 = traj.index_at(t_reflect)
     lags = int(round(delta_t / traj.dt))
@@ -103,12 +104,9 @@ def reflection_symmetry(traj: Trajectory, t_reflect: float, delta_t: float) -> f
         raise AnalysisError(
             f"trajectory span does not cover t_reflect +/- delta_t = {t_reflect} +/- {delta_t}"
         )
-    scale = traj.norms[k0]
-    worst = 0.0
-    for d in range(1, lags + 1):
-        later, earlier = (traj.profile_at(traj.times[k]) for k in (k0 + d, k0 - d))
-        worst = max(worst, float(np.abs(later - earlier).sum() / scale))
-    return worst
+    d = np.arange(1, lags + 1)
+    later, earlier = np.split(traj.profiles(np.concatenate((k0 + d, k0 - d))), 2)
+    return float(np.abs(later - earlier).sum(axis=1).max(initial=0.0) / traj.norms[k0])
 
 
 @dataclass

@@ -19,7 +19,10 @@ states; no 2N x 2N matrix is formed.
 
 A :class:`Trajectory`, which only :func:`evolve` builds, keeps a run's
 mode amplitudes and forms its norms, profiles and states from them, as
-its docstring derives.  :func:`expm` is the dense reference for tests.
+its docstring derives.  A few profiles need no run: :meth:`Modes.profiles`
+forms them from a state's amplitudes at the times asked for, and
+:func:`nearest_sample` finds a run's sample nearest a time without one.
+:func:`expm` is the dense reference for tests.
 """
 
 from __future__ import annotations
@@ -66,13 +69,14 @@ class Modes:
     and ``lam`` the singular values of B, both ascending, and ``tables`` the
     gain-site vectors U (eigenvectors of B B^T, orthonormal columns, a row
     per even site) as two angle-addition tables.  :meth:`amplitudes` and
-    :meth:`_few_sites` apply the tables to a few rows; :attr:`U`, formed on
+    :meth:`profiles` apply the tables to a few rows; :attr:`U`, formed on
     first read, serves the blocks of :meth:`_sites`.
     The loss-site vectors B^T U / lam are U's columns upside down, each times
     its parity sign (:attr:`_parity`), so a loss amplitude is kept on U
     upside down, without the sign: U is applied to the loss (odd) sites in
-    reverse order both ways (:meth:`amplitudes`, :meth:`_sites`), and the
-    sign rides on the mode's coupling lam of its gain and loss amplitudes.
+    reverse order both ways (:meth:`amplitudes`, :meth:`profiles`,
+    :meth:`_sites`), and the sign rides on the mode's coupling lam of its
+    gain and loss amplitudes.
     None of them depends on gamma, so :meth:`at_gamma` retunes the chain to
     any other gain, 0 included, at no cost.
     """
@@ -133,9 +137,26 @@ class Modes:
         """
         return np.matmul(rows, self.U.T, out=out)
 
-    def _few_sites(self, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """:meth:`_sites` for the rows of one sample, by the tables: U is formed a row block at a time, never whole."""
-        return self.tables.to_sites(rows, out)
+    def profiles(self, amplitudes: tuple, t: np.ndarray) -> np.ndarray:
+        """|psi_l(t)|^2 at each time of t (a row each) of the state whose :meth:`amplitudes` are (a, b).
+
+        c and s are taken at each time (:meth:`cs`), and the rows ``c*a + s*b`` of every time go through one
+        :meth:`~nhssh.lattice.ModeTables.to_sites` pass, which forms U a row block at a time, never whole.
+        Raises OverflowError naming the first time whose profile leaves float range.
+        """
+        n = self.w.size
+        with np.errstate(over="ignore", invalid="ignore"):  # a k*t or a square past float range: named below
+            c, s = self.cs(t)
+            coefs = c[:, None] * amplitudes[0] + s[:, None] * amplitudes[1]  # (time, sublattice, mode)
+            rows = np.stack((coefs.real, coefs.imag), axis=2).reshape(-1, n)  # (time, sublattice, part) rows
+            sites = self.tables.to_sites(rows, np.empty_like(rows)).reshape(t.size, 2, 2, n)
+            power = np.square(sites, out=sites).sum(axis=2)  # (time, sublattice, site)
+        out = np.empty((t.size, 2 * n))
+        out[:, 0::2], out[:, ::-2] = power[:, 0], power[:, 1]  # the loss sites come out in reverse order
+        bad = ~np.isfinite(out).all(axis=1)
+        if bad.any():
+            raise OverflowError(f"state left float range at t = {t[np.argmax(bad)]:.6g}")
+        return out
 
     def cs(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """c and s at the times t (rows) of every mode (columns)."""
@@ -159,8 +180,9 @@ class Trajectory:
     |psi_l(t_k)|^2 (1-based site l in column l-1), are formed when read:
     :meth:`profile_blocks` yields BLOCK samples at a time in one buffer,
     refilled for the next block, so a reader reduces each block before
-    taking the next; :meth:`profile_at` forms one sample alone, from the
-    modes' tables, so that it needs no N x N basis.
+    taking the next; :meth:`profiles` forms a few samples together, from
+    the run's amplitudes as :meth:`Modes.amplitudes` gave them, by
+    :meth:`Modes.profiles`, so that it needs no N x N basis.
 
     Chiral-time symmetry (C the sublattice sign, ``C H* C = -H`` at every
     real gain) keeps a state with real gain and imaginary loss amplitudes
@@ -197,7 +219,7 @@ class Trajectory:
 
     def __init__(self, modes: Modes, amplitudes: tuple, dt: float, samples: int, record_states: bool):
         self.times, self.dt = np.arange(samples) * dt, float(dt)
-        self._modes, self._record_states = modes, record_states
+        self._modes, self._record_states, self._given = modes, record_states, amplitudes
         # -i on the loss amplitudes and the CT phase on both turn a CT-real state's amplitudes real
         signed = np.array([[1.0], [-1.0j]])
         self._turn = signed * np.exp(-0.5j * np.angle(np.sum((signed * amplitudes[0]) ** 2)))
@@ -222,7 +244,7 @@ class Trajectory:
         out = np.empty((self.times.size, self._modes.n_sites), dtype=complex)
         work = self._workspace(out[:BLOCK])
         for start in range(0, self.times.size, BLOCK):
-            self._form(out[start : start + BLOCK], start, work, self._modes._sites)
+            self._form(out[start : start + BLOCK], start, work)
         return out
 
     def profile_blocks(self):
@@ -233,18 +255,21 @@ class Trajectory:
         buffer = np.empty((min(BLOCK, self.times.size), self._modes.n_sites))
         work = self._workspace(buffer)
         for start in range(0, self.times.size, BLOCK):
-            yield start, self._form(buffer[: self.times.size - start], start, work, self._modes._sites)
+            yield start, self._form(buffer[: self.times.size - start], start, work)
 
     def index_at(self, t: float) -> int:
-        """Index of the sample nearest t; t must lie inside the span."""
+        """Index of the sample nearest t, the lower on a tie (:func:`nearest_sample`); t must lie inside the span."""
         if t < self.times[0] - 0.5 * self.dt or t > self.times[-1] + 0.5 * self.dt:
             raise ValueError(f"t={t} outside the recorded span [{self.times[0]}, {self.times[-1]}]")
-        return int(np.argmin(np.abs(self.times - t)))
+        return nearest_sample(t, self.dt, self.times.size)
+
+    def profiles(self, indices) -> np.ndarray:
+        """The profiles of the samples at these indices, a row each, formed together by :meth:`Modes.profiles`."""
+        return self._modes.profiles(self._given, self.times[indices])
 
     def profile_at(self, t: float) -> np.ndarray:
-        """The profile at the sample nearest t, formed alone."""
-        out = np.empty((1, self._modes.n_sites))
-        return self._form(out, self.index_at(t), self._workspace(out), self._modes._few_sites)[0]
+        """The profile at the sample nearest t."""
+        return self.profiles([self.index_at(t)])[0]
 
     def _norms(self) -> np.ndarray:
         """Dirac norms of each component, sum |c*a + s*b|^2 over the modes and bases, as one GEMM for every block.
@@ -285,11 +310,8 @@ class Trajectory:
         size = 2 * self.components * len(out) * self._modes.w.size
         return np.empty(size if out.view(float).size >= size else 2 * size)
 
-    def _form(self, out: np.ndarray, start: int, work: np.ndarray, to_sites) -> np.ndarray:
-        """out's rows, samples start, start + 1, ... of one block: the states if out is complex, else the profiles.
-
-        ``to_sites`` is the modes' :meth:`Modes._sites` or :meth:`Modes._few_sites`.
-        """
+    def _form(self, out: np.ndarray, start: int, work: np.ndarray) -> np.ndarray:
+        """out's rows, samples start, start + 1, ... of one block: the states if out is complex, else the profiles."""
         i, j = divmod(start, BLOCK)
         c1, s1 = (table[j : j + len(out)] for table in self._offsets)  # (sample, mode)
         shape = (2, self.components) + c1.shape  # (sublattice, component, sample, mode)
@@ -299,7 +321,7 @@ class Trajectory:
             alpha, beta = self._block_starts(i, *self._amplitudes)  # (sublattice, component, mode) each
             np.multiply(c1, alpha[:, :, None], out=coefs)
             coefs += np.multiply(s1, beta[:, :, None], out=sites)
-            to_sites(coefs.reshape(-1, c1.shape[1]), sites.reshape(-1, c1.shape[1]))
+            self._modes._sites(coefs.reshape(-1, c1.shape[1]), sites.reshape(-1, c1.shape[1]))
             for columns, parts, turn in zip((slice(0, None, 2), slice(None, None, -2)), sites, self._turn):
                 view = out[:, columns]  # the even columns (gain) or the odd (loss), reversed
                 if np.iscomplexobj(out):  # psi = (chi_1 + i*chi_2) / turn on either sublattice
@@ -315,6 +337,14 @@ class Trajectory:
         """alpha and beta at the first samples of the blocks (an index of the start tables), modes last."""
         c0, s0 = (table[blocks] for table in self._starts)
         return c0 * a + s0 * b, c0 * b - self._modes.x * s0 * a
+
+
+def nearest_sample(t: float, dt: float, samples: int) -> int:
+    """The index n < samples of the sample n*dt nearest t, the lower on a tie, with no table of the times.
+
+    n*dt rounds monotonically in n, so that n is next to t/dt."""
+    guess = int(t / dt)
+    return min(range(max(guess - 1, 0), min(guess + 3, samples)), key=lambda n: abs(n * dt - t))
 
 
 def decompose(H: Chain | np.ndarray) -> Modes:

@@ -128,7 +128,11 @@ def loss_amplitudes(chain, u: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TwoBasisModes(Modes):
-    """Modes that store the loss-site vectors V and apply V itself to the loss sites, not U's parity image."""
+    """Modes that store the loss-site vectors V and apply V itself to the loss sites, not U's parity image.
+
+    Their profile blocks and states go through V; :meth:`Modes.profiles`, which keeps the loss amplitudes on
+    U upside down, does not apply to their amplitudes.
+    """
 
     V: np.ndarray
 
@@ -145,8 +149,6 @@ class TwoBasisModes(Modes):
         np.matmul(rows[:half], self.U.T, out=out[:half])
         np.matmul(rows[half:], self.V[::-1].T, out=out[half:])
         return out
-
-    _few_sites = _sites  # a single profile goes through the stored V too, not through the tables
 
 
 def two_basis_modes(chain) -> TwoBasisModes:

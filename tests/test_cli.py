@@ -209,6 +209,9 @@ EXIT_CONTRACT = {
     # above threshold the norm leaves float range about 6 periods in, and the first non-finite sample is named
     "fig5-overflow": (["fig5", "--cells", "20", "--samples", "4000", "--tmax-over-tau", "8"], EXIT_NUMERICAL,
                       r"\[OverflowError\]: .* at t = 59\d\.\d"),
+    # oracle-compare grades only its three samples: far above threshold the tau/8 sample leaves float range
+    "oracle-compare-overflow": (["oracle-compare", "--cells", "20", "--samples", "400", "--gamma", "50"],
+                                EXIT_NUMERICAL, r"\[OverflowError\]: state left float range at t = 12\.3558$"),
     # a span so long that a mode's k*t leaves float range, in the cosines as in the growth
     "fig4-kt-overflow": (["fig4", "--cells", "40", "--samples", "144", "--delta", "1.68e-54", "--q", "0",
                           "--tmax-over-tau", "2.88e279", "--check"], EXIT_NUMERICAL,
@@ -350,6 +353,9 @@ OUTPUT_CONTRACT = {
                                    "2.2250738585072014e-308"], EXIT_CHECK,
                                   {**{f"profile_t{i}.csv": (GRADED["profile_t0.csv"][0], 22) for i in range(3)},
                                    "compare.csv": GRADED["compare.csv"]}),
+    # oracle-compare holds nothing per sample, so a sample count that fig3 has no memory for runs (fig3-huge-samples)
+    "oracle-compare-huge-samples": (["oracle-compare", "--cells", "40", "--samples", str(10**15)], EXIT_CHECK,
+                                    FILES["oracle-compare"]),
     # above threshold the norm passes 1e154, where its squares would overflow: R^2 is formed in the window's units
     "fig5-delta-0.999": (["fig5", "--cells", "40", "--samples", "300", "--delta", "0.999"], EXIT_OK,
                          {**FIG5, **{f"norms_gamma{i}.csv": (NORMS[0], 300) for i in (1, 2, 3)}}),
@@ -658,12 +664,41 @@ def test_fig7_smooths_each_single_once(tmp_path, monkeypatch):
 @pytest.mark.parametrize("cells", [40, 250, 251])
 def test_every_evolved_state_takes_one_component(tmp_path, monkeypatch, cells):
     # C H* C = -H at every real gain, and every packet and pair is CT-real up to one phase: each run keeps
-    # chi_1 alone (chi_2's largest share of a norm measured 9.6e-25, at 2N = 502), above threshold too
-    runs = []
-    monkeypatch.setattr(nhssh.cli, "evolve", lambda *args: runs.append(evolve(*args)) or runs[-1])
+    # chi_1 alone (chi_2's largest share of a norm measured 9.6e-25, at 2N = 502), above threshold too.
+    # oracle-compare reads its three profiles from the modes and builds no trajectory
+    runs, built = [], Counter()
+    init = Trajectory.__init__
+    monkeypatch.setattr(Trajectory, "__init__", lambda self, *args: runs.append(self) or init(self, *args))
     for experiment in ("fig3", "fig4", "fig5", "fig6", "fig7", "oracle-compare"):
+        before = len(runs)
         assert main([experiment, "--cells", str(cells), "--out", str(tmp_path / experiment)]) == EXIT_OK
-    assert [traj.components for traj in runs] == [1] * 11  # fig5's three gains, fig7's two singles and two pairs
+        built[experiment] = len(runs) - before
+    assert built == {"fig3": 1, "fig4": 1, "fig5": 3, "fig6": 1, "fig7": 4, "oracle-compare": 0}
+    assert [traj.components for traj in runs] == [1] * 10  # fig5's three gains, fig7's two singles and two pairs
+
+
+@pytest.mark.parametrize("experiment", ["fig3", "oracle-compare"])
+def test_profile_oracle_reads_the_sample_a_trajectory_picks(tmp_path, experiment):
+    # the profile oracle reads the sample nearest t = 0, tau/8 and tau/4 with no table of the samples; on the
+    # canonical grid it must be the one Trajectory.index_at picks, the lower on a tie. fig3's tau/4 falls at
+    # 999.5*dt, where the next sample's profile is 2.2e-2 of the peak away; each read profile stays within 1e-13
+    # of its sample's row of the trajectory's profile blocks, as test_profiles_on_demand_agree bounds them
+    out = tmp_path / experiment
+    assert main([experiment, "--out", str(out)]) == EXIT_OK
+    config = build_config({"experiment": experiment})
+    psi0 = build_initial_state(config.packet, config.params)
+    traj = evolve(psi0, config.open_chain, config.dt, config.samples - 1)
+    profiles = np.concatenate([block.copy() for _, block in traj.profile_blocks()])
+    times = _read_columns(out / "compare.csv")["t"]
+    assert np.array_equal(times, config.profile_times)  # the closed form is graded at t itself
+    for index, t in enumerate(times):
+        k = int(np.argmin(np.abs(traj.times - t)))
+        assert k == traj.index_at(t), t
+        written = _read_columns(out / f"profile_t{index}.csv")["probability"]
+        assert np.abs(written - profiles[k]).max() <= 1e-13 * profiles[k].max(), t
+        if experiment == "fig3" and index == 2:
+            assert traj.times[k + 1] - t == t - traj.times[k]  # a tie, taken low
+            assert np.abs(profiles[k + 1] - profiles[k]).max() > 1e-2 * profiles[k].max()
 
 
 def _cell(value) -> str:

@@ -45,10 +45,13 @@ PEAK_MIB = {
     # at 2N = 500 and 2000 samples the profile stack alone is 7.6 MiB; fig6 and fig7 reduce one 64-sample
     # block at a time (2.7 and 4.1 MiB measured, 18.6 and 26.7 MiB when they read the whole stack)
     **{f"{e}-profile-readers": (partial(_cli, e, "--cells", "250", "--samples", "2000"), 8) for e in ("fig6", "fig7")},
-    # oracle-compare and fig4 at 2N = 2000 hold U's two angle-addition tables (0.5 MiB each) and evolve's
-    # transient beside them, and form no N x N array: 6.41 MiB measured for each, 13.24 MiB while the
-    # decomposition held U (7.6 MiB), 22.3 MiB while it also stored the loss vectors V
-    **{f"{e}-2000": (partial(_cli, e, "--cells", "1000", "--samples", "2000"), 8) for e in ("oracle-compare", "fig4")},
+    # fig4 at 2N = 2000 holds U's two angle-addition tables (0.5 MiB each) and evolve's transient beside them,
+    # and forms no N x N array: 6.41 MiB measured, 13.24 MiB while the decomposition held U (7.6 MiB), 22.3 MiB
+    # while it also stored the loss vectors V
+    "fig4-2000": (partial(_cli, "fig4", "--cells", "1000", "--samples", "2000"), 8),
+    # oracle-compare evolves nothing: it reads its three profiles from the tables, one row block of U at a time,
+    # 2.15 MiB measured, 6.71 MiB while it evolved all 2000 samples
+    "oracle-compare-2000": (partial(_cli, "oracle-compare", "--cells", "1000", "--samples", "2000"), 3),
     # on either boundary the spectrum needs no matrix at all (0.12 MiB measured on the ring)
     **{f"spectrum-{b.value}": (partial(_on_large_chain, full_spectrum, b), 1) for b in Boundary},
     # the decomposition holds U as two angle-addition tables and forms no N x N array, the open chain's column

@@ -304,11 +304,12 @@ def test_profiles_on_demand_agree():
     assert fresh.states is None  # not requested
     traj = evolve(psi0, H, 0.7, steps, record_states=True)
     profiles = stacked_profiles(traj)
-    for k in (0, 1, BLOCK - 1, BLOCK, 2 * BLOCK + 3, 4 * BLOCK - 1, 4 * BLOCK, steps):  # across block edges
-        # one sample alone goes through a product of another shape: equal up to rounding
-        single = fresh.profile_at(traj.times[k])
+    edges = [0, 1, BLOCK - 1, BLOCK, 2 * BLOCK + 3, 4 * BLOCK - 1, 4 * BLOCK, steps]  # across block edges
+    # the samples read together go through c and s at each time and U's tables: equal to the blocks up to rounding
+    for k, single in zip(edges, fresh.profiles(edges), strict=True):
         peak = profiles[k].max()
         assert np.abs(single - profiles[k]).max() <= 1e-13 * peak
+        assert np.abs(fresh.profile_at(traj.times[k]) - single).max() <= 1e-13 * peak  # alone, as read together
         assert np.abs(profiles[k] - np.abs(traj.states[k]) ** 2).max() <= 1e-13 * peak
     assert traj.states is traj.states  # formed once
     assert np.array_equal(stacked_profiles(fresh), profiles)
@@ -324,11 +325,12 @@ def test_profiles_on_demand_agree():
 @pytest.mark.parametrize("cells,bound", [(20, 1e-15), (250, 1e-14)])
 def test_block_kernel_matches_two_products_per_sublattice(cells, bound, boundary, state):
     # one GEMM per block for both sublattices and every component, into workspace reused across blocks, against
-    # two products per block with the parity sign on the coefficient rows: profile blocks, single profiles and
-    # states, for one component (packet) and two (complex), up to a partial last block. At 2N = 40 they agree
-    # to the rounding of |psi|^2 from the states (at most 6.8e-16 of a sample's peak measured); at 2N = 500
-    # OpenBLAS sums in an order that depends on the number of rows, and stacking both sublattices moves
-    # the profiles by up to 5.3e-15 of the peak. Every block's half-maximum intervals stay the same
+    # two products per block with the parity sign on the coefficient rows: profile blocks and states, for one
+    # component (packet) and two (complex), up to a partial last block. Single profiles take another route
+    # (Modes.profiles), graded in test_profiles_on_demand_agree and test_table_products_match_the_formed_basis.
+    # At 2N = 40 they agree to the rounding of |psi|^2 from the states (at most 6.8e-16 of a sample's peak
+    # measured); at 2N = 500 OpenBLAS sums in an order that depends on the number of rows, and stacking both
+    # sublattices moves the profiles by up to 5.3e-15 of the peak. Every block's half-maximum intervals stay the same
     params = LatticeParams(cells, 0.9, 1.8, boundary)
     if state == "packet":
         psi0 = build_initial_state(PacketSpec(np.pi / 6, 0.05), params)
@@ -344,9 +346,18 @@ def test_block_kernel_matches_two_products_per_sublattice(cells, bound, boundary
         rows = slice(start, start + len(block))
         assert (np.abs(block - reference[rows]) <= bound * peak[rows]).all(), start
         assert np.array_equal(fwhm_interval(block), fwhm_interval(reference[rows])), start
-    for k in (0, BLOCK - 1, BLOCK, 2 * BLOCK + 3, steps):
-        assert np.abs(traj.profile_at(traj.times[k]) - reference[k]).max() <= bound * peak[k, 0], k
     assert (np.abs(np.abs(traj.states) ** 2 - reference) <= bound * peak).all()
+
+
+def _longdouble_cs(modes, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """c and s at the long-double times t (rows) of every mode (columns), each taken directly, in long double."""
+    x = modes.x.astype(np.longdouble)
+    k = np.sqrt(np.abs(x))
+    kt = t[:, None] * k
+    grow = x < 0
+    c = np.where(grow, np.cosh(np.where(grow, kt, 0)), np.cos(kt))
+    s = np.where(grow, np.sinh(np.where(grow, kt, 0)), np.sin(kt))
+    return c, np.where(k > 0, s / np.where(k > 0, k, 1), t[:, None])
 
 
 def _longdouble_norms(modes, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -354,14 +365,7 @@ def _longdouble_norms(modes, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
     ld = np.longdouble
     a, b = (np.stack((u.real, u.imag)).astype(ld) for u in modes.amplitudes(psi0))
     aa, ab, bb = ((u * v).sum(axis=(0, 1)) for u, v in ((a, a), (a, b), (b, b)))
-    x = modes.x.astype(ld)
-    k = np.sqrt(np.abs(x))
-    t = np.arange(times.size, dtype=ld) * ld(times[1] - times[0])
-    kt = t[:, None] * k
-    grow = x < 0
-    c = np.where(grow, np.cosh(np.where(grow, kt, 0)), np.cos(kt))
-    s = np.where(grow, np.sinh(np.where(grow, kt, 0)), np.sin(kt))
-    s = np.where(k > 0, s / np.where(k > 0, k, 1), t[:, None])
+    c, s = _longdouble_cs(modes, np.arange(times.size, dtype=ld) * ld(times[1] - times[0]))
     return (c * c * aa + 2 * c * s * ab + s * s * bb).sum(axis=1)
 
 
@@ -529,9 +533,9 @@ def test_parity_image_evolves_as_the_stored_loss_basis(cells, boundary, state):
     assert np.abs(one.norms / two.norms - 1.0).max() <= 1e-14
     for (start, block), (_, reference) in zip(one.profile_blocks(), two.profile_blocks(), strict=True):
         assert (np.abs(block - reference) <= 1e-14 * reference.max(axis=1, keepdims=True)).all(), start
-    for k in (0, BLOCK - 1, BLOCK, steps):
-        reference = two.profile_at(two.times[k])
-        assert np.abs(one.profile_at(one.times[k]) - reference).max() <= 1e-14 * reference.max(), k
+    reference = stacked_profiles(two)
+    for k in (0, BLOCK - 1, BLOCK, steps):  # a single profile, from U's tables, against V's block rows
+        assert np.abs(one.profile_at(one.times[k]) - reference[k]).max() <= 1e-14 * reference[k].max(), k
     assert (np.abs(one.states - two.states) <= 1e-14 * np.abs(two.states).max(axis=1, keepdims=True)).all()
 
 
@@ -540,10 +544,14 @@ def test_parity_image_evolves_as_the_stored_loss_basis(cells, boundary, state):
 @pytest.mark.parametrize("cells", [20, 250, 1000])
 @pytest.mark.parametrize("boundary", [Boundary.OPEN, Boundary.PERIODIC], ids=["open", "ring"])
 def test_table_products_match_the_formed_basis(boundary, cells, state):
-    # amplitudes and profile_at apply U's two angle-addition tables and never form U; against long-double
-    # products of the same rows by the formed U, the amplitudes stay within 1e-15 of their largest, 2.7 times
-    # the most measured (3.6e-16), and each single profile within 1e-14 of its peak, 2.7 times the most
-    # measured (1.6e-15 at 2N = 500, 3.6e-15 at 2N = 2000)
+    # amplitudes and Modes.profiles apply U's two angle-addition tables and never form U. Against long-double
+    # products by the formed U, the amplitudes stay within 1e-15 of their largest, 2.7 times the most measured
+    # (3.6e-16). One reader call's profiles, at fig3's 2 000-sample grid from t = 0 to tau/4 across block edges
+    # and both samples of the tie at tau/4, are held against long-double products of the same amplitudes with
+    # c and s taken in long double at each time the reader is given. Each stays within 1e-14 of its sample's
+    # peak: at most 1.0e-15 measured at 2N = 40, 3.8e-15 at 2N = 500 and 8.0e-15 at 2N = 2000 (the complex
+    # state on the ring). The error grows with t, as c and s inherit the rounding of k*t: at tau/2 it reaches
+    # 1.9e-14 at 2N = 2000, so the grid stops at the latest time that fig3 and oracle-compare read
     params = LatticeParams(cells, 0.9, 1.8, boundary)
     modes = decompose(build_chain(params))
     if state == "packet":
@@ -555,14 +563,15 @@ def test_table_products_match_the_formed_basis(boundary, cells, state):
     parts = np.stack((psi0.real, psi0.imag)).astype(np.longdouble)
     gain, loss = parts[:, 0::2] @ U, parts[:, ::-2] @ U  # the loss sites in reverse order, as Modes keeps them
     reference = np.stack((gain[0] + 1j * gain[1], loss[0] + 1j * loss[1]))
-    assert np.abs(modes.amplitudes(psi0)[0] - reference).max() <= 1e-15 * np.abs(reference).max()
-    steps = 2 * BLOCK + 5
-    traj = evolve(psi0, modes, 0.5 * revival_period(params) / steps, steps)
-    for k in (0, BLOCK - 1, BLOCK, steps):
-        i, j = divmod(k, BLOCK)
-        c1, s1 = (table[j] for table in traj._offsets)
-        alpha, beta = traj._block_starts(i, *traj._amplitudes)  # (sublattice, component, mode) each
-        sites = (c1 * alpha + s1 * beta).astype(np.longdouble) @ U.T
-        reference = np.empty(2 * cells, np.longdouble)
-        reference[0::2], reference[::-2] = (sites * sites).sum(axis=1)
-        assert np.abs(traj.profile_at(traj.times[k]) - reference).max() <= 1e-14 * reference.max(), k
+    a, b = modes.amplitudes(psi0)
+    assert np.abs(a - reference).max() <= 1e-15 * np.abs(reference).max()
+    samples = np.array([0, 1, BLOCK - 1, BLOCK, 499, 500, 999, 1000])
+    dt = 0.5 * revival_period(params) / 1999
+    c, s = _longdouble_cs(modes, (samples * dt).astype(np.longdouble))  # at the times the reader is given
+    parts = [np.stack((u.real, u.imag)).astype(np.longdouble) for u in (a, b)]  # (part, sublattice, mode) each
+    sites = (c[:, None, None] * parts[0] + s[:, None, None] * parts[1]) @ U.T  # (time, part, sublattice, site)
+    reference = np.empty((samples.size, 2 * cells), np.longdouble)
+    reference[:, 0::2], reference[:, ::-2] = (sites * sites).sum(axis=1).swapaxes(0, 1)
+    peak = reference.max(axis=1, keepdims=True)
+    error = np.abs(modes.profiles((a, b), samples * dt) - reference) / peak
+    assert (error <= 1e-14).all(), error.max(axis=1)
