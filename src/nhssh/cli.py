@@ -261,10 +261,11 @@ def _run_fig2(config: ExperimentConfig, files: dict) -> list:
     return outcomes
 
 
-def _closed_form_profiles(config: ExperimentConfig, modes: Modes, psi0: np.ndarray, files: dict) -> list:
+def _closed_form_profiles(config: ExperimentConfig, modes: Modes, files: dict) -> list:
     """The profile oracle at t = 0, tau/8 and tau/4: the closed form at t against the run's sample nearest t,
-    formed from psi0's amplitudes on the run's modes with no trajectory."""
+    formed from the packet's amplitudes on the run's modes with no trajectory."""
     samples = [nearest_sample(t, config.dt, config.samples) * config.dt for t in config.profile_times]
+    psi0 = states.build_initial_state(config.packet, config.params)
     profiles = modes.profiles(modes.amplitudes(psi0), np.array(samples))
     outcomes = []
     compare_rows = []
@@ -279,12 +280,12 @@ def _closed_form_profiles(config: ExperimentConfig, modes: Modes, psi0: np.ndarr
 
 
 def _run_fig3(config: ExperimentConfig, files: dict) -> list:
-    modes, psi0 = decompose(config.open_chain), states.build_initial_state(config.packet, config.params)
-    traj = evolve(psi0, modes, config.dt, config.samples - 1)
+    modes = decompose(config.open_chain)
+    traj = _evolve_packet(config, modes)
     closed = oracle.dirac_norm_closed_form(traj.times, config.packet, config.params)
     files["norms.csv"] = _norms_table(traj, closed)
     del traj  # its c and s tables go before the profiles are read: at 2N = 40000 they are 30 MB
-    return _closed_form_profiles(config, modes, psi0, files)
+    return _closed_form_profiles(config, modes, files)
 
 
 def _run_fig4(config: ExperimentConfig, files: dict) -> list:
@@ -375,8 +376,7 @@ def _run_spectrum(config: ExperimentConfig, files: dict) -> list:
 
 
 def _run_oracle_compare(config: ExperimentConfig, files: dict) -> list:
-    psi0 = states.build_initial_state(config.packet, config.params)
-    return _closed_form_profiles(config, decompose(config.open_chain), psi0, files)
+    return _closed_form_profiles(config, decompose(config.open_chain), files)
 
 
 # experiment id -> (runner, canonical figure parameters for keys left unset, needs): needs names, in the order

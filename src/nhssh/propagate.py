@@ -140,13 +140,14 @@ class Modes:
     def profiles(self, amplitudes: tuple, t: np.ndarray) -> np.ndarray:
         """|psi_l(t)|^2 at each time of t (a row each) of the state whose :meth:`amplitudes` are (a, b).
 
-        c and s are taken at each time (:meth:`cs`), and the rows ``c*a + s*b`` of every time go through one
+        c and s are taken at each time (:meth:`cs`) in long double, so that the rounding of k*t does not grow
+        with t, and the rows ``c*a + s*b`` of every time go through one
         :meth:`~nhssh.lattice.ModeTables.to_sites` pass, which forms U a row block at a time, never whole.
         Raises OverflowError naming the first time whose profile leaves float range.
         """
         n = self.w.size
         with np.errstate(over="ignore", invalid="ignore"):  # a k*t or a square past float range: named below
-            c, s = self.cs(t)
+            c, s = (u.astype(float) for u in self.cs(np.asarray(t, np.longdouble)))
             coefs = c[:, None] * amplitudes[0] + s[:, None] * amplitudes[1]  # (time, sublattice, mode)
             rows = np.stack((coefs.real, coefs.imag), axis=2).reshape(-1, n)  # (time, sublattice, part) rows
             sites = self.tables.to_sites(rows, np.empty_like(rows)).reshape(t.size, 2, 2, n)
@@ -159,8 +160,8 @@ class Modes:
         return out
 
     def cs(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """c and s at the times t (rows) of every mode (columns)."""
-        x = self.x
+        """c and s at the times t (rows) of every mode (columns), in t's precision."""
+        x = self.x.astype(t.dtype, copy=False)
         k = np.sqrt(np.abs(x))
         grow = np.count_nonzero(x < 0)  # a leading run, as x ascends
         kt = t[:, None] * k

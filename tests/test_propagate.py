@@ -325,12 +325,16 @@ def test_profiles_on_demand_agree():
 @pytest.mark.parametrize("cells,bound", [(20, 1e-15), (250, 1e-14)])
 def test_block_kernel_matches_two_products_per_sublattice(cells, bound, boundary, state):
     # one GEMM per block for both sublattices and every component, into workspace reused across blocks, against
-    # two products per block with the parity sign on the coefficient rows: profile blocks and states, for one
-    # component (packet) and two (complex), up to a partial last block. Single profiles take another route
-    # (Modes.profiles), graded in test_profiles_on_demand_agree and test_table_products_match_the_formed_basis.
-    # At 2N = 40 they agree to the rounding of |psi|^2 from the states (at most 6.8e-16 of a sample's peak
-    # measured); at 2N = 500 OpenBLAS sums in an order that depends on the number of rows, and stacking both
-    # sublattices moves the profiles by up to 5.3e-15 of the peak. Every block's half-maximum intervals stay the same
+    # two products per block with the parity sign on the coefficient rows: profile blocks, single profiles and
+    # states, for one component (packet) and two (complex), up to a partial last block. At 2N = 40 they agree
+    # to the rounding of |psi|^2 from the states (at most 6.8e-16 of a sample's peak measured); at 2N = 500
+    # OpenBLAS sums in an order that depends on the number of rows, and stacking both sublattices moves
+    # the profiles by up to 5.3e-15 of the peak. Every block's half-maximum intervals stay the same.
+    # A single profile takes c and s directly, in long double (Modes.profiles), where the blocks take them by
+    # angle addition in double, whose k*t rounding grows with t: by tau/2 the two-product rows are 2.9e-15
+    # (2N = 40) and 9.1e-15 (2N = 500) of the peak off long-double products, and profile_at 7.6e-16 and
+    # 1.5e-15. profile_at is held to the rows at 6e-15 and 2e-14, twice the most measured between them
+    # (3.0e-15 and 9.1e-15), rounded up
     params = LatticeParams(cells, 0.9, 1.8, boundary)
     if state == "packet":
         psi0 = build_initial_state(PacketSpec(np.pi / 6, 0.05), params)
@@ -346,6 +350,9 @@ def test_block_kernel_matches_two_products_per_sublattice(cells, bound, boundary
         rows = slice(start, start + len(block))
         assert (np.abs(block - reference[rows]) <= bound * peak[rows]).all(), start
         assert np.array_equal(fwhm_interval(block), fwhm_interval(reference[rows])), start
+    single = {20: 6e-15, 250: 2e-14}[cells]
+    for k in (0, BLOCK - 1, BLOCK, 2 * BLOCK + 3, steps):
+        assert np.abs(traj.profile_at(traj.times[k]) - reference[k]).max() <= single * peak[k, 0], k
     assert (np.abs(np.abs(traj.states) ** 2 - reference) <= bound * peak).all()
 
 
@@ -546,12 +553,11 @@ def test_parity_image_evolves_as_the_stored_loss_basis(cells, boundary, state):
 def test_table_products_match_the_formed_basis(boundary, cells, state):
     # amplitudes and Modes.profiles apply U's two angle-addition tables and never form U. Against long-double
     # products by the formed U, the amplitudes stay within 1e-15 of their largest, 2.7 times the most measured
-    # (3.6e-16). One reader call's profiles, at fig3's 2 000-sample grid from t = 0 to tau/4 across block edges
-    # and both samples of the tie at tau/4, are held against long-double products of the same amplitudes with
-    # c and s taken in long double at each time the reader is given. Each stays within 1e-14 of its sample's
-    # peak: at most 1.0e-15 measured at 2N = 40, 3.8e-15 at 2N = 500 and 8.0e-15 at 2N = 2000 (the complex
-    # state on the ring). The error grows with t, as c and s inherit the rounding of k*t: at tau/2 it reaches
-    # 1.9e-14 at 2N = 2000, so the grid stops at the latest time that fig3 and oracle-compare read
+    # (3.6e-16). One reader call's profiles, on fig3's grid from t = 0 across block edges, both samples of the
+    # tie at tau/4, and on to tau/2 and tau (the latest times profile_at is read), are held against long-double
+    # products of the same amplitudes with c and s taken in long double at each time the reader is given. Each
+    # stays within 1e-14 of its sample's peak: at most 1.0e-15 measured at 2N = 40, 1.7e-15 at 2N = 500 and
+    # 8.6e-15 at 2N = 2000, with no growth in t, as the reader takes k*t in long double too
     params = LatticeParams(cells, 0.9, 1.8, boundary)
     modes = decompose(build_chain(params))
     if state == "packet":
@@ -565,7 +571,7 @@ def test_table_products_match_the_formed_basis(boundary, cells, state):
     reference = np.stack((gain[0] + 1j * gain[1], loss[0] + 1j * loss[1]))
     a, b = modes.amplitudes(psi0)
     assert np.abs(a - reference).max() <= 1e-15 * np.abs(reference).max()
-    samples = np.array([0, 1, BLOCK - 1, BLOCK, 499, 500, 999, 1000])
+    samples = np.array([0, 1, BLOCK - 1, BLOCK, 499, 500, 999, 1000, 1999, 3998])
     dt = 0.5 * revival_period(params) / 1999
     c, s = _longdouble_cs(modes, (samples * dt).astype(np.longdouble))  # at the times the reader is given
     parts = [np.stack((u.real, u.imag)).astype(np.longdouble) for u in (a, b)]  # (part, sublattice, mode) each
