@@ -1,5 +1,17 @@
 """Gain/loss SSH lattice toolkit: spectra, dynamics and closed-form oracles."""
 
+import os as _os
+
+# One OpenBLAS thread unless the caller set OPENBLAS_NUM_THREADS.  The
+# package's BLAS calls are small (an eig of 2000 x 2000 at most), where a
+# second thread saves no time but spins between calls: on 2 cores, a loop of
+# fig3 + fig4 at 2N = 500 kept both busy (about 1.6 CPU-s per s) for the
+# same wall time that one thread takes on one core, and beside one busy
+# process it took a median 30.7 ms (quartiles 21-52) on two threads and
+# 20.2 ms (19-24) on one.  OpenBLAS reads the variable when it loads, so it
+# is set before numpy is imported.
+_os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .lattice import (
     Boundary,
     LatticeParams,
