@@ -215,9 +215,11 @@ def build_config(explicit: dict) -> ExperimentConfig:
 # ---------------------------------------------------------------- output
 
 
-def _norms_table(traj: Trajectory, closed_form=None) -> tuple:
-    closed = closed_form if closed_form is not None else [""] * len(traj.times)
-    return ["t", "P_numeric", "P_closed_form"], [traj.times, traj.norms, closed]
+_NORMS_HEADER = ["t", "P_numeric", "P_closed_form"]
+
+
+def _norms_table(traj: Trajectory) -> tuple:
+    return _NORMS_HEADER, [traj.times, traj.norms, [""] * len(traj.times)]
 
 
 def _profile_table(profile: np.ndarray, closed_form: np.ndarray | None = None) -> tuple:
@@ -237,6 +239,12 @@ def _profile_table(profile: np.ndarray, closed_form: np.ndarray | None = None) -
 def _evolve_packet(config: ExperimentConfig, H) -> Trajectory:
     """The config's packet over tmax_over_tau revival periods, on H: its chain or a decomposition."""
     return evolve(states.build_initial_state(config.packet, config.params), H, config.dt, config.samples - 1)
+
+
+def _packet_norms(config: ExperimentConfig, H) -> tuple:
+    """The times and Dirac norms of :func:`_evolve_packet`'s run and the closed form; the run ends here."""
+    traj = _evolve_packet(config, H)
+    return traj.times, traj.norms, oracle.dirac_norm_closed_form(traj.times, config.packet, config.params)
 
 
 def _run_fig2(config: ExperimentConfig, files: dict) -> list:
@@ -281,31 +289,26 @@ def _closed_form_profiles(config: ExperimentConfig, modes: Modes, files: dict) -
 
 def _run_fig3(config: ExperimentConfig, files: dict) -> list:
     modes = decompose(config.open_chain)
-    traj = _evolve_packet(config, modes)
-    closed = oracle.dirac_norm_closed_form(traj.times, config.packet, config.params)
-    files["norms.csv"] = _norms_table(traj, closed)
-    del traj  # its c and s tables go before the profiles are read: at 2N = 40000 they are 30 MB
+    files["norms.csv"] = _NORMS_HEADER, _packet_norms(config, modes)
     return _closed_form_profiles(config, modes, files)
 
 
 def _run_fig4(config: ExperimentConfig, files: dict) -> list:
-    traj = _evolve_packet(config, config.open_chain)
-    closed = oracle.dirac_norm_closed_form(traj.times, config.packet, config.params)
-    files["norms.csv"] = _norms_table(traj, closed)
+    times, p, closed = columns = _packet_norms(config, config.open_chain)
+    files["norms.csv"] = _NORMS_HEADER, columns
 
     # report the waveform period two ways rather than asserting a wording:
     # the closed-form norm repeats every tau/2, packets revive every tau
-    p = traj.norms
-    peaks = traj.times[1:-1][(p[1:-1] >= p[:-2]) & (p[1:-1] >= p[2:]) & (p[1:-1] > 0.5 * p.max())]
+    peaks = times[1:-1][(p[1:-1] >= p[:-2]) & (p[1:-1] >= p[2:]) & (p[1:-1] > 0.5 * p.max())]
     if len(peaks) < 2:
-        raise analysis.AnalysisError(f"fewer than two norm peaks in t = [0, {traj.times[-1]:.6g}]: no period")
+        raise analysis.AnalysisError(f"fewer than two norm peaks in t = [0, {times[-1]:.6g}]: no period")
     measured = float(peaks[1] - peaks[0])
     files["period_report.csv"] = (
         ["formula_period", "measured_period", "revival_period"],
         zip(*[(config.tau / 2.0, measured, config.tau)]),
     )
-    half = traj.times <= config.tau / 2.0 + 1e-9
-    rms = float(np.sqrt(np.mean((traj.norms[half] - closed[half]) ** 2)) / traj.norms[half].max())
+    half = times <= config.tau / 2.0 + 1e-9
+    rms = float(np.sqrt(np.mean((p[half] - closed[half]) ** 2)) / p[half].max())
     return [("closed-form norm RMS", rms, 0.15)]
 
 
@@ -338,16 +341,18 @@ def _run_fig7(config: ExperimentConfig, files: dict) -> list:
     modes = decompose(config.open_chain)  # one decomposition for all four runs
     plus = config.pairs[0]
     psi1, psi2 = (states.build_initial_state(spec, config.params) for spec in plus.single_specs(config.cells))
-    singles = [evolve(psi, modes, config.dt, config.samples - 1) for psi in (psi1, psi2)]
-    # half-maximum intervals ignore scale; each single's come from one pass over its profile blocks
-    intervals = [np.concatenate([states.fwhm_interval(p) for _, p in single.profile_blocks()]) for single in singles]
+    # half-maximum intervals ignore scale; each single's come from one pass over its profile blocks, and only
+    # they and its norms outlive the run, so no single is alive while the pairs evolve
+    singles = (evolve(psi, modes, config.dt, config.samples - 1) for psi in (psi1, psi2))
+    intervals, norms = zip(*[(np.concatenate([states.fwhm_interval(p) for _, p in s.profile_blocks()]), s.norms)
+                             for s in singles])
     outcomes = []
     for pair, name in zip(config.pairs, ("plus", "minus")):
         # each pair is single1 +/- single2, the singles at the pair's own scale lam/sqrt2: the minus
         # pair's singles are the plus pair's times lam_minus/lam_plus, so two single runs serve both
         scale = pair.lam / plus.lam
         pair_traj = evolve(scale * (psi1 + pair.relative_sign * psi2), modes, config.dt, config.samples - 1)
-        total = scale**2 * (singles[0].norms + singles[1].norms)
+        total = scale**2 * (norms[0] + norms[1])
         report = analysis.interference_report(pair_traj, intervals)
         files[f"norms_{name}.csv"] = ["t", "P_pair", "P_sum_singles"], [pair_traj.times, pair_traj.norms, total]
         files[f"interference_{name}.csv"] = (

@@ -86,11 +86,6 @@ class Chain:
         low = (d - g) + ((a - d) - b)  # (a - d) - b is exactly what d rounded off, as a >= b
         return 4.0 * a * b * w + low * (d + g)
 
-    def modes(self, vectors: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
-        """Every mode's weight w, ascending, and unless not ``vectors`` U, formed whole from :meth:`mode_tables`."""
-        w, tables = self.mode_tables(vectors)
-        return w, None if tables is None else tables.basis()
-
     def mode_tables(self, vectors: bool = True) -> tuple[np.ndarray, ModeTables | None]:
         """Every mode's weight w, ascending, and unless not ``vectors`` the :class:`ModeTables` of U.
 

@@ -7,15 +7,15 @@ and cosh, sinh where x < 0.  One decomposition, :func:`decompose`, serves
 every state and every gain on one chain and gives every sample directly,
 so no error builds up from step to step.  It takes the closed-form modes
 of the N x N gain-site block ``B B^T`` of T^2 of a
-:class:`~nhssh.lattice.Chain` (:meth:`~nhssh.lattice.Chain.modes`): each
+:class:`~nhssh.lattice.Chain` (:meth:`~nhssh.lattice.Chain.mode_tables`): each
 singular value lam of B is one pair +/-lam of T, one 2x2 block on the
 gain and loss amplitudes.  The loss-site vectors are the gain-site ones
 reversed (parity), a sign per mode, so they are never stored:
 :class:`Modes` applies U to the loss sites in reverse order.  A
-decomposition holds U as two angle-addition tables of about 4N^1.5
-numbers (:class:`~nhssh.lattice.ModeTables`) and forms the N x N U only
-for the reads that take a block of samples at a time, profile blocks and
-states; no 2N x 2N matrix is formed.
+decomposition holds only U's two angle-addition tables, about 4N^1.5
+numbers (:class:`~nhssh.lattice.ModeTables`); a pass of profile blocks
+or of states forms the N x N U at its start and drops it at its end.
+No 2N x 2N matrix is formed.
 
 A :class:`Trajectory`, which only :func:`evolve` builds, keeps a run's
 mode amplitudes and forms its norms, profiles and states from them, as
@@ -69,8 +69,8 @@ class Modes:
     and ``lam`` the singular values of B, both ascending, and ``tables`` the
     gain-site vectors U (eigenvectors of B B^T, orthonormal columns, a row
     per even site) as two angle-addition tables.  :meth:`amplitudes` and
-    :meth:`profiles` apply the tables to a few rows; :attr:`U`, formed on
-    first read, serves the blocks of :meth:`_sites`.
+    :meth:`profiles` apply the tables to a few rows; a :class:`Trajectory`
+    pass forms U for :meth:`_sites`, and nothing is cached here.
     The loss-site vectors B^T U / lam are U's columns upside down, each times
     its parity sign (:attr:`_parity`), so a loss amplitude is kept on U
     upside down, without the sign: U is applied to the loss (odd) sites in
@@ -85,11 +85,6 @@ class Modes:
     w: np.ndarray
     lam: np.ndarray
     tables: ModeTables
-
-    @cached_property
-    def U(self) -> np.ndarray:
-        """The gain-site vectors as one N x N array, formed from the tables on first read."""
-        return self.tables.basis()
 
     @property
     def n_sites(self) -> int:
@@ -126,16 +121,16 @@ class Modes:
 
     @property
     def _parity(self) -> np.ndarray:
-        """(-1)^(N+m+1) for mode m (from 0): parity takes the mode to itself times this sign (see Chain.modes)."""
+        """(-1)^(N+m+1) for mode m (from 0): parity takes the mode to itself times this sign (Chain.mode_tables)."""
         return (-1.0) ** (self.w.size + 1 + np.arange(self.w.size))
 
-    def _sites(self, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    def _sites(self, U: np.ndarray, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
         """The site amplitudes of coefficient rows (one per row and mode), gain rows then loss rows, into out.
 
-        One GEMM by U.T for both sublattices; the loss rows are on U upside
-        down (:meth:`amplitudes`), so their sites come out in reverse order.
+        One GEMM by U.T (:meth:`~nhssh.lattice.ModeTables.basis`) for both sublattices; the loss rows are on U
+        upside down (:meth:`amplitudes`), so their sites come out in reverse order.
         """
-        return np.matmul(rows, self.U.T, out=out)
+        return np.matmul(rows, U.T, out=out)
 
     def profiles(self, amplitudes: tuple, t: np.ndarray) -> np.ndarray:
         """|psi_l(t)|^2 at each time of t (a row each) of the state whose :meth:`amplitudes` are (a, b).
@@ -181,9 +176,10 @@ class Trajectory:
     |psi_l(t_k)|^2 (1-based site l in column l-1), are formed when read:
     :meth:`profile_blocks` yields BLOCK samples at a time in one buffer,
     refilled for the next block, so a reader reduces each block before
-    taking the next; :meth:`profiles` forms a few samples together, from
-    the run's amplitudes as :meth:`Modes.amplitudes` gave them, by
-    :meth:`Modes.profiles`, so that it needs no N x N basis.
+    taking the next; each pass, as :attr:`states`, forms U at its start
+    and drops it at its end.  :meth:`profiles` forms a few samples
+    together, from the run's amplitudes as :meth:`Modes.amplitudes` gave
+    them, by :meth:`Modes.profiles`, so that it needs no N x N basis.
 
     Chiral-time symmetry (C the sublattice sign, ``C H* C = -H`` at every
     real gain) keeps a state with real gain and imaginary loss amplitudes
@@ -243,9 +239,9 @@ class Trajectory:
         if not self._record_states:
             return None
         out = np.empty((self.times.size, self._modes.n_sites), dtype=complex)
-        work = self._workspace(out[:BLOCK])
+        U, work = self._modes.tables.basis(), self._workspace(out[:BLOCK])
         for start in range(0, self.times.size, BLOCK):
-            self._form(out[start : start + BLOCK], start, work)
+            self._form(out[start : start + BLOCK], start, U, work)
         return out
 
     def profile_blocks(self):
@@ -254,9 +250,9 @@ class Trajectory:
         ``profiles`` is one (rows, 2N) buffer, refilled for each block: reduce it before taking the next.
         """
         buffer = np.empty((min(BLOCK, self.times.size), self._modes.n_sites))
-        work = self._workspace(buffer)
+        U, work = self._modes.tables.basis(), self._workspace(buffer)
         for start in range(0, self.times.size, BLOCK):
-            yield start, self._form(buffer[: self.times.size - start], start, work)
+            yield start, self._form(buffer[: self.times.size - start], start, U, work)
 
     def index_at(self, t: float) -> int:
         """Index of the sample nearest t, the lower on a tie (:func:`nearest_sample`); t must lie inside the span."""
@@ -311,7 +307,7 @@ class Trajectory:
         size = 2 * self.components * len(out) * self._modes.w.size
         return np.empty(size if out.view(float).size >= size else 2 * size)
 
-    def _form(self, out: np.ndarray, start: int, work: np.ndarray) -> np.ndarray:
+    def _form(self, out: np.ndarray, start: int, U: np.ndarray, work: np.ndarray) -> np.ndarray:
         """out's rows, samples start, start + 1, ... of one block: the states if out is complex, else the profiles."""
         i, j = divmod(start, BLOCK)
         c1, s1 = (table[j : j + len(out)] for table in self._offsets)  # (sample, mode)
@@ -322,7 +318,7 @@ class Trajectory:
             alpha, beta = self._block_starts(i, *self._amplitudes)  # (sublattice, component, mode) each
             np.multiply(c1, alpha[:, :, None], out=coefs)
             coefs += np.multiply(s1, beta[:, :, None], out=sites)
-            self._modes._sites(coefs.reshape(-1, c1.shape[1]), sites.reshape(-1, c1.shape[1]))
+            self._modes._sites(U, coefs.reshape(-1, c1.shape[1]), sites.reshape(-1, c1.shape[1]))
             for columns, parts, turn in zip((slice(0, None, 2), slice(None, None, -2)), sites, self._turn):
                 view = out[:, columns]  # the even columns (gain) or the odd (loss), reversed
                 if np.iscomplexobj(out):  # psi = (chi_1 + i*chi_2) / turn on either sublattice

@@ -21,12 +21,12 @@ def full_spectrum(H: Chain | np.ndarray) -> np.ndarray:
 
     ``H`` is a :class:`~nhssh.lattice.Chain` or a dense Hamiltonian, which
     :func:`~nhssh.lattice.chiral_split` reads as one.  ``H^2 = T^2 - gamma^2``
-    maps each mode of the chain (:meth:`~nhssh.lattice.Chain.modes`) to
+    maps each mode of the chain (:meth:`~nhssh.lattice.Chain.mode_tables`) to
     ``+/-sqrt(x)``, exact also at the exceptional point.  Sorted by |Re|,
     then Re, then Im.
     """
     chain = H if isinstance(H, Chain) else chiral_split(H)
-    root = np.sqrt(chain.x(chain.modes(vectors=False)[0]) + 0j)
+    root = np.sqrt(chain.x(chain.mode_tables(vectors=False)[0]) + 0j)
     ev = np.concatenate([-root, root])
     order = np.lexsort((ev.imag, ev.real, np.abs(ev.real)))
     return ev[order]

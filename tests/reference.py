@@ -4,7 +4,7 @@ three mode solvers.
 ``triangle_wave_norm`` is the explicit q = 0 reduction that
 ``dirac_norm_closed_form`` is checked against, and ``taylor_expm`` the
 40-term series that ``expm`` is graded against.  ``open_roots_64`` is the
-direct form that ``Chain.modes`` must reproduce bit for bit: a full
+direct form that ``Chain.mode_tables`` must reproduce bit for bit: a full
 64-step bisection of the open chain's roots.  ``open_root_mpmath`` finds
 one open-chain root at mpmath's working precision, for the 40-digit
 references.  ``stacked_profiles`` stacks a trajectory's profile blocks
@@ -101,7 +101,7 @@ def profiles_by_sublattice(traj) -> np.ndarray:
     The trajectory's loss amplitudes are on U upside down, which carries the
     sign; it is taken off them first, so that it enters on the rows.
     """
-    modes = traj._modes
+    modes, U = traj._modes, traj._modes.tables.basis()
     amplitudes = [u.copy() for u in traj._amplitudes]  # (basis, component, mode)
     for u in amplitudes:
         u[1] *= modes._parity
@@ -112,7 +112,7 @@ def profiles_by_sublattice(traj) -> np.ndarray:
         alpha, beta = traj._block_starts(start // BLOCK, *amplitudes)
         for columns, sign, al, be in zip((slice(0, None, 2), slice(None, None, -2)), (1.0, modes._parity), alpha, beta):
             coef = (c1 * al[:, None] + s1 * be[:, None]).reshape(-1, c1.shape[1])
-            parts = ((coef * sign) @ modes.U.T).reshape(len(al), rows, -1)  # (component, sample, site)
+            parts = ((coef * sign) @ U.T).reshape(len(al), rows, -1)  # (component, sample, site)
             out[start : start + rows, columns] = (parts * parts).sum(axis=0)
     return out
 
@@ -130,23 +130,23 @@ def loss_amplitudes(chain, u: np.ndarray) -> np.ndarray:
 class TwoBasisModes(Modes):
     """Modes that store the loss-site vectors V and apply V itself to the loss sites, not U's parity image.
 
-    Their profile blocks and states go through V; :meth:`Modes.profiles`, which keeps the loss amplitudes on
-    U upside down, does not apply to their amplitudes.
+    Their profile blocks and states go through V, beside the pass's U on the gain rows; :meth:`Modes.profiles`,
+    which keeps the loss amplitudes on U upside down, does not apply to their amplitudes.
     """
 
     V: np.ndarray
 
     def amplitudes(self, state0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         psi0 = np.asarray(state0, dtype=complex)
-        gain, loss = psi0[0::2] @ self.U, psi0[1::2] @ self.V
+        gain, loss = psi0[0::2] @ self.tables.basis(), psi0[1::2] @ self.V
         # -iH on a mode's gain and loss amplitudes: [[gamma, -i*lam], [-i*lam, -gamma]]
         g, lam = self.chain.gamma, self.lam
         return np.stack((gain, loss)), np.stack((g * gain - 1j * lam * loss, -1j * lam * gain - g * loss))
 
-    def _sites(self, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
-        # the loss rows are on V: its rows reversed, as the caller writes the loss sites
+    def _sites(self, U: np.ndarray, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+        # the gain rows are on the pass's U, the loss rows on V: its rows reversed, as the caller writes the loss sites
         half = len(rows) // 2
-        np.matmul(rows[:half], self.U.T, out=out[:half])
+        np.matmul(rows[:half], U.T, out=out[:half])
         np.matmul(rows[half:], self.V[::-1].T, out=out[half:])
         return out
 
@@ -158,4 +158,4 @@ def two_basis_modes(chain) -> TwoBasisModes:
     B = np.diag(np.full(n, chain.strong)) + np.diag(np.full(n - 1, chain.weak), -1)
     if chain.ring:
         B[0, -1] = chain.weak
-    return TwoBasisModes(modes.chain, modes.w, modes.lam, modes.tables, B.T @ modes.U / modes.lam)
+    return TwoBasisModes(modes.chain, modes.w, modes.lam, modes.tables, B.T @ modes.tables.basis() / modes.lam)

@@ -222,7 +222,7 @@ def test_dense_hamiltonian_solves_as_its_chain(gamma, boundary):
     params = LatticeParams(20, 0.9, gamma, boundary)
     dense, chain = decompose(build_hamiltonian(params)), decompose(build_chain(params))
     assert dense.chain == chain.chain == build_chain(params)
-    assert np.array_equal(dense.lam, chain.lam) and np.array_equal(dense.U, chain.U)
+    assert np.array_equal(dense.lam, chain.lam) and np.array_equal(dense.tables.basis(), chain.tables.basis())
     assert np.array_equal(full_spectrum(build_hamiltonian(params)), full_spectrum(build_chain(params)))
 
 
@@ -250,7 +250,7 @@ def test_closed_form_modes_match_mpmath_and_lapack(cells, boundary):
     # (a - b - gamma)(a - b + gamma), a rounding error of 2*delta - gamma: each of the lowest three x
     # within 1e-14 relative of the 40-digit secular equation (2-4e-16 measured)
     chain = build_chain(LatticeParams(cells, 0.9, 1.8, boundary))
-    w, U = chain.modes()
+    w, tables = chain.mode_tables()
     x = chain.x(w)
     for got, ref in zip(x[:3], _lowest_x_mpmath(chain), strict=True):
         assert abs(mpmath.mpf(float(got)) - ref) <= 1e-14 * abs(ref)
@@ -263,7 +263,7 @@ def test_closed_form_modes_match_mpmath_and_lapack(cells, boundary):
     # each closed-form vector lies in its eigenvalue's reference subspace (a cos and a sin mode share
     # one on the ring): its weight outside it is LAPACK's own error, at most eps*|B B^T|/gap
     _, group = np.unique(w, return_inverse=True)
-    outside = np.where(group[:, None] == group, 0.0, reference.T @ U)
+    outside = np.where(group[:, None] == group, 0.0, reference.T @ tables.basis())
     gap = np.abs(np.subtract.outer(lam2, lam2) + np.where(group[:, None] == group, np.inf, 0.0)).min(axis=0)
     assert np.all(np.linalg.norm(outside, axis=0) <= 10 * np.finfo(float).eps * lam2[-1] / gap)
 

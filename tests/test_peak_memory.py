@@ -43,8 +43,11 @@ def _norms_table():
 # and returns the call whose peak is measured.
 PEAK_MIB = {
     # at 2N = 500 and 2000 samples the profile stack alone is 7.6 MiB; fig6 and fig7 reduce one 64-sample
-    # block at a time (2.7 and 4.1 MiB measured, 18.6 and 26.7 MiB when they read the whole stack)
-    **{f"{e}-profile-readers": (partial(_cli, e, "--cells", "250", "--samples", "2000"), 8) for e in ("fig6", "fig7")},
+    # block at a time (18.6 and 26.7 MiB when they read the whole stack), and each pass forms U (0.5 MiB) and
+    # drops it. fig6: 1.93 MiB measured. fig7 keeps each single's intervals and norms, not the run: 2.11 MiB
+    # measured, 3.42 MiB while the shared decomposition cached U and both singles lived through the pairs
+    "fig6-profile-readers": (partial(_cli, "fig6", "--cells", "250", "--samples", "2000"), 8),
+    "fig7-profile-readers": (partial(_cli, "fig7", "--cells", "250", "--samples", "2000"), 2.75),
     # fig4 at 2N = 2000 holds U's two angle-addition tables (0.5 MiB each) and evolve's transient beside them,
     # and forms no N x N array: 6.41 MiB measured, 13.24 MiB while the decomposition held U (7.6 MiB), 22.3 MiB
     # while it also stored the loss vectors V

@@ -1,5 +1,5 @@
 import functools
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import mpmath
 import numpy as np
@@ -446,13 +446,26 @@ def test_shared_decomposition_gain_sweep():
             assert err.max() < 1e-12
 
 
+def test_decomposition_stays_a_value():
+    # runs share one decomposition, so no read may cache on it: amplitudes, Modes.profiles, a whole pass of
+    # profile blocks and the states each form what they need (the N x N U for a pass) and keep none of it there
+    params = LatticeParams(20, 0.9, 1.8)
+    modes = decompose(build_chain(params))
+    psi0 = build_initial_state(PacketSpec(np.pi / 6, 0.05), params)
+    modes.profiles(modes.amplitudes(psi0), np.array([0.0, 1.0]))
+    traj = evolve(psi0, modes, 0.1, 2 * BLOCK + 5, record_states=True)
+    assert sum(1 for _ in traj.profile_blocks()) == 3 and traj.states is not None
+    assert set(vars(modes)) == {field.name for field in fields(modes)}
+
+
 def _loss_basis(modes) -> np.ndarray:
     """The loss-site vectors as the modes apply them: the identity's coefficients carried to the sites.
 
     The loss rows are on U upside down, where mode m is its parity sign times the unit row m (Modes.amplitudes).
     """
     n = modes.w.size
-    sites = modes._sites(np.vstack((np.eye(n), np.diag(modes._parity))), np.empty((2 * n, n)))
+    rows = np.vstack((np.eye(n), np.diag(modes._parity)))
+    sites = modes._sites(modes.tables.basis(), rows, np.empty((2 * n, n)))
     return sites[n:, ::-1].T  # the loss sites come out reversed: a row per loss site, a column per mode
 
 
@@ -494,7 +507,7 @@ def test_bases_match_40_digit_vectors(boundary, cells):
     # sums of U's squares; 4.2e-17 ring)
     chain = build_chain(LatticeParams(cells, 0.9, 1.8, boundary))
     modes = decompose(chain)
-    U, V = modes.U, _loss_basis(modes)
+    U, V = modes.tables.basis(), _loss_basis(modes)
     for column in (0, 1, 2, cells // 2 - 1, cells - 3, cells - 2, cells - 1):
         u, v = _vectors_mpmath(chain, column)
         assert np.abs(U[:, column] - u).max() <= 5e-16, column
@@ -512,7 +525,7 @@ def test_loss_vectors_are_the_parity_image(boundary, cells):
     else:
         chain = build_chain(LatticeParams(cells, 0.9, 1.8, boundary))
     modes = decompose(chain)
-    assert np.abs(_loss_basis(modes) - loss_amplitudes(chain, modes.U) / modes.lam).max() <= 1e-15
+    assert np.abs(_loss_basis(modes) - loss_amplitudes(chain, modes.tables.basis()) / modes.lam).max() <= 1e-15
 
 
 @pytest.mark.parametrize("state", ["packet", "complex"])
@@ -565,7 +578,7 @@ def test_table_products_match_the_formed_basis(boundary, cells, state):
     else:
         rng = np.random.default_rng(cells)
         psi0 = rng.normal(size=2 * cells) + 1j * rng.normal(size=2 * cells)
-    U = modes.U.astype(np.longdouble)
+    U = modes.tables.basis().astype(np.longdouble)
     parts = np.stack((psi0.real, psi0.imag)).astype(np.longdouble)
     gain, loss = parts[:, 0::2] @ U, parts[:, ::-2] @ U  # the loss sites in reverse order, as Modes keeps them
     reference = np.stack((gain[0] + 1j * gain[1], loss[0] + 1j * loss[1]))
