@@ -1,4 +1,4 @@
-"""Growth classification and packet kinematics on recorded trajectories.
+"""Growth classification, the norm's period and packet kinematics on recorded trajectories.
 
 The classifier implements the threshold trichotomy: below the tuned gain
 the Dirac norm oscillates, at it the norm grows linearly, above it
@@ -8,6 +8,7 @@ nothing is decided by eye.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,6 +89,31 @@ def classify_growth(times: np.ndarray, norms: np.ndarray, window: tuple) -> Grow
     else:
         label, r2 = "Linear", r2_lin
     return GrowthReport(label=label, fit_params=fits, r_squared=max(0.0, min(1.0, r2)))
+
+
+def norm_period(times: np.ndarray, norms: np.ndarray, lags: tuple) -> float:
+    """The lag in ``lags = (lo, hi)`` at which the norm curve best matches itself: its waveform's period, to a sample.
+
+    For every sample lag L in the window it takes the mean of (P(t + L) - P(t))^2 over the samples L apart, all
+    at once from one FFT autocorrelation and a running sum of squares: O(n log n).  The curve is read whole, so
+    the sample-level ripples on the flat top of an off-center packet's norm, whose local maxima a peak search
+    takes for the period, do not count; and a mean, unlike a raw autocorrelation, does not favour the longer
+    overlap of a shorter lag.
+    """
+    dt, n = times[1] - times[0], len(norms)
+    first, last = math.ceil(lags[0] / dt), min(math.floor(lags[1] / dt), n - 1)
+    if first > last:
+        raise AnalysisError(f"no sample lag in [{lags[0]:.6g}, {lags[1]:.6g}] at dt = {dt:.6g}: no period")
+    p = norms / (np.abs(norms).max() or 1.0)  # no square overflows
+    if not p.max() - p.min() > 1e-12:  # as classify_growth: at gamma = 0 the norm is conserved, and varies by rounding
+        raise AnalysisError("indeterminate: the norm is constant, so it has no period")
+    size = 1 << (2 * n - 1).bit_length()  # zero-padded past 2n - 1: a linear, not circular, correlation
+    spectrum = np.fft.rfft(p, size)
+    cross = np.fft.irfft(spectrum * spectrum.conj(), size)[first : last + 1]  # sum_t P(t) P(t + L)
+    squares = np.concatenate(([0.0], np.cumsum(p * p)))  # squares[k] = sum_{t < k} P(t)^2
+    L = np.arange(first, last + 1)
+    msd = (squares[n] - squares[L] + squares[n - L] - 2.0 * cross) / (n - L)
+    return float(times[first + np.argmin(msd)])
 
 
 def reflection_symmetry(traj: Trajectory, t_reflect: float, delta_t: float) -> float:

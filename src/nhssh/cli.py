@@ -39,6 +39,7 @@ EXIT_CHECK = 4
 
 _PROFILE_TIMES_OVER_TAU = (0.0, 0.125, 0.25)  # where the profile oracle is graded
 _GROWTH_WINDOW_OVER_TAU = (0.05, 0.2)  # where fig5 classifies the norm's growth
+_PERIOD_LAGS_OVER_TAU = (0.25, 0.75)  # where fig4 looks for the norm's period, tau/2 in the closed form
 
 
 class ConfigError(ValueError):
@@ -92,6 +93,12 @@ class ExperimentConfig:
         return self.chain
 
     @cached_property
+    def modes(self) -> Modes:
+        """One decomposition for every packet, pair and gain of the run: B B^T does not depend on the gain, which
+        moves only each mode's growth rate (:meth:`~nhssh.propagate.Modes.at_gamma`). Refuses a singular T."""
+        return decompose(self.chain)
+
+    @cached_property
     def tau(self) -> float:
         return spectra.revival_period(self.params)
 
@@ -131,6 +138,16 @@ class ExperimentConfig:
         if gamma_c - 0.1 <= 0.0:
             raise ValueError(f"fig5 sweeps gamma from 2*delta - 0.1, which needs delta > 0.05, got {self.delta}")
         return tuple(gamma_c + d for d in (-0.1, 0.0, 0.1))
+
+    @cached_property
+    def period_lags(self) -> tuple[float, float]:
+        """fig4's lags, tau/4 to 3 tau/4, at which the norm is matched against itself (analysis.norm_period):
+        each lag is compared over at least tau/4, so the run must span a revival period."""
+        lo, hi = _PERIOD_LAGS_OVER_TAU
+        if self.tmax_over_tau < lo + hi:
+            raise ValueError(f"fig4 matches its norm against itself at lags up to 3 tau/4, each over at least"
+                             f" tau/4, so it needs tmax_over_tau >= 1, got {self.tmax_over_tau}")
+        return lo * self.tau, hi * self.tau
 
     @cached_property
     def window(self) -> tuple[float, float]:
@@ -236,14 +253,14 @@ def _profile_table(profile: np.ndarray, closed_form: np.ndarray | None = None) -
 # files once the runner returns and, under --check, passes each value <= bound.
 
 
-def _evolve_packet(config: ExperimentConfig, H) -> Trajectory:
-    """The config's packet over tmax_over_tau revival periods, on H: its chain or a decomposition."""
-    return evolve(states.build_initial_state(config.packet, config.params), H, config.dt, config.samples - 1)
+def _evolve_packet(config: ExperimentConfig, modes: Modes) -> Trajectory:
+    """The config's packet over tmax_over_tau revival periods, on modes: the config's, or them at another gain."""
+    return evolve(states.build_initial_state(config.packet, config.params), modes, config.dt, config.samples - 1)
 
 
-def _packet_norms(config: ExperimentConfig, H) -> tuple:
+def _packet_norms(config: ExperimentConfig) -> tuple:
     """The times and Dirac norms of :func:`_evolve_packet`'s run and the closed form; the run ends here."""
-    traj = _evolve_packet(config, H)
+    traj = _evolve_packet(config, config.modes)
     return traj.times, traj.norms, oracle.dirac_norm_closed_form(traj.times, config.packet, config.params)
 
 
@@ -269,12 +286,12 @@ def _run_fig2(config: ExperimentConfig, files: dict) -> list:
     return outcomes
 
 
-def _closed_form_profiles(config: ExperimentConfig, modes: Modes, files: dict) -> list:
+def _closed_form_profiles(config: ExperimentConfig, files: dict) -> list:
     """The profile oracle at t = 0, tau/8 and tau/4: the closed form at t against the run's sample nearest t,
     formed from the packet's amplitudes on the run's modes with no trajectory."""
     samples = [nearest_sample(t, config.dt, config.samples) * config.dt for t in config.profile_times]
     psi0 = states.build_initial_state(config.packet, config.params)
-    profiles = modes.profiles(modes.amplitudes(psi0), np.array(samples))
+    profiles = config.modes.profiles(config.modes.amplitudes(psi0), np.array(samples))
     outcomes = []
     compare_rows = []
     for index, (t, numeric) in enumerate(zip(config.profile_times, profiles)):
@@ -288,21 +305,17 @@ def _closed_form_profiles(config: ExperimentConfig, modes: Modes, files: dict) -
 
 
 def _run_fig3(config: ExperimentConfig, files: dict) -> list:
-    modes = decompose(config.open_chain)
-    files["norms.csv"] = _NORMS_HEADER, _packet_norms(config, modes)
-    return _closed_form_profiles(config, modes, files)
+    files["norms.csv"] = _NORMS_HEADER, _packet_norms(config)
+    return _closed_form_profiles(config, files)
 
 
 def _run_fig4(config: ExperimentConfig, files: dict) -> list:
-    times, p, closed = columns = _packet_norms(config, config.open_chain)
+    times, p, closed = columns = _packet_norms(config)
     files["norms.csv"] = _NORMS_HEADER, columns
 
     # report the waveform period two ways rather than asserting a wording:
     # the closed-form norm repeats every tau/2, packets revive every tau
-    peaks = times[1:-1][(p[1:-1] >= p[:-2]) & (p[1:-1] >= p[2:]) & (p[1:-1] > 0.5 * p.max())]
-    if len(peaks) < 2:
-        raise analysis.AnalysisError(f"fewer than two norm peaks in t = [0, {times[-1]:.6g}]: no period")
-    measured = float(peaks[1] - peaks[0])
+    measured = analysis.norm_period(times, p, config.period_lags)
     files["period_report.csv"] = (
         ["formula_period", "measured_period", "revival_period"],
         zip(*[(config.tau / 2.0, measured, config.tau)]),
@@ -313,11 +326,9 @@ def _run_fig4(config: ExperimentConfig, files: dict) -> list:
 
 
 def _run_fig5(config: ExperimentConfig, files: dict) -> list:
-    # one decomposition for the sweep: B B^T does not depend on the gain, which moves only each mode's growth rate
-    modes = decompose(config.chain)
     rows = []
     for i, g in enumerate(config.gains, start=1):
-        traj = _evolve_packet(config, modes.at_gamma(g))
+        traj = _evolve_packet(config, config.modes.at_gamma(g))
         report = analysis.classify_growth(traj.times, traj.norms, config.window)
         rows.append((g, report.label, report.r_squared, report.fit_params["linear"]["slope"]))
         files[f"norms_gamma{i}.csv"] = _norms_table(traj)
@@ -327,7 +338,7 @@ def _run_fig5(config: ExperimentConfig, files: dict) -> list:
 
 
 def _run_fig6(config: ExperimentConfig, files: dict) -> list:
-    traj = _evolve_packet(config, config.chain)
+    traj = _evolve_packet(config, config.modes)
     files["norms.csv"] = _norms_table(traj)
     report = analysis.translation_window(traj)
     files["translation.csv"] = (
@@ -338,8 +349,7 @@ def _run_fig6(config: ExperimentConfig, files: dict) -> list:
 
 
 def _run_fig7(config: ExperimentConfig, files: dict) -> list:
-    modes = decompose(config.open_chain)  # one decomposition for all four runs
-    plus = config.pairs[0]
+    modes, plus = config.modes, config.pairs[0]
     psi1, psi2 = (states.build_initial_state(spec, config.params) for spec in plus.single_specs(config.cells))
     # half-maximum intervals ignore scale; each single's come from one pass over its profile blocks, and only
     # they and its norms outlive the run, so no single is alive while the pairs evolve
@@ -381,21 +391,22 @@ def _run_spectrum(config: ExperimentConfig, files: dict) -> list:
 
 
 def _run_oracle_compare(config: ExperimentConfig, files: dict) -> list:
-    return _closed_form_profiles(config, decompose(config.open_chain), files)
+    return _closed_form_profiles(config, files)
 
 
 # experiment id -> (runner, canonical figure parameters for keys left unset, needs): needs names, in the order
 # they are resolved, the ExperimentConfig properties that can refuse a config and that the runner reads
 EXPERIMENTS = {
     "fig2": (_run_fig2, {"cells": 1000}, ("open_chain",)),  # its m pi/8 packets are the open chain's
-    "fig3": (_run_fig3, {}, ("open_chain", "packet", "profile_times", "dt")),
-    "fig4": (_run_fig4, {"q": 0.05, "tmax_over_tau": 1.0}, ("open_chain", "packet", "dt")),
-    "fig5": (_run_fig5, {"tmax_over_tau": 0.25}, ("packet", "gains", "window")),
-    "fig6": (_run_fig6, {"kappa0_over_pi": 1.0 / 6.0, "q": 0.05}, ("packet", "dt")),
+    "fig3": (_run_fig3, {}, ("open_chain", "modes", "packet", "profile_times", "dt")),
+    "fig4": (_run_fig4, {"q": 0.05, "tmax_over_tau": 1.0}, ("open_chain", "modes", "packet", "dt", "period_lags")),
+    "fig5": (_run_fig5, {"tmax_over_tau": 0.25}, ("modes", "packet", "gains", "window")),
+    "fig6": (_run_fig6, {"kappa0_over_pi": 1.0 / 6.0, "q": 0.05}, ("modes", "packet", "dt")),
     "fig7": (_run_fig7, {"kappa0_over_pi": 1.0 / 6.0, "kappa02_over_pi": 5.0 / 6.0, "q": 0.05},
-             ("open_chain", "pairs", "dt")),
+             ("open_chain", "modes", "pairs", "dt")),
     "spectrum": (_run_spectrum, {}, ()),
-    "oracle-compare": (_run_oracle_compare, {"tmax_over_tau": 0.3}, ("open_chain", "packet", "profile_times", "dt")),
+    "oracle-compare": (_run_oracle_compare, {"tmax_over_tau": 0.3},
+                       ("open_chain", "modes", "packet", "profile_times", "dt")),
 }
 
 
@@ -461,7 +472,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: cannot write outputs: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ValueError as exc:
-        # a domain-level rejection that only the run meets (a chain whose hopping is singular)
+        # a domain-level rejection that only the run meets (fig2's m pi/8 packets, which no property builds)
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

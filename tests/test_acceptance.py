@@ -39,6 +39,8 @@ from nhssh import (
     translation_window,
     verify_equal_spacing,
 )
+from nhssh.lattice import build_chain
+from nhssh.propagate import decompose
 from reference import stacked_profiles, taylor_expm
 
 DELTA = 0.9
@@ -117,6 +119,33 @@ def test_c05_lasing_linearity(params250, h250, tau250):
         ok,
         f"R^2 = {report.r_squared:.6f}, slope = {slope:.6g} vs 8/tau = {target:.6g} "
         f"({abs(slope - target) / target:.2%} off)",
+    )
+
+
+def test_c05_lasing_fires_anywhere():
+    # at q = 0 and gamma = gamma_c the closed form grows as dP/dt = lam^2 pi omega while omega t < min(k0, pi - k0),
+    # at every position kappa0 (C5's 8/tau at pi/2). Fitted over 0.1 to 0.8 of that window, 2001 samples over
+    # tau/2, the slope over lam^2 pi omega read 0.973272-0.973358: a spread of 8.6e-5, the 2.7% offset being the
+    # chain's dispersion, shared by every position. The spread's bound is 2e-4, 2.3 times that
+    params = LatticeParams(CELLS, DELTA, 2 * DELTA)
+    tau = revival_period(params)
+    omega = 2.0 * np.pi / tau
+    modes = decompose(build_chain(params))
+    ratios = {}
+    for kappa0_over_pi in (1 / 2, 1 / 3, 1 / 6, 0.1, 0.9):
+        spec = PacketSpec(kappa0_over_pi * np.pi, 0.0).normalized(CELLS)
+        traj = evolve(build_initial_state(spec, params), modes, 0.5 * tau / 2000, 2000)
+        linear_until = min(kappa0_over_pi, 1.0 - kappa0_over_pi) * np.pi / omega
+        report = classify_growth(traj.times, traj.norms, (0.1 * linear_until, 0.8 * linear_until))
+        assert report.label == "Linear" and report.r_squared > 0.99, kappa0_over_pi
+        ratios[kappa0_over_pi] = report.fit_params["linear"]["slope"] / (spec.lam**2 * np.pi * omega)
+    spread = max(ratios.values()) - min(ratios.values())
+    ok = all(abs(r - 1.0) < 0.10 for r in ratios.values()) and spread < 2e-4
+    _report(
+        "C5 lasing fires anywhere",
+        ok,
+        "slope / (lam^2 pi omega) = " + ", ".join(f"{k:.4g}pi: {r:.6f}" for k, r in ratios.items())
+        + f"; spread {spread:.2e}",
     )
 
 

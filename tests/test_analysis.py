@@ -19,6 +19,7 @@ from nhssh import (
     reflection_symmetry,
     translation_window,
 )
+from nhssh.analysis import norm_period
 from reference import stacked_profiles
 
 
@@ -54,6 +55,37 @@ def test_classify_needs_samples():
     t = np.linspace(0, 10, 30)
     with pytest.raises(AnalysisError, match="samples"):
         classify_growth(t, t, (0, 10))
+
+
+def test_norm_period_reads_the_whole_curve():
+    # a trapezoid of period 120 samples whose flat top carries a 6-sample ripple, as an off-center packet's norm
+    # does: local maxima sit a ripple apart, while the lag that best matches the curve with itself is the period
+    n = np.arange(500)
+    t = 0.1 * n
+    phase = n % 120
+    wave = np.minimum(np.minimum(phase, 120 - phase) / 30.0, 1.0) + 0.01 * np.cos(2 * np.pi * n / 6)
+    assert norm_period(t, wave, (3.0, 18.0)) == t[120]
+    assert norm_period(t, 1e300 * wave, (3.0, 18.0)) == t[120]  # no square overflows
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_norm_period_matches_a_lag_by_lag_mean(seed):
+    # the FFT form against the mean of (P(t + L) - P(t))^2 taken lag by lag, on a noisy wave of period 25.3
+    rng = np.random.default_rng(seed)
+    t = 0.5 * np.arange(300)
+    norms = 2.0 + np.sin(2 * np.pi * t / 25.3) + 0.3 * rng.standard_normal(t.size)
+    lags = np.arange(20, 71)
+    msd = [np.mean((norms[L:] - norms[:-L]) ** 2) for L in lags]
+    assert norm_period(t, norms, (10.0, 35.0)) == t[lags[np.argmin(msd)]]
+
+
+def test_norm_period_refuses_what_has_none():
+    t = np.linspace(0, 10, 101)
+    for flat in (np.zeros(101), 7e-4 * (1.0 + 1e-16 * np.sin(t))):  # fig4's norm at gamma = 0 varies by 4e-19
+        with pytest.raises(AnalysisError, match="indeterminate"):
+            norm_period(t, flat, (2.0, 6.0))
+    with pytest.raises(AnalysisError, match="no sample lag"):
+        norm_period(t, np.sin(t), (0.01, 0.09))
 
 
 @settings(max_examples=30, deadline=None)

@@ -199,8 +199,8 @@ EXIT_CONTRACT = {
     # samples about 1e170 apart: the center-velocity fit's sums of t^2 overflow
     "fig6-fit-overflow": (["fig6", "--cells", "17", "--samples", "163", "--q", "0", "--tmax-over-tau", "7.48e171"],
                           EXIT_NUMERICAL, r"\[FloatingPointError\]: overflow encountered in multiply$"),
-    "fig4-one-peak": (["fig4", *SMALL], EXIT_NUMERICAL,  # 0.3 tau holds one norm peak: no period to measure
-                      r"\[AnalysisError\]: fewer than two norm peaks in t = \[0, 57\.98\d*\]"),
+    # fig4 matches its norm against itself at lags tau/4 to 3 tau/4, each over at least tau/4: 0.3 tau is too short
+    "fig4-one-peak": (["fig4", *SMALL], EXIT_CONFIG, r"needs tmax_over_tau >= 1, got 0\.3$"),
     "fig7-one-position": (["fig7", "--kappa02-over-pi", "1/6"], EXIT_CONFIG, "kappa01 and kappa02 must differ"),
     # fig5's lowest gain, 2*delta - 0.1, is 0 or negative; its growth window [0.05, 0.2] tau holds too few samples
     **{f"fig5-delta-{d}": (["fig5", "--cells", "60", "--samples", "500", "--delta", d], EXIT_CONFIG, r"delta > 0\.05")
@@ -249,6 +249,7 @@ EXIT_CONTRACT = {
     "gamma-square-inf": (["spectrum", "--cells", "23", "--gamma", "1.102e247"], EXIT_CONFIG,
                          r"gamma='1\.102e247': gamma\^2 must be finite"),
     "fig7-two-samples": (["fig7", "--samples", "2"], EXIT_NUMERICAL, "packets never meet inside the trajectory span"),
+    # the ring's gap 2*delta is below the modes' rounding: build_config refuses it as it decomposes the chain
     "fig6-singular-ring": (["fig6", "--delta", "1e-9", "--boundary", "periodic", "--cells", "4"], EXIT_CONFIG,
                            "T is singular"),
     # past q = 40 no coefficient survives the e^-40 cutoff, every squared term underflows at kappa0 = 1e-300 pi
@@ -340,7 +341,7 @@ OUTPUT_CONTRACT = {
     "fig5-90-samples": (["fig5", "--cells", "20", "--samples", "90"], EXIT_OK,
                         {**FIG5, **{f"norms_gamma{i}.csv": (NORMS[0], 90) for i in (1, 2, 3)}}),
     "fig3-off-center": (["fig3", "--kappa0-over-pi", "1/3", *SMALL], EXIT_CHECK, FILES["fig3"]),
-    "fig4-off-center": (["fig4", "--kappa0-over-pi", "1/3", *SMALL], EXIT_OK, FILES["fig4"]),
+    "fig4-off-center": (["fig4", "--kappa0-over-pi", "1/3", *RUN], EXIT_OK, FILES["fig4"]),
     "fig3-kappa0-1e-150": (["fig3", "--kappa0-over-pi", "1e-150", *RUN], EXIT_CHECK, FILES["fig3"]),
     # at q = 0 and 2N = 80 this packet has a normal weight, though at the global defaults it would have none
     "fig3-kappa0-6e-156-q0": (["fig3", "--q", "0", "--kappa0-over-pi", "6e-156", *RUN], EXIT_CHECK, FILES["fig3"]),
@@ -635,15 +636,44 @@ def test_fig7_pairs_from_singles_match_pair_evolution(tmp_path):
         assert np.abs(written["P_sum_singles"] - singles).max() <= 1e-12 * singles.max()
 
 
-@pytest.mark.parametrize("experiment", ["fig5", "fig7"])
+@pytest.mark.parametrize("experiment", list(EXPERIMENTS))
 def test_one_eigensolve_per_experiment(tmp_path, monkeypatch, experiment):
-    # fig5's three gains and fig7's four runs share one closed-form solve of the chain's modes
+    # every packet, pair and gain of a run (fig5's three gains, fig7's four runs) shares one closed-form solve of
+    # the chain's modes, which build_config makes, so the runner makes none; the spectrum reads the weights alone
+    # and fig2's packets need no modes. Each call records whether it formed the vectors' tables
     calls = []
     solve = Chain.mode_tables
-    monkeypatch.setattr(Chain, "mode_tables", lambda *a, **k: calls.append(1) or solve(*a, **k))
-    argv = [experiment, "--cells", "40", "--samples", "400", "--out", str(tmp_path / experiment)]
-    assert main(argv) == EXIT_OK
-    assert len(calls) == 1
+    monkeypatch.setattr(Chain, "mode_tables", lambda self, vectors=True: calls.append(vectors) or solve(self, vectors))
+    config = build_config({"experiment": experiment, "cells": 40, "samples": 400, "out": str(tmp_path / "out")})
+    resolved = calls.copy()
+    assert run_experiment(config) == EXIT_OK
+    expected = {"fig2": ([], []), "spectrum": ([], [False])}.get(experiment, ([True], []))
+    assert (resolved, calls[len(resolved):]) == expected
+
+
+def test_a_singular_chain_is_refused_with_its_config():
+    # the fig6-singular-ring row's argv: build_config, not the run, refuses it
+    experiment, *flags = EXIT_CONTRACT["fig6-singular-ring"][0]
+    explicit = {flag[2:]: _parse(flag[2:], text) for flag, text in zip(flags[::2], flags[1::2])}
+    with pytest.raises(ValueError, match="^T is singular"):
+        build_config({"experiment": experiment, **explicit})
+
+
+@pytest.mark.parametrize("cells, samples", [(40, 160), (250, 2000)])
+def test_fig4_reads_one_period_at_every_position(tmp_path, cells, samples):
+    # off kappa0 = pi/2 the norm has a flat top with sample-level ripples, which local maxima took for the period
+    # (2.43-4.86 against tau/2 = 96.6 at 2N = 80); matched against itself over the whole curve, the norm reads the
+    # same period at every position, within 3% of tau/2: the chain's dispersion puts it 1.9% short at 2N = 80 and
+    # 2.7% short at 2N = 500, as it does the slope of the lasing norm
+    periods = set()
+    for kappa0_over_pi in ("1/2", "1/3", "1/6", "0.1", "0.9"):
+        out = tmp_path / kappa0_over_pi.replace("/", "_")
+        argv = ["fig4", "--cells", str(cells), "--samples", str(samples), "--kappa0-over-pi", kappa0_over_pi]
+        assert main([*argv, "--out", str(out), "--check"]) == EXIT_OK
+        report = _read_columns(out / "period_report.csv")
+        assert abs(report["measured_period"][0] / report["formula_period"][0] - 1.0) < 0.03, kappa0_over_pi
+        periods.add(float(report["measured_period"][0]))
+    assert len(periods) == 1, periods
 
 
 def test_fig7_smooths_each_single_once(tmp_path, monkeypatch):

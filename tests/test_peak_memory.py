@@ -46,7 +46,7 @@ PEAK_MIB = {
     # block at a time (18.6 and 26.7 MiB when they read the whole stack), and each pass forms U (0.5 MiB) and
     # drops it. fig6: 1.93 MiB measured. fig7 keeps each single's intervals and norms, not the run: 2.11 MiB
     # measured, 3.42 MiB while the shared decomposition cached U and both singles lived through the pairs
-    "fig6-profile-readers": (partial(_cli, "fig6", "--cells", "250", "--samples", "2000"), 8),
+    "fig6-profile-readers": (partial(_cli, "fig6", "--cells", "250", "--samples", "2000"), 2.5),
     "fig7-profile-readers": (partial(_cli, "fig7", "--cells", "250", "--samples", "2000"), 2.75),
     # fig4 at 2N = 2000 holds U's two angle-addition tables (0.5 MiB each) and evolve's transient beside them,
     # and forms no N x N array: 6.41 MiB measured, 13.24 MiB while the decomposition held U (7.6 MiB), 22.3 MiB
